@@ -446,7 +446,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     let mut failures = 0;
     for spec in &specs {
         if wait {
-            match client.submit_and_wait(spec, Duration::from_millis(200), deadline) {
+            match client.submit_and_wait(spec, deadline) {
                 Ok((id, json)) => {
                     eprintln!("job {id:016x} ({}) done", spec.label());
                     print!("{}", String::from_utf8_lossy(&json));

@@ -5,7 +5,10 @@
 //! connection (connections are cheap on a Unix socket, and it makes the
 //! retry loop trivially safe — no half-read stream to resynchronize).
 //! `Busy` replies are honored by sleeping the server's retry-after hint
-//! before resubmitting; transport errors back off exponentially.
+//! before resubmitting; transport errors back off exponentially. Waiting
+//! for a result needs no client-side poll interval: the server holds a
+//! `Result` request until the job settles (for up to a second), so the
+//! client simply asks again on `NotReady`.
 
 use std::fmt;
 use std::io;
@@ -185,8 +188,10 @@ impl DcgClient {
         }
     }
 
-    /// Submit and poll until the job completes, returning its result
-    /// document.
+    /// Submit and wait until the job completes, returning its result
+    /// document. Each `Result` request is held by the server until the job
+    /// settles or its wait bound passes; a `NotReady` is re-requested at
+    /// once.
     ///
     /// # Errors
     ///
@@ -196,7 +201,6 @@ impl DcgClient {
     pub fn submit_and_wait(
         &self,
         spec: &JobSpec,
-        poll: Duration,
         deadline: Duration,
     ) -> Result<(u64, Vec<u8>), ClientError> {
         let start = Instant::now();
@@ -210,7 +214,6 @@ impl DcgClient {
                             what: format!("job {id:016x} ({})", spec.label()),
                         });
                     }
-                    std::thread::sleep(poll);
                 }
                 Reply::Err { code, message } => {
                     if code == crate::protocol::err_code::JOB_FAILED {

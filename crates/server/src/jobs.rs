@@ -194,13 +194,20 @@ impl JobError {
 /// Execute a job body, returning the result JSON document (the exact
 /// bytes persisted and served to clients, newline-terminated).
 ///
-/// `state_dir` is the server's state directory; replay jobs root their
-/// trace store under `<state_dir>/traces`.
+/// `state_dir` is the server's state directory; replay jobs open a trace
+/// store under `<state_dir>/traces` for this one call. The server itself
+/// runs every job against the single store it owns.
 ///
 /// # Errors
 ///
 /// [`JobError`] with the retryable flag classified per failure cause.
 pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
+    run_job_in(spec, &TraceCache::new(state_dir.join("traces")))
+}
+
+/// [`run_job`] against an open trace store: replay jobs record into and
+/// replay from `cache`; the other job kinds never touch it.
+pub(crate) fn run_job_in(spec: &JobSpec, cache: &TraceCache) -> Result<String, JobError> {
     match spec {
         JobSpec::Simulate { bench, seed, quick } => {
             let (cfg, groups, profile, length) = single_setup(bench, *quick)?;
@@ -212,7 +219,6 @@ pub fn run_job(spec: &JobSpec, state_dir: &Path) -> Result<String, JobError> {
         }
         JobSpec::Replay { bench, seed, quick } => {
             let (cfg, groups, profile, length) = single_setup(bench, *quick)?;
-            let cache = TraceCache::new(state_dir.join("traces"));
             let mut baseline = NoGating::new(&cfg, &groups);
             let mut dcg = Dcg::new(&cfg, &groups);
             let run = cache

@@ -23,8 +23,12 @@
 //!   store's own degradation (read-only fallback, fail-open caching).
 //! * **Dedup** — the job id is the digest of the canonical spec
 //!   encoding, so identical submissions share one execution, and
-//!   replay jobs dedup their simulation work against the
-//!   [`TraceStore`](dcg_core::TraceStore) underneath.
+//!   replay jobs dedup their simulation work against the one
+//!   [`TraceStore`](dcg_core::TraceStore) the server owns, which also
+//!   feeds the health document's store counters.
+//! * **Event-driven** — the accept loop blocks (a `Shutdown` request
+//!   wakes it), and a `Result` request for a running job waits, up to
+//!   a second, for the job to settle instead of making the client poll.
 //!
 //! The `dcg-server` binary runs the daemon; the `repro` binary gains
 //! `serve` and `submit` subcommands speaking the same protocol through

@@ -46,6 +46,21 @@
 //! counted; it cannot take the daemon down. A worker that exceeds the
 //! job's per-class deadline abandons the attempt (the body thread is
 //! detached and its result discarded) and schedules a retry.
+//!
+//! ## Events, not timers
+//!
+//! [`serve`](ExperimentServer::serve) blocks in `accept`; a `Shutdown`
+//! request wakes it by connecting once to the listener's own path. A
+//! `Result` request for an unfinished job waits on the `settled`
+//! condition variable (signalled by commits, failed attempts and
+//! shutdown) for up to one second before answering `NotReady`, so a
+//! client needs no poll interval.
+//!
+//! ## One trace store
+//!
+//! The server owns a single [`TraceCache`] over `state_dir/traces`.
+//! Every replay job runs against it, and the health document reports
+//! its counters.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, OpenOptions};
@@ -59,7 +74,7 @@ use std::time::{Duration, Instant};
 use dcg_core::TraceCache;
 use dcg_testkit::json::Json;
 
-use crate::jobs::{run_job, JobClass, JobError, JobSpec};
+use crate::jobs::{run_job_in, JobClass, JobError, JobSpec};
 use crate::protocol::{err_code, read_frame, write_frame, ProtocolError, Reply, Request};
 use crate::wal::{JobWal, WalRecord};
 
@@ -78,6 +93,10 @@ pub const SERVER_RETRIES_ENV: &str = "DCG_SERVER_RETRIES";
 /// Subdirectory of the state directory holding committed result
 /// documents (`job-<id>.json`).
 pub const JOBS_DIR: &str = "jobs";
+
+/// Longest a `Result` request for an unfinished job waits for the job to
+/// settle before it is answered `NotReady`.
+const RESULT_WAIT: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Crash hook (mirrors DCG_STORE_CRASH in the trace store)
@@ -142,7 +161,8 @@ fn crash_hook(point: CrashPoint, op: u64) {
 /// is configured programmatically.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// State directory: job WAL, result documents, replay trace store.
+    /// State directory: job WAL, result documents, replay trace store
+    /// (`traces/`).
     pub state_dir: PathBuf,
     /// Worker threads executing job bodies.
     pub workers: usize,
@@ -309,8 +329,16 @@ pub enum SubmitOutcome {
 pub struct ExperimentServer {
     cfg: ServerConfig,
     wal: JobWal,
+    /// The one trace store over `state_dir/traces`, shared by every
+    /// replay job and read by the health document.
+    cache: TraceCache,
     inner: Mutex<Inner>,
+    /// Wakes workers: a job became ready, or shutdown began.
     work: Condvar,
+    /// Wakes `Result` waiters: a job settled or failed an attempt, or
+    /// shutdown began. Kept apart from `work` so a waiter never takes the
+    /// `notify_one` a submit meant for a worker.
+    settled: Condvar,
     shutdown: AtomicBool,
     /// Counters for the health document.
     pub counters: ServerCounters,
@@ -379,10 +407,12 @@ impl ExperimentServer {
         }
 
         let server = ExperimentServer {
+            cache: TraceCache::new(cfg.state_dir.join("traces")),
             cfg,
             wal,
             inner: Mutex::new(Inner::default()),
             work: Condvar::new(),
+            settled: Condvar::new(),
             shutdown: AtomicBool::new(false),
             counters: ServerCounters::default(),
         };
@@ -480,6 +510,26 @@ impl ExperimentServer {
         inner.jobs.get(&id).map(|j| (j.state.clone(), j.attempts))
     }
 
+    /// [`status`](Self::status), except that a known job which is not yet
+    /// terminal is waited on for up to [`RESULT_WAIT`]; shutdown ends the
+    /// wait early.
+    fn settled_status(&self, id: u64) -> Option<(JobState, u32)> {
+        let deadline = Instant::now() + RESULT_WAIT;
+        let mut inner = self.inner.lock().expect("server lock");
+        loop {
+            let job = inner.jobs.get(&id)?;
+            let now = Instant::now();
+            if job.state.is_terminal() || self.shutdown.load(Ordering::Relaxed) || now >= deadline {
+                return Some((job.state.clone(), job.attempts));
+            }
+            inner = self
+                .settled
+                .wait_timeout(inner, deadline - now)
+                .expect("server lock")
+                .0;
+        }
+    }
+
     /// The committed result document of a `Done` job.
     #[must_use]
     pub fn result(&self, id: u64) -> Option<Vec<u8>> {
@@ -513,8 +563,7 @@ impl ExperimentServer {
         let open = inner.open as u64;
         drop(inner);
         let c = &self.counters;
-        let cache = TraceCache::new(self.cfg.state_dir.join("traces"));
-        let ch = cache.health();
+        let ch = self.cache.health();
         let doc = Json::obj([
             ("open_jobs", Json::u64(open)),
             ("queue_capacity", Json::u64(self.cfg.queue_capacity as u64)),
@@ -646,11 +695,14 @@ impl ExperimentServer {
         let deadline = self.cfg.deadline_for(spec.class());
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let body_spec = spec.clone();
-        let state_dir = self.cfg.state_dir.clone();
+        let cache = self.cache.clone();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(&body_spec, &state_dir)
+                run_job_in(&body_spec, &cache)
             }));
+            // Release the store before reporting, so the server's handle
+            // is the last one once the pool has joined.
+            drop(cache);
             let _ = tx.send(result);
         });
         match rx.recv_timeout(deadline) {
@@ -688,6 +740,7 @@ impl ExperimentServer {
                     drop(inner);
                     self.counters.completed.fetch_add(1, Ordering::Relaxed);
                     self.work.notify_all();
+                    self.settled.notify_all();
                 }
                 Err(e) => self.fail_attempt(
                     id,
@@ -772,6 +825,7 @@ impl ExperimentServer {
         }
         drop(inner);
         self.work.notify_all();
+        self.settled.notify_all();
     }
 
     // -----------------------------------------------------------------
@@ -789,19 +843,19 @@ impl ExperimentServer {
 
     /// Serve requests on `listener` until a `Shutdown` request arrives,
     /// running jobs on the worker pool. Consumes the accept loop.
+    ///
+    /// The accept blocks; the connection that carried `Shutdown` wakes it
+    /// by connecting once more to the listener's own path.
     pub fn serve(self: &Arc<Self>, listener: UnixListener) {
         let workers = self.spawn_workers(false);
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
+        for conn in listener.incoming() {
+            if self.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
+            match conn {
+                Ok(stream) => {
                     let server = Arc::clone(self);
                     std::thread::spawn(move || server.handle_connection(stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
                 }
                 Err(e) => {
                     eprintln!("accept failed: {e}");
@@ -849,6 +903,12 @@ impl ExperimentServer {
                 return;
             }
             if shutting_down {
+                // Wake the accept loop so it sees the shutdown flag.
+                if let Ok(addr) = stream.local_addr() {
+                    if let Some(path) = addr.as_pathname() {
+                        let _ = UnixStream::connect(path);
+                    }
+                }
                 return;
             }
         }
@@ -878,7 +938,7 @@ impl ExperimentServer {
                     message: format!("no job {id:016x}"),
                 },
             },
-            Request::Result(id) => match self.status(id) {
+            Request::Result(id) => match self.settled_status(id) {
                 Some((JobState::Done, _)) => match self.result(id) {
                     Some(json) => Reply::Result { id, json },
                     None => Reply::Err {
@@ -901,8 +961,13 @@ impl ExperimentServer {
             },
             Request::Health => Reply::Health(self.health_json()),
             Request::Shutdown => {
+                // Set the flag under the lock, so a `Result` waiter cannot
+                // check it and then miss the wake-up.
+                let inner = self.inner.lock().expect("server lock");
                 self.shutdown.store(true, Ordering::Relaxed);
+                drop(inner);
                 self.work.notify_all();
+                self.settled.notify_all();
                 Reply::ShuttingDown
             }
         }
@@ -923,6 +988,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::DcgClient;
+    use std::path::Path;
+    use std::sync::mpsc;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -939,6 +1007,23 @@ mod tests {
             seed,
             quick: true,
         }
+    }
+
+    /// Run `serve` for `server` on `<dir>/dcg.sock` in a background
+    /// thread; the receiver fires once `serve` returns.
+    fn serve_in_background(
+        server: &Arc<ExperimentServer>,
+        dir: &Path,
+    ) -> (PathBuf, mpsc::Receiver<()>) {
+        let sock = dir.join("dcg.sock");
+        let listener = UnixListener::bind(&sock).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let server = Arc::clone(server);
+        std::thread::spawn(move || {
+            server.serve(listener);
+            let _ = tx.send(());
+        });
+        (sock, rx)
     }
 
     #[test]
@@ -1106,5 +1191,129 @@ mod tests {
         ] {
             assert!(json.contains(key), "health JSON missing {key}: {json}");
         }
+    }
+
+    #[test]
+    fn serve_returns_promptly_after_shutdown() {
+        let dir = scratch("accept-wake");
+        let mut cfg = ServerConfig::new(dir.clone());
+        cfg.workers = 1;
+        let server = ExperimentServer::open(cfg).unwrap();
+        let (sock, served) = serve_in_background(&server, &dir);
+        let client = DcgClient::new(&sock);
+        assert_eq!(client.request(&Request::Ping).unwrap(), Reply::Pong);
+        client.shutdown().unwrap();
+        served
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the blocked accept wakes up and serve returns");
+    }
+
+    #[test]
+    fn result_sent_while_the_job_runs_is_answered_with_the_document() {
+        let dir = scratch("result-wait");
+        let mut cfg = ServerConfig::new(dir.clone());
+        cfg.workers = 1;
+        let server = ExperimentServer::open(cfg).unwrap();
+        let (sock, served) = serve_in_background(&server, &dir);
+        let client = DcgClient::new(&sock);
+        let (id, deduped) = client
+            .submit(&spec("gzip", 3), Duration::from_secs(10))
+            .unwrap();
+        assert!(!deduped);
+        match client.request(&Request::Result(id)).unwrap() {
+            Reply::Result { id: got, json } => {
+                assert_eq!(got, id);
+                assert!(std::str::from_utf8(&json).unwrap().contains("dcg_saving"));
+            }
+            other => panic!("one Result exchange should carry the document, got {other:?}"),
+        }
+        client.shutdown().unwrap();
+        served.recv_timeout(Duration::from_secs(5)).unwrap();
+    }
+
+    #[test]
+    fn result_wait_is_bounded_and_released_by_shutdown() {
+        // No workers: the job stays queued for good.
+        let server = ExperimentServer::open(ServerConfig::new(scratch("result-bound"))).unwrap();
+        let job = spec("gzip", 4);
+        server.submit(job.clone());
+        let started = Instant::now();
+        let reply = server.answer(Request::Result(job.id()));
+        assert!(started.elapsed() >= RESULT_WAIT, "waited the whole bound");
+        assert_eq!(
+            reply,
+            Reply::NotReady {
+                id: job.id(),
+                state: "queued".into()
+            }
+        );
+
+        let waiter = {
+            let server = Arc::clone(&server);
+            let id = job.id();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                (server.answer(Request::Result(id)), started.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(server.answer(Request::Shutdown), Reply::ShuttingDown);
+        let (reply, waited) = waiter.join().unwrap();
+        assert!(matches!(reply, Reply::NotReady { .. }), "got {reply:?}");
+        assert!(
+            waited < RESULT_WAIT,
+            "shutdown releases the waiter early (waited {waited:?})"
+        );
+    }
+
+    #[test]
+    fn health_reports_the_servers_own_store_failures() {
+        let dir = scratch("health-store");
+        let mut cfg = ServerConfig::new(dir.clone());
+        cfg.workers = 1;
+        let job = JobSpec::Replay {
+            bench: "gzip".into(),
+            seed: 5,
+            quick: true,
+        };
+        let server = ExperimentServer::open(cfg.clone()).unwrap();
+        server.submit(job.clone());
+        server.drain();
+        let want = server.result(job.id()).unwrap();
+        let entry = server.cache.entry_path_for(
+            &dcg_sim::SimConfig::baseline_8wide(),
+            "gzip",
+            5,
+            dcg_core::RunLength::quick(),
+        );
+        drop(server);
+
+        // Forget the job, keep the store, and put a directory where the
+        // recorded trace was: the re-run can neither read, evict nor
+        // re-store that entry.
+        fs::remove_file(dir.join(crate::wal::JOBS_WAL_FILE)).unwrap();
+        fs::remove_dir_all(dir.join(JOBS_DIR)).unwrap();
+        fs::remove_file(&entry).unwrap();
+        fs::create_dir(&entry).unwrap();
+
+        let server = ExperimentServer::open(cfg).unwrap();
+        server.submit(job.clone());
+        server.drain();
+        assert_eq!(
+            server.result(job.id()).unwrap(),
+            want,
+            "the live fallback reproduces the document"
+        );
+        let ch = server.cache.health();
+        assert!(
+            ch.store_failures + ch.evict_failures > 0,
+            "the job hit store failures: {ch:?}"
+        );
+        let json = server.health_json();
+        assert!(
+            json.contains(&format!("\"store_failures\":{}", ch.store_failures))
+                && json.contains(&format!("\"evict_failures\":{}", ch.evict_failures)),
+            "health reports the server's store counters: {json}"
+        );
     }
 }

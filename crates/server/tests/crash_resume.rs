@@ -93,7 +93,7 @@ fn reference_run(state: &Path) -> BTreeMap<String, Vec<u8>> {
     let client = DcgClient::new(&sock);
     for spec in campaign() {
         client
-            .submit_and_wait(&spec, Duration::from_millis(50), Duration::from_secs(300))
+            .submit_and_wait(&spec, Duration::from_secs(300))
             .expect("job completes");
     }
     client.shutdown().expect("clean shutdown accepted");
