@@ -25,13 +25,17 @@
 //! negligible).
 //!
 //! DCG imposes no resource constraints, so it rides the block-replay hot
-//! path (DESIGN §13): a warm-cache sweep feeds the controller through the
-//! per-cycle extract shim, bit-identical to live simulation.
+//! path (DESIGN §13): [`GatingPolicy::gate_lanes`] reads a decoded block's
+//! columns directly (grants, scheduled stores, booked buses, flow counts)
+//! and writes each lane's decision without allocating. The per-cycle
+//! `gate_into`/`observe` pair and the lane path share the same helpers, so
+//! both produce the same decisions, bit for bit.
 
 use dcg_isa::FuClass;
-use dcg_power::GateState;
+use dcg_power::{GateLanes, GateState};
 use dcg_sim::{
-    CycleActivity, FlowSource, LatchGroupSpec, LatchGroups, ResourceConstraints, SimConfig,
+    ActivityBlock, CycleActivity, FlowSource, FuGrant, LatchGroupSpec, LatchGroups,
+    ResourceConstraints, SimConfig,
 };
 
 use crate::policy::GatingPolicy;
@@ -158,75 +162,60 @@ impl Dcg {
         }
         hist[(cycle_wanted % HIST as u64) as usize]
     }
-}
 
-impl GatingPolicy for Dcg {
-    fn gate_for(&mut self, cycle: u64) -> GateState {
+    /// Read and retire `cycle`'s ring slots (nothing may book it any
+    /// more): the unit masks with the MemPort entry set to the port
+    /// decoder mask, the port mask, and the bus count.
+    fn take_booked(&mut self, cycle: u64) -> ([u32; FuClass::COUNT], u32, u32) {
         let idx = (cycle % RING as u64) as usize;
-        let fu = self.fu_ring[idx];
-        let ports = self.port_ring[idx];
-        let buses = self.bus_ring[idx];
-        // Retire the ring slots: nothing may book this cycle any more.
-        self.fu_ring[idx] = [0; FuClass::COUNT];
-        self.port_ring[idx] = 0;
-        self.bus_ring[idx] = 0;
-
-        let mut fu_powered = fu;
+        let mut fu_powered = std::mem::take(&mut self.fu_ring[idx]);
+        let ports = std::mem::take(&mut self.port_ring[idx]);
+        let buses = std::mem::take(&mut self.bus_ring[idx]);
         // The MemPort mask is the decoder-enable mask.
         fu_powered[FuClass::MemPort.index()] = ports;
+        (fu_powered, ports, buses)
+    }
 
-        let latch_slots = self
-            .specs
-            .iter()
-            .map(|s| {
-                if !s.gated {
-                    return None;
-                }
-                let slots = match (s.source, s.delay) {
-                    // Rename latch this cycle: decode count from last cycle
-                    // (paper §2.2.1). Capped by width for safety.
-                    (FlowSource::Renamed, 0) => self.decode_ready.min(self.issue_width),
-                    (FlowSource::Renamed, d) if cycle > u64::from(d) => {
-                        self.hist(&self.renamed_hist, cycle - u64::from(d), cycle)
-                    }
-                    (FlowSource::Issued, d) if cycle > u64::from(d) => {
-                        debug_assert!(d >= 1, "issued-sourced gated latch with no lead time");
-                        self.hist(&self.issued_hist, cycle - u64::from(d), cycle)
-                    }
-                    // Pre-history (start of time): the pipe is empty.
-                    (FlowSource::Renamed | FlowSource::Issued, _) => 0,
-                    (FlowSource::Fetched, _) => unreachable!("fetch latches are not gated"),
-                };
-                Some(slots)
-            })
-            .collect();
+    /// Clocked slots of latch group `spec` at `cycle` (`None` for a group
+    /// DCG does not gate).
+    fn latch_slots(&self, spec: &LatchGroupSpec, cycle: u64) -> Option<u32> {
+        if !spec.gated {
+            return None;
+        }
+        let slots = match (spec.source, spec.delay) {
+            // Rename latch this cycle: decode count from last cycle
+            // (paper §2.2.1). Capped by width for safety.
+            (FlowSource::Renamed, 0) => self.decode_ready.min(self.issue_width),
+            (FlowSource::Renamed, d) if cycle > u64::from(d) => {
+                self.hist(&self.renamed_hist, cycle - u64::from(d), cycle)
+            }
+            (FlowSource::Issued, d) if cycle > u64::from(d) => {
+                debug_assert!(d >= 1, "issued-sourced gated latch with no lead time");
+                self.hist(&self.issued_hist, cycle - u64::from(d), cycle)
+            }
+            // Pre-history (start of time): the pipe is empty.
+            (FlowSource::Renamed | FlowSource::Issued, _) => 0,
+            (FlowSource::Fetched, _) => unreachable!("fetch latches are not gated"),
+        };
+        Some(slots)
+    }
 
-        GateState {
-            fu_powered,
-            latch_slots,
-            dcache_ports_powered: ports,
-            result_buses_powered: buses,
-            issue_queue_scale: if self.options.gate_issue_queue {
-                self.iq_scale_next
-            } else {
-                1.0
-            },
-            control_bits: self.control_bits,
+    fn issue_queue_scale(&self) -> f64 {
+        if self.options.gate_issue_queue {
+            self.iq_scale_next
+        } else {
+            1.0
         }
     }
 
-    fn constraints(&self) -> ResourceConstraints {
-        self.constraints
-    }
-
-    fn observe(&mut self, act: &CycleActivity) {
-        let now = act.cycle;
+    fn observe_signals(&mut self, sig: &Signals<'_>) {
+        let now = sig.cycle;
         self.observed_cycle = now;
 
         // Execution-unit grants fix future instance activity (§3.1); load
         // grants on memory ports fix decoder activity three cycles out
         // (§3.3).
-        for g in &act.grants {
+        for g in sig.grants {
             for k in 0..g.active_len {
                 let c = now + u64::from(g.exec_start) + u64::from(k);
                 let idx = (c % RING as u64) as usize;
@@ -240,25 +229,110 @@ impl GatingPolicy for Dcg {
 
         // Committed stores scheduled for next cycle (§3.3).
         let idx_next = ((now + 1) % RING as u64) as usize;
-        self.port_ring[idx_next] |= act.store_ports_next;
+        self.port_ring[idx_next] |= sig.store_ports_next;
 
         // Result buses booked two cycles out (§3.4). This is the final
         // count for that cycle: bookings always happen at least two cycles
         // ahead of the drive cycle.
         let idx_2 = ((now + 2) % RING as u64) as usize;
-        self.bus_ring[idx_2] = act.result_bus_in_2;
+        self.bus_ring[idx_2] = sig.result_bus_in_2;
 
         // One-hot issued pipe and rename control (§3.2, §2.2.1).
-        self.issued_hist[(now % HIST as u64) as usize] = act.issued;
-        self.renamed_hist[(now % HIST as u64) as usize] = act.renamed;
-        self.decode_ready = act.decode_ready_next;
+        self.issued_hist[(now % HIST as u64) as usize] = sig.issued;
+        self.renamed_hist[(now % HIST as u64) as usize] = sig.renamed;
+        self.decode_ready = sig.decode_ready_next;
 
         // Optional \[6\]-style issue-queue gating: entries beyond the current
         // occupancy plus one dispatch group are deterministically empty
         // next cycle.
         if self.options.gate_issue_queue && self.iq_capacity > 0 {
-            let possibly_live = (act.iq_occupancy + self.issue_width).min(self.iq_capacity);
+            let possibly_live = (sig.iq_occupancy + self.issue_width).min(self.iq_capacity);
             self.iq_scale_next = f64::from(possibly_live) / f64::from(self.iq_capacity);
+        }
+    }
+}
+
+/// The advance-knowledge signals one cycle hands the controller, read
+/// from a [`CycleActivity`] ([`GatingPolicy::observe`]) or from one lane
+/// of an [`ActivityBlock`] ([`GatingPolicy::gate_lanes`]).
+struct Signals<'a> {
+    cycle: u64,
+    grants: &'a [FuGrant],
+    store_ports_next: u32,
+    result_bus_in_2: u32,
+    issued: u32,
+    renamed: u32,
+    decode_ready_next: u32,
+    iq_occupancy: u32,
+}
+
+impl GatingPolicy for Dcg {
+    fn gate_for(&mut self, cycle: u64) -> GateState {
+        let mut gate = GateState {
+            fu_powered: [0; FuClass::COUNT],
+            latch_slots: Vec::with_capacity(self.specs.len()),
+            dcache_ports_powered: 0,
+            result_buses_powered: 0,
+            issue_queue_scale: 1.0,
+            control_bits: 0,
+        };
+        self.gate_into(cycle, &mut gate);
+        gate
+    }
+
+    fn gate_into(&mut self, cycle: u64, out: &mut GateState) {
+        let (fu_powered, ports, buses) = self.take_booked(cycle);
+        out.fu_powered = fu_powered;
+        out.dcache_ports_powered = ports;
+        out.result_buses_powered = buses;
+        out.latch_slots.clear();
+        out.latch_slots
+            .extend(self.specs.iter().map(|s| self.latch_slots(s, cycle)));
+        out.issue_queue_scale = self.issue_queue_scale();
+        out.control_bits = self.control_bits;
+    }
+
+    fn constraints(&self) -> ResourceConstraints {
+        self.constraints
+    }
+
+    fn observe(&mut self, act: &CycleActivity) {
+        self.observe_signals(&Signals {
+            cycle: act.cycle,
+            grants: &act.grants,
+            store_ports_next: act.store_ports_next,
+            result_bus_in_2: act.result_bus_in_2,
+            issued: act.issued,
+            renamed: act.renamed,
+            decode_ready_next: act.decode_ready_next,
+            iq_occupancy: act.iq_occupancy,
+        });
+    }
+
+    fn gate_lanes(&mut self, block: &ActivityBlock, from: usize, to: usize, out: &mut GateLanes) {
+        for i in from..to {
+            let cycle = block.cycle(i);
+            let (fu_powered, ports, buses) = self.take_booked(cycle);
+            for (col, mask) in out.fu_powered.iter_mut().zip(fu_powered) {
+                col[i] = mask;
+            }
+            out.dcache_ports_powered[i] = ports;
+            out.result_buses_powered[i] = buses;
+            for (slot, spec) in out.latch_slots_mut(i).iter_mut().zip(&self.specs) {
+                *slot = self.latch_slots(spec, cycle);
+            }
+            out.issue_queue_scale[i] = self.issue_queue_scale();
+            out.control_bits[i] = self.control_bits;
+            self.observe_signals(&Signals {
+                cycle,
+                grants: block.grants_at(i),
+                store_ports_next: block.store_ports_next[i],
+                result_bus_in_2: block.result_bus_in_2[i],
+                issued: block.issued[i],
+                renamed: block.renamed[i],
+                decode_ready_next: block.decode_ready_next[i],
+                iq_occupancy: block.iq_occupancy[i],
+            });
         }
     }
 

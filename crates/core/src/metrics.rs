@@ -15,9 +15,10 @@
 //! stream: a replayed trace reconstructs the report bit-identically to the
 //! live simulation, which the replay-equivalence tests assert byte-for-byte
 //! on the JSON encoding. That holds on the block-replay hot path too
-//! (DESIGN §13) — the sink folds decoded [`dcg_sim::ActivityBlock`] spans through
-//! the per-cycle shim, so histograms, windows and the audit trail are
-//! byte-identical however the stream arrives. Derived ratios
+//! (DESIGN §13): the sink reads decoded [`dcg_sim::ActivityBlock`] spans
+//! through the same per-cycle accounting code as live cycles, in cycle
+//! order, so histograms, windows and the audit trail are byte-identical
+//! however the stream arrives. Derived ratios
 //! (utilization, gating efficiency) are computed on demand and never
 //! stored.
 

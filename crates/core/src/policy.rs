@@ -1,7 +1,7 @@
 //! The clock-gating policy abstraction.
 
-use dcg_power::GateState;
-use dcg_sim::{CycleActivity, LatchGroups, ResourceConstraints, SimConfig};
+use dcg_power::{GateLanes, GateState};
+use dcg_sim::{ActivityBlock, CycleActivity, LatchGroups, ResourceConstraints, SimConfig};
 
 /// A per-cycle clock-gating policy.
 ///
@@ -19,11 +19,12 @@ use dcg_sim::{CycleActivity, LatchGroups, ResourceConstraints, SimConfig};
 ///    (GRANT signals, one-hot issued count, scheduled stores, booked
 ///    buses) and updates its internal pipelined control state.
 ///
-/// Policies are per-cycle by contract. On the block-replay hot path
-/// (DESIGN §13) the driver decodes [`dcg_sim::ActivityBlock`]s, and the
-/// policy sink's span shim extracts each lane back into a
-/// [`CycleActivity`] before calling this protocol — so a policy never
-/// sees blocks and observes the identical call sequence on either path.
+/// On the block-replay hot path (DESIGN §13) the drive loop decodes
+/// [`ActivityBlock`]s, and the policy sinks call
+/// [`GatingPolicy::gate_lanes`] once per span instead: steps 1 and 4 for
+/// each lane in order (passive runs never constrain). Its default replays
+/// the per-cycle protocol lane by lane, so every policy is block-capable;
+/// the hot policies override it to read the block's columns directly.
 pub trait GatingPolicy {
     /// Gate state for cycle `cycle`, decided ahead of its execution.
     fn gate_for(&mut self, cycle: u64) -> GateState;
@@ -43,6 +44,28 @@ pub trait GatingPolicy {
 
     /// Observe the activity of the cycle that just executed.
     fn observe(&mut self, activity: &CycleActivity);
+
+    /// Decide lanes `from..to` of `block` into the same lanes of `out`,
+    /// observing each lane right after deciding it: per lane, exactly
+    /// [`gate_into`](GatingPolicy::gate_into) then
+    /// [`observe`](GatingPolicy::observe).
+    ///
+    /// The default is that per-lane shim (extract, `gate_into`,
+    /// `observe`). An override must write the same lanes and leave the
+    /// policy in the same state.
+    fn gate_lanes(&mut self, block: &ActivityBlock, from: usize, to: usize, out: &mut GateLanes) {
+        if from == to {
+            return;
+        }
+        let mut act = CycleActivity::default();
+        let mut gate = out.gate(from);
+        for i in from..to {
+            block.extract(i, &mut act);
+            self.gate_into(act.cycle, &mut gate);
+            out.set(i, &gate);
+            self.observe(&act);
+        }
+    }
 
     /// `true` if this policy never restricts resources (its presence does
     /// not perturb timing). Passive policies can share a simulation run
@@ -89,6 +112,12 @@ impl GatingPolicy for NoGating {
     }
 
     fn observe(&mut self, _activity: &CycleActivity) {}
+
+    fn gate_lanes(&mut self, _block: &ActivityBlock, from: usize, to: usize, out: &mut GateLanes) {
+        for i in from..to {
+            out.set(i, &self.gate);
+        }
+    }
 
     fn name(&self) -> &str {
         "baseline"

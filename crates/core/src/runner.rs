@@ -9,8 +9,8 @@
 //! [`crate::ReplaySource`] — the simulate-once architecture.
 
 use dcg_isa::FuClass;
-use dcg_power::{GateState, PowerModel, PowerReport};
-use dcg_sim::{CycleActivity, LatchGroups, Processor, SimConfig, SimStats};
+use dcg_power::{GateColumns, PowerModel, PowerReport};
+use dcg_sim::{ActivityColumns, LatchGroups, Processor, SimConfig, SimStats};
 use dcg_workloads::InstStream;
 
 use crate::error::DcgError;
@@ -83,39 +83,54 @@ pub struct GatingAudit {
 }
 
 impl GatingAudit {
-    pub(crate) fn check(&mut self, gate: &GateState, act: &CycleActivity) {
-        let mut violations = 0u64;
+    /// Fold the audit over a column view, one popcount sum per column
+    /// (integer sums, so any lane grouping gives the per-cycle totals).
+    // Always inlined, here and in the other folds: a per-cycle caller's
+    // one-lane view then folds away instead of being built in memory and
+    // read back through a generic loop every live cycle.
+    #[inline(always)]
+    pub(crate) fn check(&mut self, act: &ActivityColumns, gate: &GateColumns) {
         for c in FuClass::ALL {
             if c == FuClass::MemPort {
                 continue;
             }
-            let used = act.fu_active[c.index()];
-            let powered = gate.fu_powered[c.index()];
-            violations += u64::from((used & !powered).count_ones());
-            self.idle_enabled_unit_cycles += u64::from((powered & !used).count_ones());
+            let (violations, idle) =
+                mask_audit(act.fu_active[c.index()], gate.fu_powered[c.index()]);
+            self.violations += violations;
+            self.idle_enabled_unit_cycles += idle;
         }
-        let port_used = act.dcache_port_mask;
-        let port_powered = gate.dcache_ports_powered;
-        violations += u64::from((port_used & !port_powered).count_ones());
-        self.idle_enabled_port_cycles += u64::from((port_powered & !port_used).count_ones());
+        let (violations, idle) = mask_audit(act.dcache_port_mask, gate.dcache_ports_powered);
+        self.violations += violations;
+        self.idle_enabled_port_cycles += idle;
 
-        if act.result_bus_used > gate.result_buses_powered {
-            violations += u64::from(act.result_bus_used - gate.result_buses_powered);
-        } else {
-            self.idle_enabled_bus_cycles +=
-                u64::from(gate.result_buses_powered - act.result_bus_used);
-        }
-
-        for (slots, occ) in gate.latch_slots.iter().zip(&act.latch_occupancy) {
-            if let Some(n) = slots {
-                if occ > n {
-                    violations += u64::from(occ - n);
-                }
+        for (&used, &powered) in act.result_bus_used.iter().zip(gate.result_buses_powered) {
+            if used > powered {
+                self.violations += u64::from(used - powered);
+            } else {
+                self.idle_enabled_bus_cycles += u64::from(powered - used);
             }
         }
 
-        self.violations += violations;
+        for (slots, &occ) in gate.latch_slots.iter().zip(act.latch_occupancy) {
+            if let Some(n) = *slots {
+                if occ > n {
+                    self.violations += u64::from(occ - n);
+                }
+            }
+        }
     }
+}
+
+/// `(used-but-gated, powered-but-idle)` instance-cycles of one mask column.
+fn mask_audit(used: &[u32], powered: &[u32]) -> (u64, u64) {
+    used.iter()
+        .zip(powered)
+        .fold((0, 0), |(violations, idle), (&u, &p)| {
+            (
+                violations + u64::from((u & !p).count_ones()),
+                idle + u64::from((p & !u).count_ones()),
+            )
+        })
 }
 
 /// Result of [`run_passive`]: per-policy outcomes plus the simulator

@@ -12,14 +12,15 @@
 //!
 //! On a fault-free run the checker is a pure observer — it alters
 //! nothing, reports all zeros, and every downstream number is
-//! bit-identical to a run without it. The invariant is inherently
-//! per-cycle (gate state vs that cycle's consumption), so on the
-//! block-replay path (DESIGN §13) the policy sink's extract shim feeds
-//! the checker lane by lane — same semantics, same hazards, either path.
+//! bit-identical to a run without it. On the block-replay path (DESIGN
+//! §13) [`GatingSafetyChecker::screen_span`] first OR-reduces the span's
+//! violations; only a span with a violating lane or a class in backoff
+//! falls back to the per-cycle screen, lane by lane — same semantics,
+//! same hazards, either path.
 
 use dcg_isa::FuClass;
-use dcg_power::GateState;
-use dcg_sim::{CycleActivity, LatchGroups, SimConfig};
+use dcg_power::{GateColumns, GateLanes, GateState};
+use dcg_sim::{ActivityBlock, ActivityColumns, CycleActivity, LatchGroups, SimConfig};
 
 /// Component classes the safety invariant is tracked over.
 ///
@@ -249,7 +250,7 @@ impl GatingSafetyChecker {
                 HazardClass::DcachePorts => {
                     let used = act.dcache_port_mask;
                     let powered = gate.dcache_ports_powered;
-                    (used & !powered != 0)
+                    mask_uncovered(used, powered)
                         .then(|| self.record(act.cycle, class, powered, used))
                         .is_some()
                 }
@@ -261,27 +262,19 @@ impl GatingSafetyChecker {
                         .is_some()
                 }
                 HazardClass::Latches => {
-                    let mut bad = None;
-                    for (slots, occ) in gate.latch_slots.iter().zip(&act.latch_occupancy) {
-                        if let Some(n) = slots {
-                            if occ > n {
-                                bad = Some((*n, *occ));
-                                break;
-                            }
+                    match latch_uncovered(&gate.latch_slots, &act.latch_occupancy) {
+                        Some((claimed, actual)) => {
+                            self.record(act.cycle, class, claimed, actual);
+                            true
                         }
-                    }
-                    if let Some((claimed, actual)) = bad {
-                        self.record(act.cycle, class, claimed, actual);
-                        true
-                    } else {
-                        false
+                        None => false,
                     }
                 }
                 c => {
                     let fu = c.fu().expect("per-instance class");
                     let used = act.fu_active[fu.index()];
                     let powered = gate.fu_powered[fu.index()];
-                    (used & !powered != 0)
+                    mask_uncovered(used, powered)
                         .then(|| self.record(act.cycle, class, powered, used))
                         .is_some()
                 }
@@ -294,10 +287,84 @@ impl GatingSafetyChecker {
         detected
     }
 
+    /// [`screen`](GatingSafetyChecker::screen) lanes `from..to` of
+    /// `gates` against the same lanes of `block`, in cycle order. Returns
+    /// the number of hazards detected.
+    ///
+    /// A lane check runs first: when no lane of the span violates the
+    /// invariant and no class is inside its backoff window, the per-cycle
+    /// screen would alter and record nothing, so the span is accepted as
+    /// is. Otherwise every lane goes through the per-cycle screen in
+    /// order, so hazards, fail-open repairs and backoff windows are
+    /// exactly those of the per-cycle path.
+    pub fn screen_span(
+        &mut self,
+        gates: &mut GateLanes,
+        block: &ActivityBlock,
+        from: usize,
+        to: usize,
+    ) -> u32 {
+        if from == to {
+            return 0;
+        }
+        let first = block.cycle(from);
+        let backoff = self.backoff_until.iter().any(|&until| first < until);
+        if !backoff && !any_uncovered(&block.columns(from, to), &gates.columns(from, to)) {
+            return 0;
+        }
+        let mut act = CycleActivity::default();
+        let mut gate = gates.gate(from);
+        let mut detected = 0;
+        for i in from..to {
+            block.extract(i, &mut act);
+            gates.get(i, &mut gate);
+            detected += self.screen(&mut gate, &act);
+            gates.set(i, &gate);
+        }
+        detected
+    }
+
     /// Consume the checker, yielding its report.
     pub fn into_report(self) -> SafetyReport {
         self.report
     }
+}
+
+/// `true` if a used instance mask is not covered by the powered mask.
+fn mask_uncovered(used: u32, powered: u32) -> bool {
+    used & !powered != 0
+}
+
+/// The first latch group written beyond its clocked slots, as
+/// `(claimed, actual)`.
+fn latch_uncovered(slots: &[Option<u32>], occupancy: &[u32]) -> Option<(u32, u32)> {
+    slots
+        .iter()
+        .zip(occupancy)
+        .find_map(|(slots, &occ)| slots.filter(|&n| occ > n).map(|n| (n, occ)))
+}
+
+/// `true` if any lane of the view violates the invariant for any class —
+/// the per-class tests of [`GatingSafetyChecker::screen`], OR-reduced
+/// over the lanes.
+fn any_uncovered(act: &ActivityColumns, gate: &GateColumns) -> bool {
+    let masks = |used: &[u32], powered: &[u32]| {
+        used.iter()
+            .zip(powered)
+            .any(|(&u, &p)| mask_uncovered(u, p))
+    };
+    let units = HazardClass::ALL
+        .iter()
+        .filter_map(|c| c.fu())
+        .any(|fu| masks(act.fu_active[fu.index()], gate.fu_powered[fu.index()]));
+    units
+        || masks(act.dcache_port_mask, gate.dcache_ports_powered)
+        || act
+            .result_bus_used
+            .iter()
+            .zip(gate.result_buses_powered)
+            .any(|(used, powered)| used > powered)
+        || (0..act.len).any(|j| latch_uncovered(gate.latch_slots(j), act.latches(j)).is_some())
 }
 
 #[cfg(test)]

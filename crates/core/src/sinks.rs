@@ -10,9 +10,10 @@
 use std::io::Write;
 
 use dcg_isa::FuClass;
-use dcg_power::{GateState, PowerModel, PowerReport};
+use dcg_power::{GateColumns, GateLanes, GateState, PowerModel, PowerReport};
 use dcg_sim::{
-    ActivityBlock, CycleActivity, LatchGroups, ResourceConstraints, SimConfig, SimStats,
+    ActivityBlock, ActivityColumns, CycleActivity, LatchGroups, ResourceConstraints, SimConfig,
+    SimStats,
 };
 use dcg_trace::{ActivityTraceWriter, TraceError};
 
@@ -80,6 +81,15 @@ pub trait ActivitySink {
 
 /// Evaluates one gating policy: per-cycle gate state, safety audit and
 /// energy accounting.
+///
+/// Per cycle the order is: gate, screen (fail open), audit, energy,
+/// observe. A block span runs the same steps span by span:
+/// [`GatingPolicy::gate_lanes`] decides and observes every lane, then
+/// [`GatingSafetyChecker::screen_span`], [`GatingAudit::check`] and
+/// [`PowerModel::fold_span`] fold the lanes in cycle order. The policy
+/// never sees the screened gates, so deciding all lanes first changes
+/// nothing, and the audit and energy folds run the per-cycle code on a
+/// wider view.
 pub(crate) struct PolicySink<'a> {
     policy: &'a mut dyn GatingPolicy,
     model: &'a PowerModel,
@@ -99,9 +109,8 @@ pub(crate) struct PolicySink<'a> {
     /// Scratch gate state reused across cycles (see
     /// [`GatingPolicy::gate_into`]).
     gate: GateState,
-    /// Scratch activity reused across block spans (the per-cycle shim
-    /// with a persistent buffer instead of a per-block allocation).
-    scratch: CycleActivity,
+    /// Scratch gate lanes reused across block spans.
+    lanes: GateLanes,
 }
 
 impl<'a> PolicySink<'a> {
@@ -113,7 +122,6 @@ impl<'a> PolicySink<'a> {
         strict: bool,
         constrain: bool,
     ) -> PolicySink<'a> {
-        let gate = GateState::ungated(config, groups);
         PolicySink {
             policy,
             model,
@@ -123,8 +131,8 @@ impl<'a> PolicySink<'a> {
             constrain,
             report: PowerReport::new(),
             audit: GatingAudit::default(),
-            gate,
-            scratch: CycleActivity::default(),
+            gate: GateState::ungated(config, groups),
+            lanes: GateLanes::new(groups.len()),
         }
     }
 
@@ -137,6 +145,19 @@ impl<'a> PolicySink<'a> {
                 .safety
                 .map(GatingSafetyChecker::into_report)
                 .unwrap_or_default(),
+        }
+    }
+
+    /// Decide and screen lanes `from..to` of `block` into `self.lanes`.
+    fn gate_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
+        self.policy.gate_lanes(block, from, to, &mut self.lanes);
+        debug_assert!((from..to).all(|i| self
+            .lanes
+            .gate(i)
+            .validate(self.config, self.groups)
+            .is_ok()));
+        if let Some(chk) = &mut self.safety {
+            chk.screen_span(&mut self.lanes, block, from, to);
         }
     }
 }
@@ -162,7 +183,7 @@ impl ActivitySink for PolicySink<'_> {
             // accounting: downstream consumers see only safe gates.
             chk.screen(&mut self.gate, act);
         }
-        self.audit.check(&self.gate, act);
+        self.audit.check(&act.columns(), &self.gate.columns());
         self.report
             .record(&self.model.cycle_energy(act, &self.gate), act.committed);
         self.policy.observe(act);
@@ -172,26 +193,33 @@ impl ActivitySink for PolicySink<'_> {
         self.constrain.then(|| self.policy.constraints())
     }
 
-    // Gating decisions, the safety screen and the energy fold are stateful
-    // and order-sensitive (f64 accumulation), so the block spans replay
-    // the scalar sequence exactly — the win is the shared block decode,
-    // not a reordered fold.
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.warmup_cycle(&act);
-        }
-        self.scratch = act;
+        self.gate_span(block, from, to);
     }
 
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.measure_cycle(&act);
-        }
-        self.scratch = act;
+        self.gate_span(block, from, to);
+        let (act_cols, gate_cols) = (block.columns(from, to), self.lanes.columns(from, to));
+        self.audit.check(&act_cols, &gate_cols);
+        self.model
+            .fold_span(&act_cols, &gate_cols, &mut self.report);
+    }
+}
+
+/// Write the clairvoyant oracle's gate for `act` into `out`: every
+/// gateable block powered exactly as used. Fields the oracle does not
+/// decide keep `out`'s values.
+fn oracle_gate(act: &CycleActivity, groups: &LatchGroups, out: &mut GateState) {
+    out.fu_powered = act.fu_active;
+    out.dcache_ports_powered = act.dcache_port_mask;
+    out.result_buses_powered = act.result_bus_used;
+    for ((slot, spec), &occ) in out
+        .latch_slots
+        .iter_mut()
+        .zip(groups.specs())
+        .zip(&act.latch_occupancy)
+    {
+        *slot = spec.gated.then_some(occ);
     }
 }
 
@@ -200,7 +228,9 @@ impl ActivitySink for PolicySink<'_> {
 pub(crate) struct OracleSink<'a> {
     model: &'a PowerModel,
     groups: &'a LatchGroups,
-    base: GateState,
+    /// Scratch gate rewritten every cycle; starts ungated, and the fields
+    /// the oracle does not decide keep that value.
+    gate: GateState,
     report: PowerReport,
 }
 
@@ -213,7 +243,7 @@ impl<'a> OracleSink<'a> {
         OracleSink {
             model,
             groups,
-            base: GateState::ungated(config, groups),
+            gate: GateState::ungated(config, groups),
             report: PowerReport::new(),
         }
     }
@@ -230,21 +260,9 @@ impl<'a> OracleSink<'a> {
 
 impl ActivitySink for OracleSink<'_> {
     fn measure_cycle(&mut self, act: &CycleActivity) {
-        let mut gate = self.base.clone();
-        for c in FuClass::ALL {
-            gate.fu_powered[c.index()] = act.fu_active[c.index()];
-        }
-        gate.dcache_ports_powered = act.dcache_port_mask;
-        gate.result_buses_powered = act.result_bus_used;
-        gate.latch_slots = self
-            .groups
-            .specs()
-            .iter()
-            .zip(&act.latch_occupancy)
-            .map(|(s, occ)| if s.gated { Some(*occ) } else { None })
-            .collect();
+        oracle_gate(act, self.groups, &mut self.gate);
         self.report
-            .record(&self.model.cycle_energy(act, &gate), act.committed);
+            .record(&self.model.cycle_energy(act, &self.gate), act.committed);
     }
 
     // Nothing accumulates during warm-up, so skip the shim's extraction.
@@ -257,6 +275,9 @@ pub(crate) struct WattchSink<'a> {
     model: &'a PowerModel,
     groups: &'a LatchGroups,
     ungated: GateState,
+    /// Scratch `cc1` and `cc2` gates, rewritten every cycle.
+    cc1_gate: GateState,
+    cc2_gate: GateState,
     full: PowerReport,
     cc1: PowerReport,
     cc2: PowerReport,
@@ -268,10 +289,13 @@ impl<'a> WattchSink<'a> {
         config: &SimConfig,
         groups: &'a LatchGroups,
     ) -> WattchSink<'a> {
+        let ungated = GateState::ungated(config, groups);
         WattchSink {
             model,
             groups,
-            ungated: GateState::ungated(config, groups),
+            cc1_gate: ungated.clone(),
+            cc2_gate: ungated.clone(),
+            ungated,
             full: PowerReport::new(),
             cc1: PowerReport::new(),
             cc2: PowerReport::new(),
@@ -290,47 +314,42 @@ impl<'a> WattchSink<'a> {
 impl ActivitySink for WattchSink<'_> {
     fn measure_cycle(&mut self, act: &CycleActivity) {
         // cc2: exact per-instance usage.
-        let mut g2 = self.ungated.clone();
-        for c in FuClass::ALL {
-            g2.fu_powered[c.index()] = act.fu_active[c.index()];
-        }
-        g2.dcache_ports_powered = act.dcache_port_mask;
-        g2.result_buses_powered = act.result_bus_used;
-        g2.latch_slots = self
-            .groups
-            .specs()
-            .iter()
-            .zip(&act.latch_occupancy)
-            .map(|(s, occ)| if s.gated { Some(*occ) } else { None })
-            .collect();
+        oracle_gate(act, self.groups, &mut self.cc2_gate);
 
         // cc1: all instances of a class powered if any is used.
-        let mut g1 = self.ungated.clone();
-        for c in FuClass::ALL {
-            if act.fu_active[c.index()] == 0 {
-                g1.fu_powered[c.index()] = 0;
-            }
+        let (g1, full) = (&mut self.cc1_gate, &self.ungated);
+        for (powered, (&used, &all)) in g1
+            .fu_powered
+            .iter_mut()
+            .zip(act.fu_active.iter().zip(&full.fu_powered))
+        {
+            *powered = if used == 0 { 0 } else { all };
         }
-        if act.dcache_port_mask == 0 {
-            g1.dcache_ports_powered = 0;
-        }
-        if act.result_bus_used == 0 {
-            g1.result_buses_powered = 0;
-        }
-        g1.latch_slots = self
-            .groups
-            .specs()
-            .iter()
+        g1.dcache_ports_powered = if act.dcache_port_mask == 0 {
+            0
+        } else {
+            full.dcache_ports_powered
+        };
+        g1.result_buses_powered = if act.result_bus_used == 0 {
+            0
+        } else {
+            full.result_buses_powered
+        };
+        for ((slot, spec), &occ) in g1
+            .latch_slots
+            .iter_mut()
+            .zip(self.groups.specs())
             .zip(&act.latch_occupancy)
-            .map(|(s, occ)| if s.gated && *occ == 0 { Some(0) } else { None })
-            .collect();
+        {
+            *slot = (spec.gated && occ == 0).then_some(0);
+        }
 
         self.full
             .record(&self.model.cycle_energy(act, &self.ungated), act.committed);
         self.cc1
-            .record(&self.model.cycle_energy(act, &g1), act.committed);
+            .record(&self.model.cycle_energy(act, &self.cc1_gate), act.committed);
         self.cc2
-            .record(&self.model.cycle_energy(act, &g2), act.committed);
+            .record(&self.model.cycle_energy(act, &self.cc2_gate), act.committed);
     }
 
     // Nothing accumulates during warm-up, so skip the shim's extraction.
@@ -366,17 +385,23 @@ pub struct MetricsSink<'a> {
     /// [`crate::drive_batch_sharded`] worker pool; every concrete policy
     /// is a plain `Send` struct.
     policy: &'a mut (dyn GatingPolicy + Send),
-    groups: &'a LatchGroups,
     /// Scratch gate state reused across cycles.
     gate: GateState,
+    /// Scratch gate lanes reused across block spans.
+    lanes: GateLanes,
+    fold: MetricsFold<'a>,
+}
+
+/// The accounting half of a [`MetricsSink`]: everything but the policy
+/// and its gate scratch, so a fold can borrow the gates the sink owns.
+struct MetricsFold<'a> {
+    groups: &'a LatchGroups,
     metrics_config: MetricsConfig,
     /// Slots per latch group (an ungated or `None` entry powers this many).
     issue_width: u32,
     report: MetricsReport,
     /// The currently accumulating (not yet flushed) window.
     win: WindowSample,
-    /// Scratch activity reused across block spans.
-    scratch: CycleActivity,
 }
 
 impl<'a> MetricsSink<'a> {
@@ -441,81 +466,76 @@ impl<'a> MetricsSink<'a> {
             audit: Vec::new(),
             audit_dropped: 0,
         };
-        let gate = GateState::ungated(config, groups);
         MetricsSink {
             policy,
-            groups,
-            gate,
-            metrics_config,
-            issue_width,
-            report,
-            win: WindowSample::empty(0),
-            scratch: CycleActivity::default(),
-        }
-    }
-
-    fn disagree(&mut self, cycle: u64, component: &str, claimed: u32, actual: u32) {
-        if self.report.audit.len() < self.metrics_config.audit_capacity {
-            self.report.audit.push(GateDisagreement {
-                cycle,
-                component: component.to_string(),
-                claimed_powered: claimed,
-                actual_used: actual,
-            });
-        } else {
-            self.report.audit_dropped += 1;
+            gate: GateState::ungated(config, groups),
+            lanes: GateLanes::new(groups.len()),
+            fold: MetricsFold {
+                groups,
+                metrics_config,
+                issue_width,
+                report,
+                win: WindowSample::empty(0),
+            },
         }
     }
 
     /// Finish the report (flushes the partial final window).
-    pub fn into_report(mut self) -> MetricsReport {
-        if self.win.cycles > 0 {
-            self.report.windows.push(self.win);
+    pub fn into_report(self) -> MetricsReport {
+        let MetricsFold {
+            mut report, win, ..
+        } = self.fold;
+        if win.cycles > 0 {
+            report.windows.push(win);
         }
-        self.report
+        report
     }
 }
 
 impl std::fmt::Debug for MetricsSink<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let report = &self.fold.report;
         f.debug_struct("MetricsSink")
-            .field("policy", &self.report.policy)
-            .field("cycles", &self.report.cycles)
-            .field("windows", &self.report.windows.len())
+            .field("policy", &report.policy)
+            .field("cycles", &report.cycles)
+            .field("windows", &report.windows.len())
             .finish_non_exhaustive()
     }
 }
 
-impl ActivitySink for MetricsSink<'_> {
-    fn warmup_cycle(&mut self, act: &CycleActivity) {
-        // Keep the policy's pipelined control state primed, but record
-        // nothing.
-        self.policy.gate_into(act.cycle, &mut self.gate);
-        self.policy.observe(act);
+impl MetricsFold<'_> {
+    /// Account every cycle of a column view, in cycle order.
+    #[inline(always)]
+    fn account(&mut self, act: &ActivityColumns, gate: &GateColumns) {
+        for j in 0..act.len {
+            self.account_cycle(act, gate, j);
+        }
     }
 
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        self.policy.gate_into(act.cycle, &mut self.gate);
-
+    /// Account cycle `j` of a column view.
+    #[inline(always)]
+    fn account_cycle(&mut self, act: &ActivityColumns, gate: &GateColumns, j: usize) {
+        let cycle = act.cycle(j);
+        let committed = u64::from(act.committed[j]);
         self.report.cycles += 1;
-        self.report.committed += u64::from(act.committed);
+        self.report.committed += committed;
         if self.win.cycles == 0 {
-            self.win.start_cycle = act.cycle;
+            self.win.start_cycle = cycle;
         }
         self.win.cycles += 1;
-        self.win.committed += u64::from(act.committed);
-        self.win.issued += u64::from(act.issued);
+        self.win.committed += committed;
+        self.win.issued += u64::from(act.issued[j]);
 
-        for c in FuClass::ALL {
-            self.report.fu_occupancy[c.index()].record(act.fu_active[c.index()].count_ones());
+        for (hist, col) in self.report.fu_occupancy.iter_mut().zip(&act.fu_active) {
+            hist.record(col[j].count_ones());
         }
-        self.report.iq_fill.record(act.iq_occupancy);
-        self.report.rob_fill.record(act.rob_occupancy);
-        self.report.lsq_fill.record(act.lsq_occupancy);
+        self.report.iq_fill.record(act.iq_occupancy[j]);
+        self.report.rob_fill.record(act.rob_occupancy[j]);
+        self.report.lsq_fill.record(act.lsq_occupancy[j]);
 
         for (i, c) in UNIT_CLASSES.iter().enumerate() {
-            let used_mask = act.fu_active[c.index()];
-            let powered_mask = self.gate.fu_powered[c.index()];
+            let used_mask = act.fu_active[c.index()][j];
+            let powered_mask = gate.fu_powered[c.index()][j];
             let comp = &mut self.report.components[i];
             let cap = u64::from(comp.instances);
             let used = u64::from(used_mask.count_ones());
@@ -528,13 +548,13 @@ impl ActivitySink for MetricsSink<'_> {
             self.win.unit_gated += cap - powered;
             if used_mask != powered_mask {
                 comp.disagreement_cycles += 1;
-                self.disagree(act.cycle, fu_class_label(*c), powered_mask, used_mask);
+                self.disagree(cycle, fu_class_label(*c), powered_mask, used_mask);
             }
         }
 
         {
-            let used_mask = act.dcache_port_mask;
-            let powered_mask = self.gate.dcache_ports_powered;
+            let used_mask = act.dcache_port_mask[j];
+            let powered_mask = gate.dcache_ports_powered[j];
             let comp = &mut self.report.components[COMP_PORTS];
             let cap = u64::from(comp.instances);
             let used = u64::from(used_mask.count_ones());
@@ -547,13 +567,13 @@ impl ActivitySink for MetricsSink<'_> {
             self.win.port_gated += cap - powered;
             if used_mask != powered_mask {
                 comp.disagreement_cycles += 1;
-                self.disagree(act.cycle, "dcache-ports", powered_mask, used_mask);
+                self.disagree(cycle, "dcache-ports", powered_mask, used_mask);
             }
         }
 
         {
-            let used = act.result_bus_used;
-            let powered = self.gate.result_buses_powered;
+            let used = act.result_bus_used[j];
+            let powered = gate.result_buses_powered[j];
             let comp = &mut self.report.components[COMP_BUSES];
             let cap = u64::from(comp.instances);
             comp.used_instance_cycles += u64::from(used);
@@ -564,7 +584,7 @@ impl ActivitySink for MetricsSink<'_> {
             self.win.bus_gated += cap - u64::from(powered);
             if used != powered {
                 comp.disagreement_cycles += 1;
-                self.disagree(act.cycle, "result-buses", powered, used);
+                self.disagree(cycle, "result-buses", powered, used);
             }
         }
 
@@ -572,31 +592,22 @@ impl ActivitySink for MetricsSink<'_> {
             let mut used_total = 0u64;
             let mut powered_total = 0u64;
             let mut group_disagreed = false;
-            for ((spec, slots), occ) in self
-                .groups
+            let groups = self.groups;
+            for ((spec, slots), &occ) in groups
                 .specs()
                 .iter()
-                .zip(&self.gate.latch_slots)
-                .zip(&act.latch_occupancy)
+                .zip(gate.latch_slots(j))
+                .zip(act.latches(j))
             {
                 if !spec.gated {
                     continue;
                 }
                 let powered = slots.unwrap_or(self.issue_width).min(self.issue_width);
-                used_total += u64::from(*occ);
+                used_total += u64::from(occ);
                 powered_total += u64::from(powered);
-                if powered != *occ {
+                if powered != occ {
                     group_disagreed = true;
-                    if self.report.audit.len() < self.metrics_config.audit_capacity {
-                        self.report.audit.push(GateDisagreement {
-                            cycle: act.cycle,
-                            component: spec.name.clone(),
-                            claimed_powered: powered,
-                            actual_used: *occ,
-                        });
-                    } else {
-                        self.report.audit_dropped += 1;
-                    }
+                    self.disagree(cycle, &spec.name, powered, occ);
                 }
             }
             let comp = &mut self.report.components[COMP_LATCHES];
@@ -616,29 +627,44 @@ impl ActivitySink for MetricsSink<'_> {
                 .windows
                 .push(std::mem::replace(&mut self.win, next));
         }
+    }
 
+    fn disagree(&mut self, cycle: u64, component: &str, claimed: u32, actual: u32) {
+        if self.report.audit.len() < self.metrics_config.audit_capacity {
+            self.report.audit.push(GateDisagreement {
+                cycle,
+                component: component.to_string(),
+                claimed_powered: claimed,
+                actual_used: actual,
+            });
+        } else {
+            self.report.audit_dropped += 1;
+        }
+    }
+}
+
+impl ActivitySink for MetricsSink<'_> {
+    fn warmup_cycle(&mut self, act: &CycleActivity) {
+        // Keep the policy's pipelined control state primed, but record
+        // nothing.
+        self.policy.gate_into(act.cycle, &mut self.gate);
         self.policy.observe(act);
     }
 
-    // Histogram updates, window flushes and the disagreement audit are
-    // order-sensitive, so the block spans replay the scalar sequence with
-    // a persistent scratch buffer.
+    fn measure_cycle(&mut self, act: &CycleActivity) {
+        self.policy.gate_into(act.cycle, &mut self.gate);
+        self.fold.account(&act.columns(), &self.gate.columns());
+        self.policy.observe(act);
+    }
+
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.warmup_cycle(&act);
-        }
-        self.scratch = act;
+        self.policy.gate_lanes(block, from, to, &mut self.lanes);
     }
 
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let mut act = std::mem::take(&mut self.scratch);
-        for i in from..to {
-            block.extract(i, &mut act);
-            self.measure_cycle(&act);
-        }
-        self.scratch = act;
+        self.policy.gate_lanes(block, from, to, &mut self.lanes);
+        self.fold
+            .account(&block.columns(from, to), &self.lanes.columns(from, to));
     }
 }
 

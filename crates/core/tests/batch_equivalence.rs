@@ -1,7 +1,10 @@
 //! Bit-identity of the struct-of-arrays block path against the scalar
 //! per-cycle path, across 2 workload profiles × 2 pipeline depths.
 //!
-//! Three drivers consume the same recorded activity trace:
+//! The policies cover the baseline, DCG, a fault-injected DCG (hazards,
+//! fail-open lanes, backoff across block boundaries) and DCG with
+//! issue-queue gating. Three drivers consume the same recorded activity
+//! trace:
 //!
 //! 1. the scalar loop (forced through a wrapper that hides block support),
 //! 2. the block loop ([`dcg_core::drive`] routes there automatically),
@@ -13,7 +16,8 @@
 
 use dcg_core::{
     drive_batch, drive_batch_sharded, run_passive_with_sinks, run_stats_source, ActivitySink,
-    ActivitySource, Dcg, DcgError, MetricsSink, NoGating, PassiveRun, ReplaySource, RunLength,
+    ActivitySource, Dcg, DcgError, DcgOptions, FaultPoint, FaultSpec, FaultyPolicy, MetricsSink,
+    NoGating, PassiveRun, ReplaySource, RunLength,
 };
 use dcg_sim::{
     CycleActivity, LatchGroups, PipelineDepth, Processor, ResourceConstraints, SimConfig,
@@ -79,8 +83,24 @@ fn replay(bytes: &[u8]) -> ReplaySource {
     ReplaySource::new(ActivityTraceReader::new(bytes).expect("open trace"))
 }
 
-/// Run the standard passive fan-out (NoGating + DCG, with a MetricsSink
-/// on DCG) over `source`; return the run plus the metrics report.
+/// Outcome index of the fault-injected DCG in [`passive_run`].
+const FAULTY: usize = 2;
+
+/// Gate-level fault for the faulty lane: gates a unit, port, bus or latch
+/// group DCG powered inside a seeded window, so the safety checker
+/// records hazards and fails the class open for its 256-cycle backoff,
+/// which spans several 64-cycle blocks.
+fn fault() -> FaultSpec {
+    FaultSpec {
+        id: 0,
+        point: FaultPoint::GateUsedUnit,
+        seed: 0x5EED_0001,
+    }
+}
+
+/// Run the passive fan-out (NoGating, DCG, a fault-injected DCG and DCG
+/// with issue-queue gating, plus a MetricsSink on DCG) over `source`;
+/// return the run plus the metrics report.
 fn passive_run(
     cfg: &SimConfig,
     source: &mut dyn ActivitySource,
@@ -88,13 +108,22 @@ fn passive_run(
     let groups = LatchGroups::new(&cfg.depth);
     let mut base = NoGating::new(cfg, &groups);
     let mut dcg = Dcg::new(cfg, &groups);
+    let mut faulty_inner = Dcg::new(cfg, &groups);
+    let mut faulty = FaultyPolicy::new(&mut faulty_inner, fault(), cfg, &groups);
+    let mut dcg_iq = Dcg::with_options(
+        cfg,
+        &groups,
+        DcgOptions {
+            gate_issue_queue: true,
+        },
+    );
     let mut observed = Dcg::new(cfg, &groups);
     let mut metrics = MetricsSink::new(&mut observed, cfg, &groups);
     let run = run_passive_with_sinks(
         cfg,
         source,
         length(),
-        &mut [&mut base, &mut dcg],
+        &mut [&mut base, &mut dcg, &mut faulty, &mut dcg_iq],
         &mut [&mut metrics],
     )
     .expect("replay covers the recorded window");
@@ -134,6 +163,17 @@ fn block_path_matches_scalar_path_bit_for_bit() {
             assert!(block_src.supports_blocks());
             let (block_run, block_metrics) = passive_run(&cfg, &mut block_src);
 
+            // The fault lane must exercise the screen's fallback: hazards,
+            // fail-open cycles, and a backoff window longer than a block.
+            let safety = &scalar_run.outcomes[FAULTY].safety;
+            assert!(
+                !safety.hazards.is_empty(),
+                "{name}/{depth:?}: fault produced no hazard"
+            );
+            assert!(
+                safety.failed_open_cycles.iter().any(|&n| n > 64),
+                "{name}/{depth:?}: no backoff window crossed a block boundary"
+            );
             assert_eq!(
                 fingerprint(&scalar_run),
                 fingerprint(&block_run),

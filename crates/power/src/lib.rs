@@ -48,7 +48,7 @@ mod tech;
 pub use arrays::{array_access_energy, cam_cycle_energy, ArrayEnergies, ArrayGeometry};
 pub use calibrate::EnergyTable;
 pub use circuits::{DynamicLogicCell, LatchCell};
-pub use gate::GateState;
+pub use gate::{GateColumns, GateLanes, GateState};
 pub use model::{Component, EnergyBreakdown, PowerModel};
 pub use report::PowerReport;
 pub use tech::TechParams;

@@ -1,10 +1,11 @@
 //! The per-cycle processor power model.
 
 use dcg_isa::FuClass;
-use dcg_sim::{CycleActivity, LatchGroups, SimConfig};
+use dcg_sim::{ActivityColumns, CycleActivity, LatchGroups, SimConfig};
 
 use crate::calibrate::EnergyTable;
-use crate::gate::GateState;
+use crate::gate::{GateColumns, GateState};
+use crate::report::PowerReport;
 use crate::tech::TechParams;
 
 /// Power-dissipating processor components, at the granularity the paper's
@@ -237,9 +238,46 @@ impl PowerModel {
     /// decisions, per the paper's accounting (§4.2): gated blocks cost
     /// zero; non-gated blocks cost their full per-cycle energy whether or
     /// not they do useful work.
+    // Always inlined so the one-lane views fold away (see `fold_lanes`).
+    #[inline(always)]
     pub fn cycle_energy(&self, act: &CycleActivity, gate: &GateState) -> EnergyBreakdown {
-        let t = &self.table;
         let mut e = EnergyBreakdown::zero();
+        self.fold_lanes(&act.columns(), &gate.columns(), &mut e);
+        e
+    }
+
+    /// Record every cycle of a column span into `report`.
+    ///
+    /// The formulas are those of [`PowerModel::cycle_energy`] (which is
+    /// this fold over a one-lane view). Each component's per-cycle values
+    /// are added to its total in cycle order, so every total sees the
+    /// same addends in the same order as a loop of
+    /// [`PowerReport::record`] calls: the fold is bit-identical to it.
+    /// Only the interleaving across components differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` holds fewer lanes than `act`.
+    #[inline]
+    pub fn fold_span(&self, act: &ActivityColumns, gate: &GateColumns, report: &mut PowerReport) {
+        report.record_columns(act.committed, |totals| self.fold_lanes(act, gate, totals));
+    }
+
+    /// Add every cycle of a column view to `e`, one component at a time:
+    /// each component's total receives its per-cycle values in cycle
+    /// order.
+    // Always inlined, with `column`: on a one-lane view every loop
+    // unrolls to the straight-line per-cycle formula.
+    #[inline(always)]
+    fn fold_lanes(&self, act: &ActivityColumns, gate: &GateColumns, e: &mut EnergyBreakdown) {
+        #[inline(always)]
+        fn column(e: &mut EnergyBreakdown, c: Component, n: usize, pj: impl Fn(usize) -> f64) {
+            for j in 0..n {
+                e.add(c, pj(j));
+            }
+        }
+        let n = act.len;
+        let t = &self.table;
 
         // Gateable blocks: the dynamic share switches only when powered;
         // the leakage share (0 in the paper's accounting) dissipates in
@@ -247,94 +285,97 @@ impl PowerModel {
         let dynamic = 1.0 - t.leakage_fraction;
         let leak = t.leakage_fraction;
 
-        e.add(Component::ClockTree, t.clock_tree_cycle);
+        column(e, Component::ClockTree, n, |_| t.clock_tree_cycle);
 
         // Pipeline latches: ungated groups clock every slot every cycle.
         let slot_pj = t.latch_bit_cycle * t.latch_bits_per_slot;
-        let mut latch_pj = 0.0;
-        for gated_slots in &gate.latch_slots {
-            let slots = match gated_slots {
-                Some(n) => f64::from(*n),
-                None => self.issue_width,
-            };
-            latch_pj += slots * slot_pj * dynamic;
-        }
-        latch_pj += self.latch_groups * self.issue_width * slot_pj * leak;
-        e.add(Component::PipelineLatch, latch_pj);
+        column(e, Component::PipelineLatch, n, |j| {
+            let mut latch_pj = 0.0;
+            for gated_slots in gate.latch_slots(j) {
+                let slots = match gated_slots {
+                    Some(n) => f64::from(*n),
+                    None => self.issue_width,
+                };
+                latch_pj += slots * slot_pj * dynamic;
+            }
+            latch_pj + self.latch_groups * self.issue_width * slot_pj * leak
+        });
 
         // Execution units: dynamic logic precharges every non-gated cycle.
-        let int_pj = (f64::from(gate.fu_powered_count(FuClass::IntAlu)) * t.int_alu_cycle
-            + f64::from(gate.fu_powered_count(FuClass::IntMulDiv)) * t.int_muldiv_cycle)
-            * dynamic
-            + (self.int_alus * t.int_alu_cycle + self.int_muldivs * t.int_muldiv_cycle) * leak;
-        e.add(Component::IntUnits, int_pj);
-        let fp_pj = (f64::from(gate.fu_powered_count(FuClass::FpAlu)) * t.fp_alu_cycle
-            + f64::from(gate.fu_powered_count(FuClass::FpMulDiv)) * t.fp_muldiv_cycle)
-            * dynamic
-            + (self.fp_alus * t.fp_alu_cycle + self.fp_muldivs * t.fp_muldiv_cycle) * leak;
-        e.add(Component::FpUnits, fp_pj);
+        let powered = |c: FuClass, j: usize| f64::from(gate.fu_powered[c.index()][j].count_ones());
+        column(e, Component::IntUnits, n, |j| {
+            (powered(FuClass::IntAlu, j) * t.int_alu_cycle
+                + powered(FuClass::IntMulDiv, j) * t.int_muldiv_cycle)
+                * dynamic
+                + (self.int_alus * t.int_alu_cycle + self.int_muldivs * t.int_muldiv_cycle) * leak
+        });
+        column(e, Component::FpUnits, n, |j| {
+            (powered(FuClass::FpAlu, j) * t.fp_alu_cycle
+                + powered(FuClass::FpMulDiv, j) * t.fp_muldiv_cycle)
+                * dynamic
+                + (self.fp_alus * t.fp_alu_cycle + self.fp_muldivs * t.fp_muldiv_cycle) * leak
+        });
 
         // D-cache: decoders precharge every non-gated cycle; the array
         // proper is accessed on demand.
-        e.add(
-            Component::DcacheDecoder,
-            f64::from(gate.dcache_ports_powered.count_ones()) * t.dcache_decoder_cycle * dynamic
-                + self.mem_ports * t.dcache_decoder_cycle * leak,
-        );
-        let accesses = f64::from(act.dcache_load_accesses + act.dcache_store_accesses);
-        e.add(Component::DcacheArray, accesses * t.dcache_array_access);
-        e.add(Component::L2, f64::from(act.l2_accesses) * t.l2_access);
+        column(e, Component::DcacheDecoder, n, |j| {
+            f64::from(gate.dcache_ports_powered[j].count_ones()) * t.dcache_decoder_cycle * dynamic
+                + self.mem_ports * t.dcache_decoder_cycle * leak
+        });
+        column(e, Component::DcacheArray, n, |j| {
+            f64::from(act.dcache_load_accesses[j] + act.dcache_store_accesses[j])
+                * t.dcache_array_access
+        });
+        column(e, Component::L2, n, |j| {
+            f64::from(act.l2_accesses[j]) * t.l2_access
+        });
 
         // Front end.
-        e.add(
-            Component::Icache,
-            f64::from(act.icache_access) * t.icache_access,
-        );
-        e.add(
-            Component::Bpred,
-            f64::from(act.bpred_lookups) * t.bpred_lookup,
-        );
-        e.add(Component::Decode, f64::from(act.fetched) * t.decode_inst);
-        e.add(Component::Rename, f64::from(act.renamed) * t.rename_inst);
+        column(e, Component::Icache, n, |j| {
+            f64::from((act.icache_access_lanes >> j) & 1 == 1) * t.icache_access
+        });
+        column(e, Component::Bpred, n, |j| {
+            f64::from(act.bpred_lookups[j]) * t.bpred_lookup
+        });
+        column(e, Component::Decode, n, |j| {
+            f64::from(act.fetched[j]) * t.decode_inst
+        });
+        column(e, Component::Rename, n, |j| {
+            f64::from(act.renamed[j]) * t.rename_inst
+        });
 
         // Window. The gate scale applies to the parts proportional to the
         // number of *live* entries (CAM match-line precharge and wakeup
         // tag-line span); per-operation writes and selects are demand
         // energy and do not shrink.
-        let iq_pj = (t.iq_cycle + f64::from(act.regfile_writes) * t.iq_wakeup)
-            * gate.issue_queue_scale
-            + f64::from(act.dispatched) * t.iq_write
-            + f64::from(act.issued) * t.iq_select;
-        e.add(Component::IssueQueue, iq_pj);
-        e.add(
-            Component::RegFile,
-            f64::from(act.regfile_reads) * t.regfile_read
-                + f64::from(act.regfile_writes) * t.regfile_write,
-        );
-        e.add(
-            Component::Lsq,
-            t.lsq_cycle + f64::from(act.issued_loads + act.issued_stores) * t.lsq_op,
-        );
-        e.add(
-            Component::Rob,
-            f64::from(act.dispatched) * t.rob_write + f64::from(act.committed) * t.rob_read,
-        );
+        column(e, Component::IssueQueue, n, |j| {
+            (t.iq_cycle + f64::from(act.regfile_writes[j]) * t.iq_wakeup)
+                * gate.issue_queue_scale[j]
+                + f64::from(act.dispatched[j]) * t.iq_write
+                + f64::from(act.issued[j]) * t.iq_select
+        });
+        column(e, Component::RegFile, n, |j| {
+            f64::from(act.regfile_reads[j]) * t.regfile_read
+                + f64::from(act.regfile_writes[j]) * t.regfile_write
+        });
+        column(e, Component::Lsq, n, |j| {
+            t.lsq_cycle + f64::from(act.issued_loads[j] + act.issued_stores[j]) * t.lsq_op
+        });
+        column(e, Component::Rob, n, |j| {
+            f64::from(act.dispatched[j]) * t.rob_write + f64::from(act.committed[j]) * t.rob_read
+        });
 
         // Result buses: drivers see spurious transitions every non-gated
         // cycle (§3.4).
-        e.add(
-            Component::ResultBus,
-            f64::from(gate.result_buses_powered) * t.result_bus_cycle * dynamic
-                + self.result_buses * t.result_bus_cycle * leak,
-        );
+        column(e, Component::ResultBus, n, |j| {
+            f64::from(gate.result_buses_powered[j]) * t.result_bus_cycle * dynamic
+                + self.result_buses * t.result_bus_cycle * leak
+        });
 
         // Gating-control overhead (extended latches).
-        e.add(
-            Component::GatingControl,
-            f64::from(gate.control_bits) * t.dcg_control_bit_cycle,
-        );
-
-        e
+        column(e, Component::GatingControl, n, |j| {
+            f64::from(gate.control_bits[j]) * t.dcg_control_bit_cycle
+        });
     }
 }
 
@@ -354,6 +395,60 @@ mod tests {
         CycleActivity {
             latch_occupancy: vec![0; groups.len()],
             ..CycleActivity::default()
+        }
+    }
+
+    #[test]
+    fn span_fold_equals_per_cycle_records_bit_for_bit() {
+        use crate::gate::GateLanes;
+        use dcg_sim::{ActivityBlock, Processor, BLOCK_CYCLES};
+        use dcg_workloads::{Spec2000, SyntheticWorkload};
+
+        let (cfg, groups, model) = setup();
+        let workload = SyntheticWorkload::new(Spec2000::by_name("gzip").expect("known"), 3);
+        let mut cpu = Processor::new(cfg.clone(), workload);
+        let mut block = ActivityBlock::new(groups.len());
+        let mut lanes = GateLanes::new(groups.len());
+        let mut per_cycle = PowerReport::new();
+        let mut spans = PowerReport::new();
+        for _ in 0..4 {
+            block.clear(0);
+            for i in 0..BLOCK_CYCLES {
+                let act = cpu.step().clone();
+                // Vary every gate field the energy formula reads.
+                let mut gate = GateState::ungated(&cfg, &groups);
+                gate.fu_powered[FuClass::IntAlu.index()] =
+                    act.fu_active[FuClass::IntAlu.index()] | (i as u32 & 1);
+                gate.dcache_ports_powered = act.dcache_port_mask;
+                gate.result_buses_powered = act.result_bus_used;
+                gate.issue_queue_scale = 0.5 + f64::from(i as u32 % 3) / 7.0;
+                gate.control_bits = i as u32;
+                for (slot, &occ) in gate.latch_slots.iter_mut().zip(&act.latch_occupancy) {
+                    *slot = (i % 4 != 0).then_some(occ);
+                }
+                per_cycle.record(&model.cycle_energy(&act, &gate), act.committed);
+                block.push(&act);
+                lanes.set(i, &gate);
+            }
+            // Uneven spans, as the block drive cuts them at the warm-up
+            // boundary.
+            for (from, to) in [(0, 5), (5, 5), (5, 40), (40, BLOCK_CYCLES)] {
+                model.fold_span(
+                    &block.columns(from, to),
+                    &lanes.columns(from, to),
+                    &mut spans,
+                );
+            }
+        }
+        assert_eq!(spans.cycles(), per_cycle.cycles());
+        assert_eq!(spans.committed(), per_cycle.committed());
+        for c in Component::ALL {
+            assert_eq!(
+                spans.component_pj(c).to_bits(),
+                per_cycle.component_pj(c).to_bits(),
+                "{}",
+                c.label()
+            );
         }
     }
 

@@ -46,6 +46,19 @@ impl PowerReport {
         self.committed += u64::from(committed);
     }
 
+    /// Record `committed.len()` cycles whose energies `fold` adds to the
+    /// running totals.
+    #[inline]
+    pub(crate) fn record_columns(
+        &mut self,
+        committed: &[u32],
+        fold: impl FnOnce(&mut EnergyBreakdown),
+    ) {
+        fold(&mut self.totals);
+        self.cycles += committed.len() as u64;
+        self.committed += committed.iter().map(|&c| u64::from(c)).sum::<u64>();
+    }
+
     /// Cycles recorded.
     pub fn cycles(&self) -> u64 {
         self.cycles

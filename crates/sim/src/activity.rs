@@ -667,6 +667,152 @@ impl ActivityBlock {
         out.store_ports_next = self.store_ports_next[i];
         out.result_bus_in_2 = self.result_bus_in_2[i];
     }
+
+    /// Columns `from..to` as an [`ActivityColumns`] view (index `j` of the
+    /// view is block index `from + j`).
+    #[inline]
+    pub fn columns(&self, from: usize, to: usize) -> ActivityColumns<'_> {
+        debug_assert!(from <= to && to <= self.len);
+        let g = self.groups;
+        ActivityColumns {
+            first_cycle: self.first_cycle + from as u64,
+            len: to - from,
+            groups: g,
+            fetched: &self.fetched[from..to],
+            renamed: &self.renamed[from..to],
+            dispatched: &self.dispatched[from..to],
+            issued: &self.issued[from..to],
+            issued_loads: &self.issued_loads[from..to],
+            issued_stores: &self.issued_stores[from..to],
+            committed: &self.committed[from..to],
+            fu_active: std::array::from_fn(|c| &self.fu_active[c][from..to]),
+            dcache_port_mask: &self.dcache_port_mask[from..to],
+            dcache_load_accesses: &self.dcache_load_accesses[from..to],
+            dcache_store_accesses: &self.dcache_store_accesses[from..to],
+            l2_accesses: &self.l2_accesses[from..to],
+            icache_access_lanes: (self.icache_access_lanes & Self::lane_range(from, to))
+                .checked_shr(from as u32)
+                .unwrap_or(0),
+            bpred_lookups: &self.bpred_lookups[from..to],
+            regfile_reads: &self.regfile_reads[from..to],
+            regfile_writes: &self.regfile_writes[from..to],
+            result_bus_used: &self.result_bus_used[from..to],
+            latch_occupancy: &self.latch_occupancy[from * g..to * g],
+            iq_occupancy: &self.iq_occupancy[from..to],
+            rob_occupancy: &self.rob_occupancy[from..to],
+            lsq_occupancy: &self.lsq_occupancy[from..to],
+        }
+    }
+}
+
+/// Borrowed columns of `len` consecutive cycles: a span of an
+/// [`ActivityBlock`] ([`ActivityBlock::columns`]) or one
+/// [`CycleActivity`] as a single lane ([`CycleActivity::columns`]).
+///
+/// The accounting folds downstream (energy, gating audit, metrics) read
+/// their inputs through this view, so the per-cycle and the block path
+/// run one implementation. Index `j` of every column is cycle
+/// `first_cycle + j`. The view carries the columns those folds read; a
+/// policy's advance-knowledge inputs (grants, scheduled stores, booked
+/// buses) are read from the block itself.
+#[derive(Debug, Clone, Copy)]
+pub struct ActivityColumns<'a> {
+    /// Cycle number of index 0.
+    pub first_cycle: u64,
+    /// Cycles in the view (the length of every per-cycle column).
+    pub len: usize,
+    /// Latch groups per cycle (row width of `latch_occupancy`).
+    pub groups: usize,
+    /// Instructions fetched.
+    pub fetched: &'a [u32],
+    /// Instructions entering rename.
+    pub renamed: &'a [u32],
+    /// Instructions dispatched.
+    pub dispatched: &'a [u32],
+    /// Instructions issued.
+    pub issued: &'a [u32],
+    /// Issued loads.
+    pub issued_loads: &'a [u32],
+    /// Issued stores.
+    pub issued_stores: &'a [u32],
+    /// Instructions committed.
+    pub committed: &'a [u32],
+    /// Busy masks per unit class, indexed by [`FuClass::index`].
+    pub fu_active: [&'a [u32]; FuClass::COUNT],
+    /// D-cache port masks.
+    pub dcache_port_mask: &'a [u32],
+    /// Loads accessing the D-cache.
+    pub dcache_load_accesses: &'a [u32],
+    /// Stores accessing the D-cache.
+    pub dcache_store_accesses: &'a [u32],
+    /// L2 accesses.
+    pub l2_accesses: &'a [u32],
+    /// Lane mask: bit `j` set iff the I-cache was probed at index `j`.
+    pub icache_access_lanes: u64,
+    /// Branch-predictor lookups.
+    pub bpred_lookups: &'a [u32],
+    /// Register-file reads.
+    pub regfile_reads: &'a [u32],
+    /// Register-file writes.
+    pub regfile_writes: &'a [u32],
+    /// Result buses driven.
+    pub result_bus_used: &'a [u32],
+    /// Cycle-major latch occupancy (`len * groups` entries).
+    pub latch_occupancy: &'a [u32],
+    /// Issue-queue occupancy.
+    pub iq_occupancy: &'a [u32],
+    /// Reorder-buffer occupancy.
+    pub rob_occupancy: &'a [u32],
+    /// Load/store-queue occupancy.
+    pub lsq_occupancy: &'a [u32],
+}
+
+impl<'a> ActivityColumns<'a> {
+    /// Cycle number of index `j`.
+    #[inline]
+    pub fn cycle(&self, j: usize) -> u64 {
+        self.first_cycle + j as u64
+    }
+
+    /// Latch occupancies of index `j` (one entry per group).
+    #[inline]
+    pub fn latches(&self, j: usize) -> &'a [u32] {
+        &self.latch_occupancy[j * self.groups..(j + 1) * self.groups]
+    }
+}
+
+impl CycleActivity {
+    /// This cycle as a one-lane [`ActivityColumns`] view.
+    #[inline]
+    pub fn columns(&self) -> ActivityColumns<'_> {
+        use std::slice::from_ref;
+        ActivityColumns {
+            first_cycle: self.cycle,
+            len: 1,
+            groups: self.latch_occupancy.len(),
+            fetched: from_ref(&self.fetched),
+            renamed: from_ref(&self.renamed),
+            dispatched: from_ref(&self.dispatched),
+            issued: from_ref(&self.issued),
+            issued_loads: from_ref(&self.issued_loads),
+            issued_stores: from_ref(&self.issued_stores),
+            committed: from_ref(&self.committed),
+            fu_active: std::array::from_fn(|c| from_ref(&self.fu_active[c])),
+            dcache_port_mask: from_ref(&self.dcache_port_mask),
+            dcache_load_accesses: from_ref(&self.dcache_load_accesses),
+            dcache_store_accesses: from_ref(&self.dcache_store_accesses),
+            l2_accesses: from_ref(&self.l2_accesses),
+            icache_access_lanes: u64::from(self.icache_access),
+            bpred_lookups: from_ref(&self.bpred_lookups),
+            regfile_reads: from_ref(&self.regfile_reads),
+            regfile_writes: from_ref(&self.regfile_writes),
+            result_bus_used: from_ref(&self.result_bus_used),
+            latch_occupancy: &self.latch_occupancy,
+            iq_occupancy: from_ref(&self.iq_occupancy),
+            rob_occupancy: from_ref(&self.rob_occupancy),
+            lsq_occupancy: from_ref(&self.lsq_occupancy),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -822,6 +968,37 @@ mod tests {
         assert!(block.latch_any.iter().all(|&m| m == 0));
         block.push(&sample_activity(100, groups));
         assert_eq!(block.cycle(0), 100);
+    }
+
+    #[test]
+    fn block_columns_view_each_cycle_as_its_record_does() {
+        let groups = 3;
+        let mut block = ActivityBlock::new(groups);
+        let acts: Vec<CycleActivity> = (1..=40u64).map(|c| sample_activity(c, groups)).collect();
+        for a in &acts {
+            block.push(a);
+        }
+        // Every one-lane span of the block views exactly what the cycle's
+        // own record views, icache lane bit included.
+        for (i, a) in acts.iter().enumerate() {
+            assert_eq!(
+                format!("{:?}", block.columns(i, i + 1)),
+                format!("{:?}", a.columns()),
+                "cycle {}",
+                a.cycle
+            );
+        }
+        // A wider span re-bases lane masks and cycle numbers on `from`.
+        let span = block.columns(5, 29);
+        assert_eq!((span.len, span.first_cycle, span.cycle(3)), (24, 6, 9));
+        assert_eq!(span.latches(2), block.latches(7));
+        for j in 0..span.len {
+            assert_eq!(
+                (span.icache_access_lanes >> j) & 1 == 1,
+                acts[5 + j].icache_access
+            );
+        }
+        assert_eq!(span.icache_access_lanes >> span.len, 0);
     }
 
     #[test]

@@ -41,8 +41,8 @@ mod rob;
 mod stats;
 
 pub use activity::{
-    ActivityBlock, CycleActivity, FlowHistory, FlowSource, FuGrant, LatchGroupSpec, LatchGroups,
-    BLOCK_CYCLES,
+    ActivityBlock, ActivityColumns, CycleActivity, FlowHistory, FlowSource, FuGrant,
+    LatchGroupSpec, LatchGroups, BLOCK_CYCLES,
 };
 pub use bpred::{BranchPredictor, Prediction};
 pub use builder::SimConfigBuilder;
