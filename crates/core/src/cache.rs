@@ -4,17 +4,22 @@
 //! same `(configuration, workload, seed, run length)` tuple — parameter
 //! sweeps, figure regeneration, calibration probes — need the timing
 //! simulation only **once**: the first run records its activity stream,
-//! and later runs replay it through [`crate::run_passive_source`] at a
-//! fraction of the cost.
+//! and later runs replay it at a fraction of the cost.
 //!
-//! [`TraceCache`] is the workload-facing facade; the persistence layer
-//! underneath is [`crate::TraceStore`] — a manifest + write-ahead-journal
-//! storage engine (DESIGN.md §14) that indexes entries by their **full**
-//! `(config digest, name, seed, run length, schema)` identity, verifies
-//! a whole-payload checksum on every hit, recovers from interrupted
-//! stores on open, and enforces an optional byte budget
-//! ([`TRACE_CACHE_BUDGET_ENV`]) by evicting oldest-generation entries
-//! first.
+//! [`TraceCache::run`] is the one resolver: a hit hands the caller's
+//! run a validated [`CachedSource::Replay`], a miss hands it a live
+//! [`CachedSource::Live`] that records itself and is committed after the
+//! run returns, and a replay that fails mid-run evicts the entry and
+//! counts the failure. [`run_cached_or_live`] is the one fail-open on
+//! top of it: it re-runs a failed replay live with fresh state.
+//!
+//! The persistence layer underneath is [`crate::TraceStore`] — a
+//! manifest + write-ahead-journal storage engine (DESIGN.md §14) that
+//! indexes entries by their **full** `(config digest, name, seed, run
+//! length, schema)` identity, verifies a whole-payload checksum on every
+//! hit, recovers from interrupted stores on open, and enforces an
+//! optional byte budget ([`TRACE_CACHE_BUDGET_ENV`]) by evicting
+//! oldest-generation entries first.
 //!
 //! The 64-bit FNV content key still names entry *files* (it keeps file
 //! names short and stable), but it is no longer the identity: two tuples
@@ -39,8 +44,7 @@ use dcg_workloads::{BenchmarkProfile, InstStream, SyntheticWorkload};
 use crate::error::DcgError;
 use crate::policy::GatingPolicy;
 use crate::runner::{run_passive_with_sinks, PassiveRun, RunLength};
-use crate::sinks::{ActivitySink, RecorderSink};
-use crate::source::ReplaySource;
+use crate::source::{CachedSource, ReplaySource};
 use crate::store::{EntryIdentity, RecoveryStats, StoreScan, TraceStore};
 
 /// Environment variable controlling [`TraceCache::from_env`]: unset for
@@ -476,38 +480,6 @@ impl TraceCache {
         }
     }
 
-    /// Open `shards` validated replay sources over one shared view of
-    /// the tuple's entry, or `None` on a miss — the sharded batch driver
-    /// hands each worker its own reader without any worker copying the
-    /// payload (clones of [`dcg_trace::TraceData`] share the backing
-    /// mapping). Validation runs once; the extra readers re-parse only
-    /// the header and subheader chain.
-    pub fn replay_sources(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        shards: usize,
-    ) -> Option<Vec<ReplaySource>> {
-        let identity = Self::identity(config, name, seed, length);
-        let data = self.store.fetch_data(&identity)?;
-        let reader = match Self::validate_entry(config, name, seed, length, data.clone()) {
-            Ok(reader) => reader,
-            Err(()) => {
-                self.store.evict(&identity);
-                return None;
-            }
-        };
-        let mut out = Vec::with_capacity(shards.max(1));
-        out.push(ReplaySource::new(reader));
-        for _ in 1..shards.max(1) {
-            let reader = ActivityTraceReader::from_data(data.clone()).ok()?;
-            out.push(ReplaySource::new(reader));
-        }
-        Some(out)
-    }
-
     fn validate_entry(
         config: &SimConfig,
         name: &str,
@@ -534,26 +506,67 @@ impl TraceCache {
         Ok(reader)
     }
 
-    /// Evict the tuple's entry and count a replay failure on both the
-    /// instance and the process aggregate.
-    fn evict_after_replay_failure(
+    /// Resolve the tuple once and hand `f` the source to run on.
+    ///
+    /// * **Hit:** `f` gets a validated [`CachedSource::Replay`]. If `f`
+    ///   fails (the entry still failed mid-replay), the entry is evicted,
+    ///   the failure is counted in [`CacheHealth::replay_failures`] and
+    ///   the error is returned.
+    /// * **Miss:** `f` gets a [`CachedSource::Live`] simulation of
+    ///   `make_stream()` that records itself; once `f` returns `Ok`, the
+    ///   recording is committed to the store (store failures are
+    ///   counted, never fatal).
+    ///
+    /// Results are bit-identical either way. Callers must keep `(name,
+    /// seed)` → stream bijective: kernel names are distinct from every
+    /// SPEC profile name, so the two workload families never collide.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns — on a hit, a replay failure, after which the
+    /// caller must retry with **fresh** policies and sinks (the failed run
+    /// fed them part of a stream). [`run_cached_or_live`] does exactly that.
+    pub fn run<S: InstStream, T>(
         &self,
         config: &SimConfig,
         name: &str,
         seed: u64,
         length: RunLength,
-        err: &DcgError,
-    ) {
+        make_stream: impl FnOnce() -> S,
+        f: impl FnOnce(&mut CachedSource<S>) -> Result<T, DcgError>,
+    ) -> Result<T, DcgError> {
         let identity = Self::identity(config, name, seed, length);
-        let path = self
-            .store
-            .entry_path(&identity, Self::key(config, name, seed, length));
-        self.store
-            .health
-            .replay_failures
-            .fetch_add(1, Ordering::Relaxed);
-        note_replay_failure(&path, err);
-        self.store.evict(&identity);
+        let key = Self::key(config, name, seed, length);
+        if let Some(replay) = self.replay_source(config, name, seed, length) {
+            return f(&mut CachedSource::Replay(replay)).inspect_err(|e| {
+                self.store
+                    .health
+                    .replay_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                note_replay_failure(&self.store.entry_path(&identity, key), e);
+                self.store.evict(&identity);
+            });
+        }
+
+        let cpu = Box::new(Processor::new(config.clone(), make_stream()));
+        let header = ActivityHeader::new(
+            name,
+            config.digest(),
+            seed,
+            length.warmup_insts,
+            length.measure_insts,
+            cpu.latch_groups().len(),
+        )
+        .expect("activity header for a valid workload name");
+        let writer = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory header write");
+        let mut source = CachedSource::Live(cpu, Some(writer));
+        let out = f(&mut source)?;
+        if let CachedSource::Live(_, Some(writer)) = source {
+            if let Ok(bytes) = writer.finish() {
+                self.store.insert(&identity, key, &bytes);
+            }
+        }
+        Ok(out)
     }
 
     /// [`crate::run_passive`] with transparent caching: replay the
@@ -562,11 +575,8 @@ impl TraceCache {
     ///
     /// # Errors
     ///
-    /// Fails only if a *validated* cache entry still fails mid-replay
-    /// (I/O fault after validation). The entry is evicted and counted in
-    /// [`CacheHealth::replay_failures`]; the caller must retry with
-    /// **fresh** policies and sinks — the failed drive already fed them
-    /// part of a stream, so reusing them would corrupt results.
+    /// As [`TraceCache::run`]: a validated entry that still fails
+    /// mid-replay is evicted, counted and returned as the error.
     ///
     /// # Panics
     ///
@@ -579,218 +589,54 @@ impl TraceCache {
         length: RunLength,
         policies: &mut [&mut dyn GatingPolicy],
     ) -> Result<PassiveRun, DcgError> {
-        self.run_passive_cached_with(config, profile, seed, length, policies, &mut [])
-    }
-
-    /// [`TraceCache::run_passive_cached`] with additional sinks riding on
-    /// the same pass — hit or miss, the extra sinks observe the identical
-    /// activity stream, so a [`crate::MetricsSink`] attached here yields
-    /// bit-identical metrics either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_passive_cached`].
-    pub fn run_passive_cached_with(
-        &self,
-        config: &SimConfig,
-        profile: BenchmarkProfile,
-        seed: u64,
-        length: RunLength,
-        policies: &mut [&mut dyn GatingPolicy],
-        extra: &mut [&mut dyn ActivitySink],
-    ) -> Result<PassiveRun, DcgError> {
-        self.run_passive_cached_stream(
+        self.run(
             config,
             profile.name,
             seed,
             length,
             || SyntheticWorkload::new(profile, seed),
-            policies,
-            extra,
+            |source| run_passive_with_sinks(config, source, length, policies, &mut []),
         )
     }
+}
 
-    /// The general form of [`TraceCache::run_passive_cached_with`]: cache
-    /// a run of *any* deterministic [`InstStream`], keyed by `name` and
-    /// `seed`. `make_stream` is only invoked on a cache miss (building a
-    /// stream may be expensive — e.g. a kernel program's emulator).
-    ///
-    /// Callers must keep `(name, seed)` → stream bijective: the cache
-    /// cannot tell two different streams apart if they share a name and
-    /// seed. Kernel names are distinct from every SPEC profile name, so
-    /// the two workload families never collide.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_passive_cached`].
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::run_passive`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_passive_cached_stream<S, F>(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        make_stream: F,
-        policies: &mut [&mut dyn GatingPolicy],
-        extra: &mut [&mut dyn ActivitySink],
-    ) -> Result<PassiveRun, DcgError>
-    where
-        S: InstStream,
-        F: FnOnce() -> S,
-    {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match run_passive_with_sinks(config, &mut replay, length, policies, extra) {
-                Ok(run) => return Ok(run),
-                Err(e) => {
-                    // The entry validated but would not drive the run:
-                    // evict it so the next attempt misses and simulates
-                    // live, then surface the error — the caller's
-                    // policies have consumed a partial stream and must be
-                    // rebuilt before retrying.
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
-            }
+/// Run `f` on the tuple's cached activity when `cache` is given (see
+/// [`TraceCache::run`]), failing open to a live simulation.
+///
+/// When a cached replay fails mid-run, the cache has already evicted the
+/// entry and counted the failure; this warns on stderr and calls `f`
+/// again on a fresh, non-recording live source. `f` is `Fn`, so it
+/// cannot mutate captured policies or sinks: it builds its own on every
+/// call, and the retry never reuses state that saw part of a stream.
+/// With `cache == None` the run is live and never touches the disk.
+///
+/// # Panics
+///
+/// Panics if `f` fails on a live source (live simulations are
+/// infallible, so only `f` itself can fail there).
+pub fn run_cached_or_live<S: InstStream, T>(
+    cache: Option<&TraceCache>,
+    config: &SimConfig,
+    name: &str,
+    seed: u64,
+    length: RunLength,
+    make_stream: impl Fn() -> S,
+    f: impl Fn(&mut CachedSource<S>) -> Result<T, DcgError>,
+) -> T {
+    if let Some(cache) = cache {
+        match cache.run(config, name, seed, length, &make_stream, &f) {
+            Ok(out) => return out,
+            Err(e) => eprintln!("warning: {name}: cached replay failed ({e}); re-simulating live"),
         }
-
-        let mut cpu = Processor::new(config.clone(), make_stream());
-        let groups = cpu.latch_groups().len();
-        let header = ActivityHeader::new(
-            name,
-            config.digest(),
-            seed,
-            length.warmup_insts,
-            length.measure_insts,
-            groups,
-        )
-        .expect("activity header for a valid workload name");
-        let writer = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory header write");
-        let mut recorder = RecorderSink::new(writer);
-        let run = {
-            let mut sinks: Vec<&mut dyn ActivitySink> = Vec::with_capacity(extra.len() + 1);
-            for e in extra.iter_mut() {
-                sinks.push(&mut **e);
-            }
-            sinks.push(&mut recorder);
-            run_passive_with_sinks(config, &mut cpu, length, policies, &mut sinks)
-                .expect("a live simulation source cannot fail")
-        };
-        if let Ok(bytes) = recorder.finish() {
-            self.store.insert(
-                &Self::identity(config, name, seed, length),
-                Self::key(config, name, seed, length),
-                &bytes,
-            );
-        }
-        Ok(run)
     }
-
-    /// Stats-only cached run: [`crate::run_stats_source`] on a hit (the
-    /// blockwise fold — no power model, no policy state), and a recording
-    /// live simulation on a miss so the *next* call hits.
-    ///
-    /// The returned [`dcg_sim::SimStats`] are bit-identical hit or miss:
-    /// the stats counters are integer folds, and the block fold visits
-    /// exactly the cycles the scalar loop would.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_passive_cached`] — only a validated entry
-    /// failing mid-replay, which is evicted before the error surfaces.
-    pub fn run_stats_cached_stream<S, F>(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        make_stream: F,
-    ) -> Result<dcg_sim::SimStats, DcgError>
-    where
-        S: InstStream,
-        F: FnOnce() -> S,
-    {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match crate::runner::run_stats_source(&mut replay, length) {
-                Ok(stats) => return Ok(stats),
-                Err(e) => {
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
-            }
-        }
-        self.run_passive_cached_stream(config, name, seed, length, make_stream, &mut [], &mut [])
-            .map(|run| run.stats)
-    }
-
-    /// IPC-only cached run — the cheapest query the store can answer.
-    ///
-    /// On a hit the measured window's `(cycles, committed)` come straight
-    /// from the trace's verified per-block subheaders plus a decode of
-    /// the two boundary blocks ([`ReplaySource::measured_window`]): an
-    /// index walk of a few tens of KB instead of a multi-MB payload
-    /// decode. The subheaders are covered by the trailer checksum that
-    /// every open verifies, so the shortcut loses no integrity coverage
-    /// for the numbers it returns. On a miss this records via a live
-    /// simulation exactly like [`TraceCache::run_stats_cached_stream`].
-    ///
-    /// The returned IPC is bit-identical to
-    /// `run_stats_cached_stream(..)?.ipc()` on every path: both reduce to
-    /// the same two integer totals divided in the same order.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCache::run_stats_cached_stream`].
-    pub fn run_ipc_cached_stream<S, F>(
-        &self,
-        config: &SimConfig,
-        name: &str,
-        seed: u64,
-        length: RunLength,
-        make_stream: F,
-    ) -> Result<f64, DcgError>
-    where
-        S: InstStream,
-        F: FnOnce() -> S,
-    {
-        if let Some(mut replay) = self.replay_source(config, name, seed, length) {
-            match replay.measured_window(length) {
-                Ok(Some((cycles, committed))) => {
-                    let stats = dcg_sim::SimStats {
-                        cycles,
-                        committed,
-                        ..dcg_sim::SimStats::default()
-                    };
-                    return Ok(stats.ipc());
-                }
-                // The index cannot answer (validation guarantees coverage,
-                // so only an unverified rewrite could land here): fold the
-                // full replay instead.
-                Ok(None) => match crate::runner::run_stats_source(&mut replay, length) {
-                    Ok(stats) => return Ok(stats.ipc()),
-                    Err(e) => {
-                        self.evict_after_replay_failure(config, name, seed, length, &e);
-                        return Err(e);
-                    }
-                },
-                Err(e) => {
-                    self.evict_after_replay_failure(config, name, seed, length, &e);
-                    return Err(e);
-                }
-            }
-        }
-        self.run_passive_cached_stream(config, name, seed, length, make_stream, &mut [], &mut [])
-            .map(|run| run.stats.ipc())
-    }
+    let cpu = Processor::new(config.clone(), make_stream());
+    f(&mut CachedSource::Live(Box::new(cpu), None)).expect("a live simulation source cannot fail")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dcg, NoGating};
+    use crate::{ActivitySource, Dcg, MetricsReport, MetricsSink, NoGating};
     use dcg_power::Component;
     use dcg_workloads::Spec2000;
     use std::fs;
@@ -830,30 +676,77 @@ mod tests {
             .collect()
     }
 
+    /// Baseline + DCG + a metrics sink over `source`, built fresh per
+    /// call, as the suite's passive pass does. The metrics report
+    /// accumulates over every cycle it sees, so a sink that saw part of
+    /// a failed replay would not match a clean run.
+    fn passive(
+        cfg: &SimConfig,
+        source: &mut dyn ActivitySource,
+    ) -> Result<(PassiveRun, MetricsReport), DcgError> {
+        let groups = LatchGroups::new(&cfg.depth);
+        let mut base = NoGating::new(cfg, &groups);
+        let mut dcg = Dcg::new(cfg, &groups);
+        let mut probe = Dcg::new(cfg, &groups);
+        let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
+        let policies: &mut [&mut dyn GatingPolicy] = &mut [&mut base, &mut dcg];
+        let run = run_passive_with_sinks(cfg, source, short(), policies, &mut [&mut metrics])?;
+        Ok((run, metrics.into_report()))
+    }
+
+    /// Record gzip at `seed` through a miss, then flip one byte of the
+    /// last block's payload. The row was born verified and the subheader
+    /// chain and trailer are intact, so the entry still validates; the
+    /// block checksum fails only when a replay reaches that block.
+    fn entry_failing_mid_replay(
+        cache: &TraceCache,
+        cfg: &SimConfig,
+        seed: u64,
+    ) -> (PassiveRun, MetricsReport) {
+        let profile = Spec2000::by_name("gzip").unwrap();
+        let stream = || SyntheticWorkload::new(profile, seed);
+        let clean = cache
+            .run(cfg, "gzip", seed, short(), stream, |src| passive(cfg, src))
+            .expect("a miss simulates live");
+        const TRAILER_LEN: usize = 40;
+        let path = cache.entry_path_for(cfg, "gzip", seed, short());
+        let mut bytes = fs::read(&path).expect("the miss committed an entry");
+        let at = bytes.len() - TRAILER_LEN - 1;
+        bytes[at] ^= 0x5a;
+        fs::write(&path, &bytes).unwrap();
+        assert!(
+            cache.replay_source(cfg, "gzip", seed, short()).is_some(),
+            "the rewritten entry must still pass validation"
+        );
+        clean
+    }
+
     #[test]
     fn miss_records_then_hit_replays_identically() {
         let cache = scratch("roundtrip");
         let cfg = SimConfig::baseline_8wide();
-        let groups = LatchGroups::new(&cfg.depth);
         let profile = Spec2000::by_name("gzip").unwrap();
+        let stream = || SyntheticWorkload::new(profile, 9);
+        let resolve = |src: &mut CachedSource<SyntheticWorkload>| {
+            let hit = matches!(src, CachedSource::Replay(_));
+            passive(&cfg, src).map(|(run, _)| (hit, run))
+        };
 
-        let mut base = NoGating::new(&cfg, &groups);
-        let mut dcg = Dcg::new(&cfg, &groups);
-        let cold = cache
-            .run_passive_cached(&cfg, profile, 9, short(), &mut [&mut base, &mut dcg])
+        let (hit, cold) = cache
+            .run(&cfg, profile.name, 9, short(), stream, resolve)
             .expect("cold run");
+        assert!(!hit, "an empty cache misses");
         assert!(
             cache
                 .replay_source(&cfg, profile.name, 9, short())
                 .is_some(),
-            "first run must populate the cache"
+            "the miss must commit its recording"
         );
 
-        let mut base2 = NoGating::new(&cfg, &groups);
-        let mut dcg2 = Dcg::new(&cfg, &groups);
-        let warm = cache
-            .run_passive_cached(&cfg, profile, 9, short(), &mut [&mut base2, &mut dcg2])
+        let (hit, warm) = cache
+            .run(&cfg, profile.name, 9, short(), stream, resolve)
             .expect("warm run");
+        assert!(hit, "the committed recording serves the next run");
         assert_eq!(report_bits(&cold), report_bits(&warm));
         assert_eq!(cold.stats.cycles, warm.stats.cycles);
         assert_eq!(cold.stats.mispredicts, warm.stats.mispredicts);
@@ -861,40 +754,85 @@ mod tests {
             cold.outcomes[1].audit, warm.outcomes[1].audit,
             "audit must replay bit-identically"
         );
+        assert_eq!(cache.health(), CacheHealth::default());
     }
 
     #[test]
-    fn ipc_index_path_matches_full_fold_bit_for_bit() {
-        // The subheader-index IPC (miss → live record, hit → index walk)
-        // must equal the full blockwise fold's ipc() exactly — same
-        // integer totals, same division.
-        let cache = scratch("ipc-index");
+    fn failed_replay_evicts_counts_and_returns_the_error() {
+        let cache = scratch("replay-fails");
         let cfg = SimConfig::baseline_8wide();
+        entry_failing_mid_replay(&cache, &cfg, 13);
+        let path = cache.entry_path_for(&cfg, "gzip", 13, short());
+        let before = cache.health();
+
         let profile = Spec2000::by_name("gzip").unwrap();
-        let stream = || SyntheticWorkload::new(profile, 11);
+        let err = cache
+            .run(
+                &cfg,
+                "gzip",
+                13,
+                short(),
+                || SyntheticWorkload::new(profile, 13),
+                |src| passive(&cfg, src),
+            )
+            .expect_err("a corrupt block must fail the replay");
+        assert!(
+            matches!(err, DcgError::ReplayCorrupt { .. }),
+            "unexpected error: {err}"
+        );
+        assert_eq!(
+            cache.health(),
+            CacheHealth {
+                replay_failures: before.replay_failures + 1,
+                ..before
+            },
+            "exactly one replay failure is counted"
+        );
+        assert!(!path.exists(), "the failing entry is evicted");
+        assert!(cache.replay_source(&cfg, "gzip", 13, short()).is_none());
+    }
 
-        let cold = cache
-            .run_ipc_cached_stream(&cfg, profile.name, 11, short(), stream)
-            .expect("cold ipc");
-        let folded = cache
-            .run_stats_cached_stream(&cfg, profile.name, 11, short(), stream)
-            .expect("warm fold");
-        let warm = cache
-            .run_ipc_cached_stream(&cfg, profile.name, 11, short(), stream)
-            .expect("warm ipc");
-        assert!(cold > 0.0, "a real run has nonzero IPC");
-        assert_eq!(cold.to_bits(), folded.ipc().to_bits());
-        assert_eq!(cold.to_bits(), warm.to_bits());
+    #[test]
+    fn run_cached_or_live_retries_live_with_fresh_policies() {
+        let cache = scratch("fail-open");
+        let cfg = SimConfig::baseline_8wide();
+        let clean = entry_failing_mid_replay(&cache, &cfg, 17);
+        let profile = Spec2000::by_name("gzip").unwrap();
+        let stream = || SyntheticWorkload::new(profile, 17);
+        // Which source each call of the closure saw: the failed replay,
+        // then one live retry that records nothing.
+        let seen = std::cell::RefCell::new(Vec::new());
+        let resolve = |src: &mut CachedSource<SyntheticWorkload>| {
+            seen.borrow_mut().push(match src {
+                CachedSource::Replay(_) => "replay",
+                CachedSource::Live(_, Some(_)) => "recording",
+                CachedSource::Live(_, None) => "live",
+            });
+            passive(&cfg, src)
+        };
 
-        // And the index agrees with the drive loop's own totals.
-        let replay = cache
-            .replay_source(&cfg, profile.name, 11, short())
-            .expect("hit");
-        let (cycles, committed) = replay
-            .measured_window(short())
-            .expect("clean entry")
-            .expect("verified entry answers from its index");
-        assert_eq!((cycles, committed), (folded.cycles, folded.committed));
+        let retried = run_cached_or_live(Some(&cache), &cfg, "gzip", 17, short(), stream, resolve);
+        assert_eq!(*seen.borrow(), ["replay", "live"]);
+        assert_eq!(
+            report_bits(&retried.0),
+            report_bits(&clean.0),
+            "the live retry must reproduce the clean run bit for bit"
+        );
+        assert_eq!(
+            format!("{:?}", retried.0.stats),
+            format!("{:?}", clean.0.stats)
+        );
+        assert_eq!(retried.1, clean.1, "the retry's sinks start fresh");
+        assert_eq!(cache.health().replay_failures, 1);
+
+        // Without a cache the run is live and records nothing: the
+        // evicted tuple stays absent.
+        seen.borrow_mut().clear();
+        let live = run_cached_or_live(None, &cfg, "gzip", 17, short(), stream, resolve);
+        assert_eq!(*seen.borrow(), ["live"]);
+        assert_eq!(report_bits(&live.0), report_bits(&clean.0));
+        assert_eq!(live.1, clean.1);
+        assert!(cache.replay_source(&cfg, "gzip", 17, short()).is_none());
     }
 
     #[test]

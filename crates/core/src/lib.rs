@@ -17,12 +17,15 @@
 //! * [`NoGating`] — the ungated base case all savings are measured
 //!   against;
 //! * [`run_passive`]/[`run_active`] — runners that drive a simulation
-//!   under policies, account energy via `dcg-power`, and enforce gating
-//!   safety: a [`GatingSafetyChecker`] asserts every cycle that the
-//!   powered set covers the actual activity (the paper's "no performance
-//!   loss, no lost opportunity" determinism guarantee); a violation is a
-//!   structured [`Hazard`] and the class *fails open* to ungated for a
-//!   backoff window, never a panic;
+//!   under policies through the one [`drive`] loop, account energy via
+//!   `dcg-power`, and enforce gating safety: a [`GatingSafetyChecker`]
+//!   asserts every cycle that the powered set covers the actual activity
+//!   (the paper's "no performance loss, no lost opportunity" determinism
+//!   guarantee); a violation is a structured [`Hazard`] and the class
+//!   *fails open* to ungated for a backoff window, never a panic;
+//! * [`TraceCache::run`] — the one cached-or-live resolver: a hit
+//!   replays recorded activity, a miss simulates live and records it,
+//!   and [`run_cached_or_live`] re-runs a failed replay live;
 //! * [`FaultPlan`]/[`FaultyPolicy`] — a deterministic, seeded
 //!   fault-injection layer that proves the checker catches what it must
 //!   (driven by the `dcg-experiments` fault campaign).
@@ -66,7 +69,9 @@ mod sinks;
 mod source;
 mod store;
 
-pub use cache::{CacheHealth, TraceCache, TRACE_CACHE_BUDGET_ENV, TRACE_CACHE_ENV};
+pub use cache::{
+    run_cached_or_live, CacheHealth, TraceCache, TRACE_CACHE_BUDGET_ENV, TRACE_CACHE_ENV,
+};
 pub use dcg::{Dcg, DcgOptions};
 pub use error::DcgError;
 pub use faults::{FaultPlan, FaultPoint, FaultSpec, FaultWindow, FaultyPolicy, PanicSink};
@@ -77,9 +82,8 @@ pub use metrics::{
 pub use plb::{Plb, PlbConfig, PlbMode, PlbVariant};
 pub use policy::{GatingPolicy, NoGating};
 pub use runner::{
-    drive, drive_batch, drive_batch_sharded, run_active, run_active_source, run_oracle,
-    run_oracle_source, run_passive, run_passive_source, run_passive_with_sinks, run_stats_source,
-    run_wattch_styles, run_wattch_styles_source, GatingAudit, PassiveRun, PolicyOutcome, RunLength,
+    drive, run_active, run_oracle, run_oracle_source, run_passive, run_passive_with_sinks,
+    run_stats_source, run_wattch_styles, GatingAudit, PassiveRun, PolicyOutcome, RunLength,
     WattchStyles,
 };
 pub use safety::{GatingSafetyChecker, Hazard, HazardClass, SafetyConfig, SafetyReport};
@@ -87,7 +91,7 @@ pub use shard::{
     run_sharded, run_sharded_with, sweep_threads, worker_count_from_env_value, SWEEP_THREADS_ENV,
 };
 pub use sinks::{ActivitySink, MetricsSink};
-pub use source::{ActivitySource, ReplaySource};
+pub use source::{ActivitySource, CachedSource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,
     MANIFEST_FILE, STORE_CRASH_ENV,

@@ -3,10 +3,20 @@
 //!
 //! All run variants share **one** warm-up/measure driver loop, [`drive`]:
 //! an [`ActivitySource`] produces one [`dcg_sim::CycleActivity`] per
-//! cycle and any number of [`ActivitySink`]s consume it by reference.
-//! Passive-policy evaluation therefore works identically from a live
-//! [`dcg_sim::Processor`] or from a recorded activity trace replayed via
-//! [`crate::ReplaySource`] — the simulate-once architecture.
+//! cycle (or one decoded block of them) and any number of
+//! [`ActivitySink`]s consume it by reference. Passive-policy evaluation
+//! therefore works identically from a live [`dcg_sim::Processor`] or
+//! from a recorded activity trace replayed via [`crate::ReplaySource`] —
+//! the simulate-once architecture. Driving several configurations over
+//! one decode is the same call: put every configuration's sinks in the
+//! one sink list.
+//!
+//! The `run_*` helpers are thin compositions of `drive` with the
+//! crate's sinks: [`run_passive_with_sinks`] (and its live shorthand
+//! [`run_passive`]), [`run_stats_source`], [`run_oracle`] /
+//! [`run_oracle_source`], [`run_wattch_styles`] and [`run_active`].
+//! Whether a run replays or simulates is decided once, by
+//! [`crate::TraceCache::run`].
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, PowerModel, PowerReport};
@@ -276,117 +286,6 @@ fn drive_blocks(
     Ok(())
 }
 
-/// Advance several sink *lanes* in lockstep over one activity source —
-/// the batched sweep driver.
-///
-/// Each lane is one logical configuration's sink set (e.g. one policy
-/// fan-out per sweep point). All lanes share a single pass over `source`:
-/// with a block-capable source every block is decoded **once** and fanned
-/// to every lane, which is what makes a K-configuration warm-cache sweep
-/// cost one decode instead of K. Lanes must all be passive (no sink may
-/// publish constraints) when the source is a replay; per-lane results are
-/// read back from the sinks the caller still owns.
-///
-/// Equivalent to driving each lane separately: every sink observes the
-/// identical warm-up/measure call sequence either way.
-///
-/// # Errors
-///
-/// As [`drive`].
-pub fn drive_batch(
-    source: &mut dyn ActivitySource,
-    lanes: &mut [Vec<&mut dyn ActivitySink>],
-    length: RunLength,
-) -> Result<(), DcgError> {
-    let mut flat: Vec<&mut dyn ActivitySink> = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
-    for lane in lanes.iter_mut() {
-        for s in lane.iter_mut() {
-            flat.push(&mut **s);
-        }
-    }
-    drive(source, &mut flat, length)
-}
-
-/// [`drive_batch`] sharded across up to `threads` scoped workers: the
-/// lanes are split into contiguous chunks, each worker drives its chunk
-/// over its **own** source (one per chunk, from `sources` — e.g. one
-/// [`crate::ReplaySource`] per worker over a shared trace mapping, see
-/// [`crate::TraceCache::replay_sources`]), so a block is decoded once
-/// per worker instead of once per lane.
-///
-/// Every sink still observes the identical warm-up/measure sequence —
-/// worker boundaries only partition *which* lanes a pass fans out to —
-/// so results are bit-identical to [`drive_batch`] for any worker
-/// count. With one source (or one lane) this *is* `drive_batch`.
-///
-/// `sources` supplies one source per worker; the number of workers is
-/// `min(threads, sources.len(), lanes.len())`, never zero.
-///
-/// # Errors
-///
-/// As [`drive`]; when several workers fail, the error from the earliest
-/// lane chunk wins (deterministic for any schedule).
-pub fn drive_batch_sharded<S: ActivitySource + Send>(
-    threads: usize,
-    sources: Vec<S>,
-    lanes: &mut [Vec<&mut (dyn ActivitySink + Send)>],
-    length: RunLength,
-) -> Result<(), DcgError> {
-    if lanes.is_empty() {
-        return Ok(());
-    }
-    let workers = threads.max(1).min(sources.len()).min(lanes.len()).max(1);
-    if workers <= 1 {
-        let mut source = sources
-            .into_iter()
-            .next()
-            .expect("drive_batch_sharded needs at least one source");
-        let mut flat: Vec<&mut dyn ActivitySink> =
-            Vec::with_capacity(lanes.iter().map(Vec::len).sum());
-        for lane in lanes.iter_mut() {
-            for s in lane.iter_mut() {
-                flat.push(&mut **s);
-            }
-        }
-        return drive(&mut source, &mut flat, length);
-    }
-    // Contiguous chunks, remainder spread over the leading workers so
-    // chunk sizes differ by at most one.
-    let per = lanes.len() / workers;
-    let extra = lanes.len() % workers;
-    let mut chunks: Vec<&mut [Vec<&mut (dyn ActivitySink + Send)>]> = Vec::with_capacity(workers);
-    let mut rest = lanes;
-    for w in 0..workers {
-        let take = per + usize::from(w < extra);
-        let (head, tail) = rest.split_at_mut(take);
-        chunks.push(head);
-        rest = tail;
-    }
-    let mut results: Vec<Result<(), DcgError>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .zip(sources)
-            .map(|(chunk, mut source)| {
-                scope.spawn(move || {
-                    let mut flat: Vec<&mut dyn ActivitySink> =
-                        Vec::with_capacity(chunk.iter().map(Vec::len).sum());
-                    for lane in chunk.iter_mut() {
-                        for s in lane.iter_mut() {
-                            flat.push(&mut **s);
-                        }
-                    }
-                    drive(&mut source, &mut flat, length)
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("drive worker panicked"));
-        }
-    });
-    results.into_iter().collect()
-}
-
 /// Collect only the measured-window [`SimStats`] from `source` — the
 /// cheapest possible consumer (no power model, no policy state).
 ///
@@ -396,7 +295,7 @@ pub fn drive_batch_sharded<S: ActivitySource + Send>(
 ///
 /// # Errors
 ///
-/// As [`run_passive_source`].
+/// As [`drive`].
 pub fn run_stats_source(
     source: &mut dyn ActivitySource,
     length: RunLength,
@@ -426,13 +325,19 @@ pub fn run_passive<S: InstStream>(
     policies: &mut [&mut dyn GatingPolicy],
 ) -> PassiveRun {
     let mut cpu = Processor::new(config.clone(), stream);
-    run_passive_source(config, &mut cpu, length, policies)
+    run_passive_with_sinks(config, &mut cpu, length, policies, &mut [])
         .expect("a live simulation source cannot fail")
 }
 
 /// [`run_passive`] over an arbitrary [`ActivitySource`] — e.g. a
 /// [`crate::ReplaySource`] over a recorded activity trace, which skips
-/// the timing simulation entirely.
+/// the timing simulation entirely — with additional [`ActivitySink`]s
+/// riding on the same pass (pass `&mut []` for none).
+///
+/// Callers attach a [`crate::MetricsSink`] here to collect cycle-level
+/// observability without an extra simulation. Extra sinks see exactly
+/// the cycles the policy sinks see (warm-up and measured), after the
+/// policy sinks in fan-out order.
 ///
 /// # Errors
 ///
@@ -442,25 +347,6 @@ pub fn run_passive<S: InstStream>(
 /// # Panics
 ///
 /// As [`run_passive`].
-pub fn run_passive_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-    policies: &mut [&mut dyn GatingPolicy],
-) -> Result<PassiveRun, DcgError> {
-    run_passive_with_sinks(config, source, length, policies, &mut [])
-}
-
-/// Passive run with additional [`ActivitySink`]s riding on the same pass.
-///
-/// The trace cache attaches its recorder here, and callers attach a
-/// [`crate::MetricsSink`] to collect cycle-level observability without an
-/// extra simulation. Extra sinks see exactly the cycles the policy sinks
-/// see (warm-up and measured), after the policy sinks in fan-out order.
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
 pub fn run_passive_with_sinks(
     config: &SimConfig,
     source: &mut dyn ActivitySource,
@@ -529,7 +415,7 @@ pub fn run_oracle<S: InstStream>(
 ///
 /// # Errors
 ///
-/// As [`run_passive_source`].
+/// As [`drive`].
 pub fn run_oracle_source(
     config: &SimConfig,
     source: &mut dyn ActivitySource,
@@ -593,25 +479,11 @@ pub fn run_wattch_styles<S: InstStream>(
     length: RunLength,
 ) -> WattchStyles {
     let mut cpu = Processor::new(config.clone(), stream);
-    run_wattch_styles_source(config, &mut cpu, length)
-        .expect("a live simulation source cannot fail")
-}
-
-/// [`run_wattch_styles`] over an arbitrary [`ActivitySource`].
-///
-/// # Errors
-///
-/// As [`run_passive_source`].
-pub fn run_wattch_styles_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-) -> Result<WattchStyles, DcgError> {
     let groups = LatchGroups::new(&config.depth);
     let model = PowerModel::new(config, &groups);
     let mut sink = WattchSink::new(&model, config, &groups);
-    drive(source, &mut [&mut sink], length)?;
-    Ok(sink.into_styles())
+    drive(&mut cpu, &mut [&mut sink], length).expect("a live simulation source cannot fail");
+    sink.into_styles()
 }
 
 /// Run `stream` on `config` under one **active** policy (PLB): the policy's
@@ -627,38 +499,11 @@ pub fn run_active<S: InstStream>(
     policy: &mut dyn GatingPolicy,
 ) -> PolicyOutcome {
     let mut cpu = Processor::new(config.clone(), stream);
-    run_active_source(config, &mut cpu, length, policy)
-        .expect("a live simulation source cannot fail")
-}
-
-/// [`run_active`] over an explicit source.
-///
-/// # Errors
-///
-/// As [`run_passive_source`] (unreachable in practice: constraint
-/// support implies a live, infallible source).
-///
-/// # Panics
-///
-/// Panics if `source` cannot honor resource constraints (a replayed
-/// trace): an active policy's constraints shape the timing, so it needs a
-/// live simulation.
-pub fn run_active_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-    policy: &mut dyn GatingPolicy,
-) -> Result<PolicyOutcome, DcgError> {
-    assert!(
-        source.supports_constraints(),
-        "active policy {} needs a live simulation source",
-        policy.name()
-    );
     let groups = LatchGroups::new(&config.depth);
     let model = PowerModel::new(config, &groups);
     let mut sink = PolicySink::new(policy, &model, config, &groups, false, true);
-    drive(source, &mut [&mut sink], length)?;
-    Ok(sink.into_outcome())
+    drive(&mut cpu, &mut [&mut sink], length).expect("a live simulation source cannot fail");
+    sink.into_outcome()
 }
 
 #[cfg(test)]

@@ -3,11 +3,9 @@
 //! One [`drive`](crate::drive) pass fans each cycle's
 //! [`CycleActivity`] out to any number of sinks: policy evaluation with
 //! energy accounting and the gating audit, Wattch/oracle reference
-//! accounting, statistics accumulation, and trace recording. Because
-//! every sink takes the activity by reference, adding consumers never
+//! accounting and statistics accumulation (a cache miss records at the
+//! source instead, see [`crate::CachedSource`]). Because every sink takes the activity by reference, adding consumers never
 //! adds simulation passes — the "simulate once" architecture.
-
-use std::io::Write;
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, GateLanes, GateState, PowerModel, PowerReport};
@@ -15,7 +13,6 @@ use dcg_sim::{
     ActivityBlock, ActivityColumns, CycleActivity, LatchGroups, ResourceConstraints, SimConfig,
     SimStats,
 };
-use dcg_trace::{ActivityTraceWriter, TraceError};
 
 use crate::metrics::{
     fu_class_label, ComponentMetrics, GateDisagreement, Histogram, MetricsConfig, MetricsReport,
@@ -381,10 +378,7 @@ const COMP_LATCHES: usize = COMP_BUSES + 1;
 /// stream, so a second instance reproduces exactly the gate decisions of
 /// the [`PolicySink`] riding the same pass, live or replayed.
 pub struct MetricsSink<'a> {
-    /// `+ Send` so a batch of metrics lanes can shard across the
-    /// [`crate::drive_batch_sharded`] worker pool; every concrete policy
-    /// is a plain `Send` struct.
-    policy: &'a mut (dyn GatingPolicy + Send),
+    policy: &'a mut dyn GatingPolicy,
     /// Scratch gate state reused across cycles.
     gate: GateState,
     /// Scratch gate lanes reused across block spans.
@@ -407,7 +401,7 @@ struct MetricsFold<'a> {
 impl<'a> MetricsSink<'a> {
     /// A sink observing `policy` with the default [`MetricsConfig`].
     pub fn new(
-        policy: &'a mut (dyn GatingPolicy + Send),
+        policy: &'a mut dyn GatingPolicy,
         config: &SimConfig,
         groups: &'a LatchGroups,
     ) -> MetricsSink<'a> {
@@ -420,7 +414,7 @@ impl<'a> MetricsSink<'a> {
     ///
     /// Panics if `policy` is active or `metrics_config.window` is zero.
     pub fn with_config(
-        policy: &'a mut (dyn GatingPolicy + Send),
+        policy: &'a mut dyn GatingPolicy,
         config: &SimConfig,
         groups: &'a LatchGroups,
         metrics_config: MetricsConfig,
@@ -699,49 +693,5 @@ impl ActivitySink for StatsSink {
 
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
         self.stats.record_block(block, from, to);
-    }
-}
-
-/// Streams every cycle (warm-up included) into an activity-trace writer.
-///
-/// Write errors are stashed rather than propagated — a failing recorder
-/// must not abort the simulation it is riding on; [`RecorderSink::finish`]
-/// surfaces the first error so the caller can discard the partial trace.
-pub(crate) struct RecorderSink<W: Write> {
-    writer: ActivityTraceWriter<W>,
-    error: Option<TraceError>,
-}
-
-impl<W: Write> RecorderSink<W> {
-    pub(crate) fn new(writer: ActivityTraceWriter<W>) -> RecorderSink<W> {
-        RecorderSink {
-            writer,
-            error: None,
-        }
-    }
-
-    fn write(&mut self, act: &CycleActivity) {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.write_cycle(act) {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    pub(crate) fn finish(self) -> Result<W, TraceError> {
-        match self.error {
-            Some(e) => Err(e),
-            None => self.writer.finish(),
-        }
-    }
-}
-
-impl<W: Write> ActivitySink for RecorderSink<W> {
-    fn warmup_cycle(&mut self, act: &CycleActivity) {
-        self.write(act);
-    }
-
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        self.write(act);
     }
 }

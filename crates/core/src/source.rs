@@ -10,11 +10,14 @@
 //! * a [`ReplaySource`] — decodes a previously recorded activity trace,
 //!   skipping the timing simulation entirely (the "simulate once"
 //!   architecture).
+//!
+//! [`CachedSource`] is the one source type the trace cache hands out: a
+//! replay on a hit, or a live simulation that records itself on a miss.
 
 use std::fmt;
 
 use dcg_sim::{ActivityBlock, CycleActivity, Processor, ResourceConstraints};
-use dcg_trace::{ActivityHeader, ActivityTraceReader};
+use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter};
 use dcg_workloads::InstStream;
 
 use crate::error::DcgError;
@@ -223,11 +226,79 @@ impl ActivitySource for ReplaySource {
     }
 }
 
+/// What [`crate::TraceCache::run`] resolves a tuple to. Consumers that
+/// only drive the run treat it as any [`ActivitySource`]; one that can
+/// answer from the trace index ([`ReplaySource::measured_window`])
+/// matches on the variant.
+#[derive(Debug)]
+pub enum CachedSource<S> {
+    /// A validated cache hit.
+    Replay(ReplaySource),
+    /// A live timing simulation. On a cache miss it carries the writer
+    /// that records every produced cycle (warm-up included) for the cache
+    /// to commit after the run; a failed write drops the recording, never
+    /// the run. Without a cache it carries `None` and touches no disk.
+    Live(Box<Processor<S>>, Option<ActivityTraceWriter<Vec<u8>>>),
+}
+
+impl<S: InstStream> ActivitySource for CachedSource<S> {
+    fn next_cycle(&mut self) -> Result<&CycleActivity, DcgError> {
+        match self {
+            CachedSource::Replay(r) => r.next_cycle(),
+            CachedSource::Live(cpu, recorder) => {
+                let act = cpu.step();
+                if recorder
+                    .as_mut()
+                    .is_some_and(|w| w.write_cycle(act).is_err())
+                {
+                    *recorder = None;
+                }
+                Ok(act)
+            }
+        }
+    }
+
+    fn committed(&self) -> u64 {
+        match self {
+            CachedSource::Replay(r) => r.committed(),
+            CachedSource::Live(cpu, _) => cpu.committed(),
+        }
+    }
+
+    fn cycle(&self) -> u64 {
+        match self {
+            CachedSource::Replay(r) => r.cycle(),
+            CachedSource::Live(cpu, _) => cpu.cycle(),
+        }
+    }
+
+    fn supports_constraints(&self) -> bool {
+        matches!(self, CachedSource::Live(..))
+    }
+
+    fn apply_constraints(&mut self, constraints: ResourceConstraints) {
+        match self {
+            CachedSource::Replay(r) => r.apply_constraints(constraints),
+            CachedSource::Live(cpu, _) => cpu.set_constraints(constraints),
+        }
+    }
+
+    fn supports_blocks(&self) -> bool {
+        matches!(self, CachedSource::Replay(_))
+    }
+
+    fn next_block(&mut self) -> Result<&ActivityBlock, DcgError> {
+        match self {
+            CachedSource::Replay(r) => r.next_block(),
+            CachedSource::Live(..) => panic!("a live simulation does not produce blocks"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcg_sim::SimConfig;
-    use dcg_trace::ActivityTraceWriter;
     use dcg_workloads::{Spec2000, SyntheticWorkload};
 
     fn recorded(cycles: usize) -> Vec<u8> {

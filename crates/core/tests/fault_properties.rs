@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use dcg_core::{
-    run_passive_source, Dcg, FaultPlan, FaultPoint, GatingSafetyChecker, PolicyOutcome,
+    run_passive_with_sinks, Dcg, FaultPlan, FaultPoint, GatingSafetyChecker, PolicyOutcome,
     ReplaySource, RunLength, TraceCache,
 };
 use dcg_isa::FuClass;
@@ -65,7 +65,8 @@ fn replay_bits(cfg: &SimConfig, bytes: &[u8]) -> Option<Vec<u64>> {
     let groups = LatchGroups::new(&cfg.depth);
     let mut dcg = Dcg::new(cfg, &groups);
     let mut source = ReplaySource::new(reader);
-    let mut run = run_passive_source(cfg, &mut source, short(), &mut [&mut dcg]).ok()?;
+    let mut run =
+        run_passive_with_sinks(cfg, &mut source, short(), &mut [&mut dcg], &mut []).ok()?;
     Some(outcome_bits(&run.outcomes.remove(0)))
 }
 
@@ -121,7 +122,7 @@ fn corrupted_cache_entry_is_rejected_or_bit_identical() {
                 Some(mut source) => {
                     let groups = LatchGroups::new(&cfg.depth);
                     let mut dcg = Dcg::new(&cfg, &groups);
-                    run_passive_source(&cfg, &mut source, short(), &mut [&mut dcg])
+                    run_passive_with_sinks(&cfg, &mut source, short(), &mut [&mut dcg], &mut [])
                         .ok()
                         .map(|mut run| outcome_bits(&run.outcomes.remove(0)))
                 }

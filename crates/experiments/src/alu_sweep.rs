@@ -5,9 +5,12 @@
 //! units and 92.7 % with 4 — concluding 6 units are power/performance
 //! optimal, which Table 1 then uses. This module regenerates that sweep.
 
-use dcg_core::{run_passive, run_sharded, NoGating, RunLength, TraceCache};
-use dcg_sim::{LatchGroups, SimConfig};
-use dcg_workloads::{Spec2000, SyntheticWorkload};
+use dcg_core::{
+    run_cached_or_live, run_sharded, run_stats_source, CachedSource, DcgError, RunLength,
+    TraceCache,
+};
+use dcg_sim::{SimConfig, SimStats};
+use dcg_workloads::{InstStream, Spec2000, SyntheticWorkload};
 
 use crate::suite::ExperimentConfig;
 use crate::table::FigureTable;
@@ -27,34 +30,36 @@ fn ipc_with_alus(
         int_alus: alus,
         ..base.clone()
     };
-    let groups = LatchGroups::new(&cfg.depth);
-    let mut policy = NoGating::new(&cfg, &groups);
     let profile = Spec2000::by_name(name).expect("known benchmark");
-    let live = |policy: &mut NoGating| {
-        run_passive(
-            &cfg,
-            SyntheticWorkload::new(profile, seed),
-            length,
-            &mut [&mut *policy],
-        )
-    };
-    match cache {
-        // Only the IPC is needed, so the cached path answers from the
-        // trace's verified block index — subheader totals plus the two
-        // boundary blocks — without decoding the interior (bit-identical
-        // to the full fold; see `TraceCache::run_ipc_cached_stream`).
-        Some(c) => c
-            .run_ipc_cached_stream(&cfg, profile.name, seed, length, || {
-                SyntheticWorkload::new(profile, seed)
-            })
-            .unwrap_or_else(|e| {
-                // Fail open: the entry has been evicted; rebuild the
-                // policy and simulate live.
-                eprintln!("warning: {name}: cached replay failed ({e}); re-simulating live");
-                live(&mut NoGating::new(&cfg, &groups)).stats.ipc()
-            }),
-        None => live(&mut policy).stats.ipc(),
+    run_cached_or_live(
+        cache,
+        &cfg,
+        profile.name,
+        seed,
+        length,
+        || SyntheticWorkload::new(profile, seed),
+        |source| ipc_of(source, length),
+    )
+}
+
+/// IPC of one resolved sweep point. Only the IPC is needed, so a hit
+/// answers from the trace's verified block index — subheader totals plus
+/// the two boundary blocks — without decoding the interior; a live run
+/// (or an index that cannot answer) folds the stats over the full run.
+/// Both reduce to the same two integer totals divided in the same order,
+/// so they are bit-identical.
+fn ipc_of<S: InstStream>(source: &mut CachedSource<S>, length: RunLength) -> Result<f64, DcgError> {
+    if let CachedSource::Replay(replay) = source {
+        if let Some((cycles, committed)) = replay.measured_window(length)? {
+            let stats = SimStats {
+                cycles,
+                committed,
+                ..SimStats::default()
+            };
+            return Ok(stats.ipc());
+        }
     }
+    run_stats_source(source, length).map(|s| s.ipc())
 }
 
 /// Run the §4.4 sweep over the integer benchmarks in `cfg`, using the
@@ -130,5 +135,43 @@ mod tests {
         assert!(r6 <= r8 + 1e-9);
         assert!(r4 <= r6 + 1e-9);
         assert!(r4 > 50.0, "4 ALUs should not be catastrophic: {r4}");
+    }
+
+    #[test]
+    fn ipc_index_path_matches_full_fold_bit_for_bit() {
+        // The sweep's IPC query (miss → live record, hit → index walk)
+        // must equal the full blockwise fold's ipc() exactly — same
+        // integer totals, same division.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp/alu-sweep-ipc-index");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TraceCache::new(dir);
+        let cfg = SimConfig::baseline_8wide();
+        let length = RunLength::quick();
+        let profile = Spec2000::by_name("gzip").unwrap();
+        let stream = || SyntheticWorkload::new(profile, 11);
+
+        let cold = cache
+            .run(&cfg, "gzip", 11, length, stream, |s| ipc_of(s, length))
+            .expect("cold ipc");
+        let folded = cache
+            .run(&cfg, "gzip", 11, length, stream, |s| {
+                run_stats_source(s, length)
+            })
+            .expect("warm fold");
+        let warm = cache
+            .run(&cfg, "gzip", 11, length, stream, |s| ipc_of(s, length))
+            .expect("warm ipc");
+        assert!(cold > 0.0, "a real run has nonzero IPC");
+        assert_eq!(cold.to_bits(), folded.ipc().to_bits());
+        assert_eq!(cold.to_bits(), warm.to_bits());
+
+        // And the index agrees with the drive loop's own totals.
+        let replay = cache.replay_source(&cfg, "gzip", 11, length).expect("hit");
+        let (cycles, committed) = replay
+            .measured_window(length)
+            .expect("clean entry")
+            .expect("verified entry answers from its index");
+        assert_eq!((cycles, committed), (folded.cycles, folded.committed));
     }
 }

@@ -27,9 +27,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use dcg_core::{
-    run_passive, run_passive_source, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan,
-    FaultPoint, FaultSpec, FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength,
-    TraceCache, JOURNAL_FILE, MANIFEST_FILE,
+    run_passive, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan, FaultPoint, FaultSpec,
+    FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength, TraceCache, JOURNAL_FILE,
+    MANIFEST_FILE,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -327,7 +327,13 @@ impl Context {
                 let groups = LatchGroups::new(&self.cfg.depth);
                 let mut dcg = Dcg::new(&self.cfg, &groups);
                 let mut source = ReplaySource::new(reader);
-                match run_passive_source(&self.cfg, &mut source, self.length, &mut [&mut dcg]) {
+                match run_passive_with_sinks(
+                    &self.cfg,
+                    &mut source,
+                    self.length,
+                    &mut [&mut dcg],
+                    &mut [],
+                ) {
                     Err(e) => (
                         FaultClass::Detected,
                         format!("replay of the corrupted trace failed ({flipped}): {e}"),
@@ -367,7 +373,13 @@ impl Context {
         let groups = LatchGroups::new(&self.cfg.depth);
         let mut dcg = Dcg::new(&self.cfg, &groups);
         let mut source = ReplaySource::new(reader);
-        match run_passive_source(&self.cfg, &mut source, self.length, &mut [&mut dcg]) {
+        match run_passive_with_sinks(
+            &self.cfg,
+            &mut source,
+            self.length,
+            &mut [&mut dcg],
+            &mut [],
+        ) {
             Err(e) => (
                 FaultClass::Detected,
                 format!("truncated replay surfaced a named error: {e}"),

@@ -5,11 +5,11 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcg_core::{
-    run_active, run_passive_with_sinks, ActivitySink, Dcg, DcgError, MetricsReport, MetricsSink,
-    NoGating, PassiveRun, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    run_active, run_cached_or_live, run_passive_with_sinks, Dcg, MetricsReport, MetricsSink,
+    NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
-use dcg_sim::{LatchGroups, Processor, SimConfig, SimStats};
+use dcg_sim::{LatchGroups, SimConfig, SimStats};
 use dcg_workloads::{BenchmarkProfile, Spec2000, SuiteKind, SyntheticWorkload};
 
 /// Experiment-wide parameters.
@@ -304,41 +304,11 @@ impl Suite {
         }
     }
 
-    /// The shared passive pass (baseline + DCG + metrics sink), cached or
-    /// live. Policies and sinks are built inside, so a failed cached
-    /// replay can be retried from scratch — the failed drive already fed
-    /// the old instances a partial stream.
-    fn passive_pass(
-        cfg: &ExperimentConfig,
-        profile: BenchmarkProfile,
-        cache: Option<&TraceCache>,
-    ) -> Result<(PassiveRun, MetricsReport), DcgError> {
-        let groups = LatchGroups::new(&cfg.sim.depth);
-        let mut baseline = NoGating::new(&cfg.sim, &groups);
-        let mut dcg = Dcg::new(&cfg.sim, &groups);
-        // The metrics sink re-evaluates DCG's (deterministic, passive)
-        // gate decisions from the shared activity stream, so it rides the
-        // same pass — cached replay or live — without extra simulations.
-        let mut dcg_probe = Dcg::new(&cfg.sim, &groups);
-        let mut metrics_sink = MetricsSink::new(&mut dcg_probe, &cfg.sim, &groups);
-        let policies: &mut [&mut dyn dcg_core::GatingPolicy] = &mut [&mut baseline, &mut dcg];
-        let run = {
-            let extra: &mut [&mut dyn ActivitySink] = &mut [&mut metrics_sink];
-            match cache {
-                Some(c) => c.run_passive_cached_with(
-                    &cfg.sim, profile, cfg.seed, cfg.length, policies, extra,
-                )?,
-                None => {
-                    let mut cpu =
-                        Processor::new(cfg.sim.clone(), SyntheticWorkload::new(profile, cfg.seed));
-                    run_passive_with_sinks(&cfg.sim, &mut cpu, cfg.length, policies, extra)?
-                }
-            }
-        };
-        Ok((run, metrics_sink.into_report()))
-    }
-
     /// Run one benchmark under all requested schemes.
+    ///
+    /// The shared passive pass (baseline + DCG + metrics sink) goes
+    /// through `cache` when one is given, failing open to a live run
+    /// (see [`run_cached_or_live`]).
     fn run_one(
         cfg: &ExperimentConfig,
         profile: BenchmarkProfile,
@@ -347,21 +317,32 @@ impl Suite {
     ) -> BenchmarkRun {
         let started = std::time::Instant::now();
         let groups = LatchGroups::new(&cfg.sim.depth);
-        let (mut run, metrics) = match Self::passive_pass(cfg, profile, cache) {
-            Ok(out) => out,
-            Err(e) => {
-                // Fail open: the cached replay died mid-drive (the cache
-                // has evicted the entry and counted the failure). Rebuild
-                // everything and simulate live — correct results, just
-                // without the replay speedup.
-                eprintln!(
-                    "warning: {}: cached replay failed ({e}); re-simulating live",
-                    profile.name
-                );
-                Self::passive_pass(cfg, profile, None)
-                    .expect("a live simulation source cannot fail")
-            }
-        };
+        let (mut run, metrics) = run_cached_or_live(
+            cache,
+            &cfg.sim,
+            profile.name,
+            cfg.seed,
+            cfg.length,
+            || SyntheticWorkload::new(profile, cfg.seed),
+            |source| {
+                let mut baseline = NoGating::new(&cfg.sim, &groups);
+                let mut dcg = Dcg::new(&cfg.sim, &groups);
+                // The metrics sink re-evaluates DCG's (deterministic,
+                // passive) gate decisions from the shared activity
+                // stream, so it rides the same pass — cached replay or
+                // live — without extra simulations.
+                let mut dcg_probe = Dcg::new(&cfg.sim, &groups);
+                let mut metrics_sink = MetricsSink::new(&mut dcg_probe, &cfg.sim, &groups);
+                let run = run_passive_with_sinks(
+                    &cfg.sim,
+                    source,
+                    cfg.length,
+                    &mut [&mut baseline, &mut dcg],
+                    &mut [&mut metrics_sink],
+                )?;
+                Ok((run, metrics_sink.into_report()))
+            },
+        );
         let dcg_out = run.outcomes.remove(1);
         let base_out = run.outcomes.remove(0);
 

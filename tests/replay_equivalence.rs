@@ -6,12 +6,12 @@
 use std::path::PathBuf;
 
 use dcg_repro::core::{
-    run_oracle, run_oracle_source, run_passive, run_passive_with_sinks, Dcg, MetricsSink, NoGating,
-    PassiveRun, RunLength, TraceCache,
+    run_cached_or_live, run_oracle, run_oracle_source, run_passive, run_passive_with_sinks, Dcg,
+    GatingPolicy, MetricsSink, NoGating, PassiveRun, RunLength, TraceCache,
 };
 use dcg_repro::experiments::metrics_json;
 use dcg_repro::power::{Component, PowerReport};
-use dcg_repro::sim::{LatchGroups, Processor, SimConfig};
+use dcg_repro::sim::{LatchGroups, SimConfig};
 use dcg_repro::workloads::{Spec2000, SyntheticWorkload};
 
 const SEED: u64 = 11;
@@ -113,46 +113,48 @@ fn replay_is_bit_identical_to_live_across_profiles_and_depths() {
     }
 }
 
-/// Run the passive policies with a [`MetricsSink`] riding along and
-/// serialize the resulting report — the integer-only JSON document is
-/// the byte-equivalence surface.
-fn metrics_doc_live(cfg: &SimConfig, name: &str) -> String {
-    let groups = LatchGroups::new(&cfg.depth);
-    let mut baseline = NoGating::new(cfg, &groups);
-    let mut dcg = Dcg::new(cfg, &groups);
-    let mut probe = Dcg::new(cfg, &groups);
-    let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
+/// Run the passive policies with a [`MetricsSink`] riding along — live
+/// without a cache, else through it — and serialize the resulting
+/// report: the integer-only JSON document is the byte-equivalence
+/// surface.
+fn metrics_doc(cache: Option<&TraceCache>, cfg: &SimConfig, name: &str) -> String {
     let profile = Spec2000::by_name(name).unwrap();
-    let mut cpu = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, SEED));
-    run_passive_with_sinks(
+    let doc = run_cached_or_live(
+        cache,
         cfg,
-        &mut cpu,
+        name,
+        SEED,
         RunLength::quick(),
-        &mut [&mut baseline, &mut dcg],
-        &mut [&mut metrics],
-    )
-    .expect("a live simulation source cannot fail");
-    metrics_json(&metrics.into_report()).to_string()
+        || SyntheticWorkload::new(profile, SEED),
+        |source| {
+            let groups = LatchGroups::new(&cfg.depth);
+            let mut baseline = NoGating::new(cfg, &groups);
+            let mut dcg = Dcg::new(cfg, &groups);
+            let mut probe = Dcg::new(cfg, &groups);
+            let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
+            run_passive_with_sinks(
+                cfg,
+                source,
+                RunLength::quick(),
+                &mut [&mut baseline, &mut dcg],
+                &mut [&mut metrics],
+            )?;
+            Ok(metrics_json(&metrics.into_report()).to_string())
+        },
+    );
+    assert_no_replay_failure(cache);
+    doc
 }
 
-fn metrics_doc_cached(cache: &TraceCache, cfg: &SimConfig, name: &str) -> String {
-    let groups = LatchGroups::new(&cfg.depth);
-    let mut baseline = NoGating::new(cfg, &groups);
-    let mut dcg = Dcg::new(cfg, &groups);
-    let mut probe = Dcg::new(cfg, &groups);
-    let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
-    let profile = Spec2000::by_name(name).unwrap();
-    cache
-        .run_passive_cached_with(
-            cfg,
-            profile,
-            SEED,
-            RunLength::quick(),
-            &mut [&mut baseline, &mut dcg],
-            &mut [&mut metrics],
-        )
-        .expect("cached run over an intact entry");
-    metrics_json(&metrics.into_report()).to_string()
+/// A cached run over an intact entry must never have fallen back live.
+fn assert_no_replay_failure(cache: Option<&TraceCache>) {
+    if let Some(c) = cache {
+        assert_eq!(
+            c.health().replay_failures,
+            0,
+            "an intact entry failed to replay"
+        );
+    }
 }
 
 /// The cycle-level metrics document is part of the equivalence contract:
@@ -165,15 +167,15 @@ fn metrics_json_is_byte_identical_across_live_and_replay() {
     for name in ["gzip", "swim"] {
         let cache = fresh_cache(&format!("metrics-{name}"));
 
-        let live = metrics_doc_live(&cfg, name);
-        let cold = metrics_doc_cached(&cache, &cfg, name);
+        let live = metrics_doc(None, &cfg, name);
+        let cold = metrics_doc(Some(&cache), &cfg, name);
         assert!(
             cache
                 .replay_source(&cfg, name, SEED, RunLength::quick())
                 .is_some(),
             "{name}: cold run must leave a valid cache entry"
         );
-        let warm = metrics_doc_cached(&cache, &cfg, name);
+        let warm = metrics_doc(Some(&cache), &cfg, name);
 
         assert!(
             live.contains("\"audit\""),
@@ -225,45 +227,35 @@ fn kernel_stream_replays_bit_identically() {
     let k = Kernel::by_name("rle").expect("rle kernel exists");
     let cache = fresh_cache("kernel-rle");
 
-    let cached = |cache: &TraceCache| -> PassiveRun {
-        let groups = LatchGroups::new(&cfg.depth);
-        let mut baseline = NoGating::new(&cfg, &groups);
-        let mut dcg = Dcg::new(&cfg, &groups);
-        cache
-            .run_passive_cached_stream(
-                &cfg,
-                k.name,
-                KERNEL_SEED,
-                length,
-                || k.stream(),
-                &mut [&mut baseline, &mut dcg],
-                &mut [],
-            )
-            .expect("cached kernel run over an intact entry")
+    let run = |cache: Option<&TraceCache>| -> PassiveRun {
+        let run = run_cached_or_live(
+            cache,
+            &cfg,
+            k.name,
+            KERNEL_SEED,
+            length,
+            || k.stream(),
+            |source| {
+                let groups = LatchGroups::new(&cfg.depth);
+                let mut baseline = NoGating::new(&cfg, &groups);
+                let mut dcg = Dcg::new(&cfg, &groups);
+                let policies: &mut [&mut dyn GatingPolicy] = &mut [&mut baseline, &mut dcg];
+                run_passive_with_sinks(&cfg, source, length, policies, &mut [])
+            },
+        );
+        assert_no_replay_failure(cache);
+        run
     };
 
-    let live = {
-        let groups = LatchGroups::new(&cfg.depth);
-        let mut baseline = NoGating::new(&cfg, &groups);
-        let mut dcg = Dcg::new(&cfg, &groups);
-        let mut cpu = Processor::new(cfg.clone(), k.stream());
-        run_passive_with_sinks(
-            &cfg,
-            &mut cpu,
-            length,
-            &mut [&mut baseline, &mut dcg],
-            &mut [],
-        )
-        .expect("a live simulation source cannot fail")
-    };
-    let cold = cached(&cache);
+    let live = run(None);
+    let cold = run(Some(&cache));
     assert!(
         cache
             .replay_source(&cfg, k.name, KERNEL_SEED, length)
             .is_some(),
         "cold kernel run must leave a valid cache entry"
     );
-    let warm = cached(&cache);
+    let warm = run(Some(&cache));
 
     assert_eq!(
         run_bits(&live),
