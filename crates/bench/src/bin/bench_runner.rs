@@ -30,7 +30,6 @@ const KNOWN: &[&str] = &[
     "fig10_total_power",
     "alu_sweep_cache",
     "kernel_stream",
-    "server_bench",
     "--metrics-json",
     "--faults N",
 ];
@@ -59,10 +58,6 @@ fn main() -> ExitCode {
             }
             "kernel_stream" => {
                 let path = dcg_bench::run_kernel_stream().expect("write bench JSON");
-                eprintln!("wrote {}", path.display());
-            }
-            "server_bench" => {
-                let path = dcg_bench::run_server_bench().expect("write bench JSON");
                 eprintln!("wrote {}", path.display());
             }
             "--metrics-json" => {

@@ -699,146 +699,3 @@ pub fn run_kernel_stream() -> std::io::Result<PathBuf> {
     eprintln!("wrote {}", trajectory.display());
     Ok(path)
 }
-
-/// The `server_bench` harness: job-level latency through the
-/// crash-resumable experiment server, plus bounded-queue saturation
-/// behavior.
-///
-/// Three measured phases over one state directory:
-///
-/// 1. **Cold campaign** — submit replay jobs for eight distinct seeds
-///    and drain: every job simulates and records into the trace store.
-/// 2. **Warm campaign** — wipe the *job* state (WAL + result documents)
-///    but keep the trace store, resubmit the identical specs and drain:
-///    every job is a pure store replay, so the delta is the paper
-///    pipeline's warm path measured end-to-end through submit → WAL →
-///    worker → commit.
-/// 3. **Saturation** — a queue bounded at 4 with no workers running
-///    takes a burst of 64 distinct submits: exactly 4 are accepted,
-///    the other 60 get `Busy` (never accept-then-drop), and the submit
-///    round-trip stays cheap.
-///
-/// Writes `crates/bench/results/server_bench.json` **and** the
-/// repo-root `BENCH_server.json` perf-trajectory file.
-pub fn run_server_bench() -> std::io::Result<PathBuf> {
-    use dcg_server::{
-        ExperimentServer, JobSpec, ServerConfig, SubmitOutcome, JOBS_DIR, JOBS_WAL_FILE,
-    };
-    use dcg_testkit::bench::time;
-
-    const SEEDS: u64 = 8;
-    let dir = workspace_root()
-        .join("target")
-        .join("tmp")
-        .join("server-bench");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let specs: Vec<JobSpec> = (1..=SEEDS)
-        .map(|seed| JobSpec::Replay {
-            bench: "gzip".to_string(),
-            seed,
-            quick: true,
-        })
-        .collect();
-
-    let campaign = |label: &str| -> std::io::Result<u64> {
-        let server = ExperimentServer::open(ServerConfig::new(dir.clone()))?;
-        eprintln!("server_bench {label} campaign ({SEEDS} replay jobs)...");
-        let (_, ns) = time(|| {
-            for spec in &specs {
-                match server.submit(spec.clone()) {
-                    SubmitOutcome::Accepted { .. } => {}
-                    other => panic!("{label} submit rejected: {other:?}"),
-                }
-            }
-            server.drain();
-        });
-        let done = specs
-            .iter()
-            .filter(|s| server.result(s.id()).is_some())
-            .count();
-        assert_eq!(
-            done, SEEDS as usize,
-            "{label} campaign must commit every job"
-        );
-        Ok(ns)
-    };
-
-    let cold_ns = campaign("cold")?;
-    // Forget the jobs, keep the traces: the warm campaign re-runs the
-    // same specs as pure store replays.
-    std::fs::remove_file(dir.join(JOBS_WAL_FILE))?;
-    std::fs::remove_dir_all(dir.join(JOBS_DIR))?;
-    let warm_ns = campaign("warm")?;
-
-    // Saturation: bounded queue, workers not running (drain/serve not
-    // called), burst of distinct submits.
-    let sat_dir = workspace_root()
-        .join("target")
-        .join("tmp")
-        .join("server-bench-sat");
-    let _ = std::fs::remove_dir_all(&sat_dir);
-    let mut sat_cfg = ServerConfig::new(sat_dir);
-    sat_cfg.queue_capacity = 4;
-    let server = ExperimentServer::open(sat_cfg)?;
-    let burst: Vec<JobSpec> = (0..64u64)
-        .map(|i| JobSpec::Faults {
-            seed: 0x5a7 + i,
-            count: 1,
-        })
-        .collect();
-    let (outcomes, burst_ns) = time(|| {
-        burst
-            .iter()
-            .map(|s| server.submit(s.clone()))
-            .collect::<Vec<_>>()
-    });
-    let accepted = outcomes
-        .iter()
-        .filter(|o| matches!(o, SubmitOutcome::Accepted { .. }))
-        .count();
-    let busy = outcomes
-        .iter()
-        .filter(|o| matches!(o, SubmitOutcome::Busy { .. }))
-        .count();
-    assert_eq!(
-        (accepted, busy),
-        (4, 60),
-        "a queue bounded at 4 accepts exactly 4 of a 64-burst"
-    );
-    server.drain(); // the four accepted jobs still complete
-
-    let warm_job_ns = warm_ns / SEEDS;
-    let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
-    let submit_ns = burst_ns / 64;
-    eprintln!(
-        "cold {:.3} s, warm {:.3} s ({:.2} ms/job, {speedup:.1}x), submit {:.1} µs/op \
-         ({accepted} accepted / {busy} busy)",
-        cold_ns as f64 / 1e9,
-        warm_ns as f64 / 1e9,
-        warm_job_ns as f64 / 1e6,
-        submit_ns as f64 / 1e3,
-    );
-
-    let doc = Json::obj([
-        ("id", Json::str("server_bench")),
-        ("jobs", Json::u64(SEEDS)),
-        ("cold_ns", Json::u64(cold_ns)),
-        ("warm_ns", Json::u64(warm_ns)),
-        ("cold_job_ns", Json::u64(cold_ns / SEEDS)),
-        ("warm_job_ns", Json::u64(warm_job_ns)),
-        ("speedup_cold_over_warm", Json::f64(speedup)),
-        ("saturation_burst", Json::u64(64)),
-        ("saturation_accepted", Json::u64(accepted as u64)),
-        ("saturation_busy", Json::u64(busy as u64)),
-        ("submit_ns_per_op", Json::u64(submit_ns)),
-    ]);
-    let out = results_dir();
-    std::fs::create_dir_all(&out)?;
-    let path = out.join("server_bench.json");
-    std::fs::write(&path, format!("{doc}\n"))?;
-    let trajectory = workspace_root().join("BENCH_server.json");
-    std::fs::write(&trajectory, format!("{doc}\n"))?;
-    eprintln!("wrote {}", trajectory.display());
-    Ok(path)
-}

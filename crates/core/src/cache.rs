@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 
-use dcg_sim::{LatchGroups, Processor, SimConfig};
+use dcg_sim::{Fnv1a, LatchGroups, Processor, SimConfig};
 use dcg_trace::{
     ActivityHeader, ActivityTraceReader, ActivityTraceWriter, ACTIVITY_SCHEMA, ACTIVITY_VERSION,
 };
@@ -57,9 +57,6 @@ pub const TRACE_CACHE_ENV: &str = "DCG_TRACE_CACHE";
 /// unbounded. When the budget is exceeded, oldest-generation entries are
 /// evicted first.
 pub const TRACE_CACHE_BUDGET_ENV: &str = "DCG_TRACE_CACHE_BUDGET";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Process-wide aggregate counters (see [`CacheHealth::snapshot`]).
 /// Per-instance attribution lives in [`crate::TraceStore`]'s own
@@ -408,22 +405,16 @@ impl TraceCache {
     /// The key names entry *files*; identity is the full tuple (the
     /// store disambiguates key collisions between distinct tuples).
     pub fn key(config: &SimConfig, name: &str, seed: u64, length: RunLength) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix_bytes = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix_bytes(&config.digest().to_le_bytes());
-        mix_bytes(name.as_bytes());
-        mix_bytes(&[0]); // name terminator
-        mix_bytes(&seed.to_le_bytes());
-        mix_bytes(&length.warmup_insts.to_le_bytes());
-        mix_bytes(&length.measure_insts.to_le_bytes());
-        mix_bytes(&ACTIVITY_SCHEMA.to_le_bytes());
-        mix_bytes(&ACTIVITY_VERSION.to_le_bytes());
-        h
+        let mut h = Fnv1a::new();
+        h.write(&config.digest().to_le_bytes());
+        h.write(name.as_bytes());
+        h.write(&[0]); // name terminator
+        h.write(&seed.to_le_bytes());
+        h.write(&length.warmup_insts.to_le_bytes());
+        h.write(&length.measure_insts.to_le_bytes());
+        h.write(&ACTIVITY_SCHEMA.to_le_bytes());
+        h.write(&ACTIVITY_VERSION.to_le_bytes());
+        h.finish()
     }
 
     /// The store identity for one tuple.

@@ -29,6 +29,9 @@
 //! * [`FaultPlan`]/[`FaultyPolicy`] — a deterministic, seeded
 //!   fault-injection layer that proves the checker catches what it must
 //!   (driven by the `dcg-experiments` fault campaign).
+//! * [`durable`] — the durability kit under the trace store journal and
+//!   the server's job WAL: one [`RecordLog`], one [`crash_point`] hook
+//!   and one field codec.
 //!
 //! ```
 //! use dcg_core::{run_passive, Dcg, NoGating, RunLength};
@@ -57,6 +60,7 @@
 
 mod cache;
 mod dcg;
+pub mod durable;
 mod error;
 mod faults;
 pub mod metrics;
@@ -73,6 +77,7 @@ pub use cache::{
     run_cached_or_live, CacheHealth, TraceCache, TRACE_CACHE_BUDGET_ENV, TRACE_CACHE_ENV,
 };
 pub use dcg::{Dcg, DcgOptions};
+pub use durable::{crash_point, LogRecord, RecordLog, CRASH_ENV, LOG_HEADER_LEN};
 pub use error::DcgError;
 pub use faults::{FaultPlan, FaultPoint, FaultSpec, FaultWindow, FaultyPolicy, PanicSink};
 pub use metrics::{
@@ -94,7 +99,7 @@ pub use sinks::{ActivitySink, MetricsSink};
 pub use source::{ActivitySource, CachedSource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,
-    MANIFEST_FILE, STORE_CRASH_ENV,
+    MANIFEST_FILE,
 };
 
 /// Bitmask with the low `n` bits set (shared by the policies).

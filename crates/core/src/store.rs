@@ -35,10 +35,12 @@
 //! [`dcg_trace::payload_checksum`]) rejects silently corrupted or
 //! swapped files with a clean miss instead of a half-replay.
 //!
-//! Crash-consistency test hook: `DCG_STORE_CRASH=before-journal:N` or
-//! `before-rename:N` aborts the process at the named point of the `N`-th
-//! store in this process, letting CI kill a sweep mid-store and prove
-//! the reopen recovers (DESIGN.md §14).
+//! The journal is a [`RecordLog`], so a torn tail is truncated off on
+//! open and later appends stay replayable. Crash-consistency test hook:
+//! `DCG_TEST_CRASH=store.before-journal:N` or `store.before-rename:N`
+//! ([`crate::crash_point`]) aborts the process at the named point of the
+//! `N`-th store in this process, letting CI kill a sweep mid-store and
+//! prove the reopen recovers (DESIGN.md §14).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -46,9 +48,11 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use dcg_trace::{payload_checksum, ActivityTraceReader, ACTIVITY_SCHEMA, ACTIVITY_VERSION};
+
+use crate::durable::{crash_point, put_str, put_u32, put_u64, Cursor, LogRecord, RecordLog};
 
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.dcgstore";
@@ -59,12 +63,12 @@ pub const JOURNAL_FILE: &str = "JOURNAL.dcgstore";
 /// and self-heal through the directory scan, which re-verifies and
 /// re-checkpoints every entry under the new format.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"DCGMAN02";
-/// Journal magic (bumped alongside the manifest).
-pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL02";
-/// Manifest/journal format version.
+/// Journal magic. Bumped to `03` when the journal moved onto the
+/// [`RecordLog`] framing; an older journal reads as foreign and is
+/// reset, and its entries come back through directory adoption.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL03";
+/// Manifest format version.
 pub const STORE_FORMAT_VERSION: u32 = 2;
-/// Environment variable for the crash-consistency test hook.
-pub const STORE_CRASH_ENV: &str = "DCG_STORE_CRASH";
 
 /// Mutations between automatic manifest checkpoints. The journal holds
 /// at most this many records (plus evictions) before being folded into
@@ -78,9 +82,6 @@ const REC_EVICT: u8 = 2;
 /// Counter making concurrent writers' temp-file names unique within one
 /// process (the pid distinguishes processes).
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Process-global count of stores, driving the crash hook.
-static STORE_OPS: AtomicU64 = AtomicU64::new(0);
 
 /// The full identity a cache entry is indexed by — every field that can
 /// change what a recorded activity stream replays to. The old flat
@@ -238,102 +239,6 @@ pub struct HealthCounters {
     pub dropped_corrupt: AtomicU64,
 }
 
-/// Where the crash hook fires inside a store mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashPoint {
-    /// After the temp file is written, before the journal record.
-    BeforeJournal,
-    /// After the journal record, before the rename — the torn state the
-    /// journal exists to roll forward.
-    BeforeRename,
-}
-
-fn crash_plan() -> Option<(CrashPoint, u64)> {
-    static PLAN: OnceLock<Option<(CrashPoint, u64)>> = OnceLock::new();
-    *PLAN.get_or_init(|| {
-        let v = std::env::var(STORE_CRASH_ENV).ok()?;
-        let (point, n) = v.split_once(':')?;
-        let point = match point {
-            "before-journal" => CrashPoint::BeforeJournal,
-            "before-rename" => CrashPoint::BeforeRename,
-            _ => return None,
-        };
-        Some((point, n.parse().ok()?))
-    })
-}
-
-/// Abort the process if the crash hook targets `point` of store op
-/// number `op` (1-based). Test-only by construction: the variable is
-/// never set outside crash-recovery CI and tests.
-fn crash_hook(point: CrashPoint, op: u64) {
-    if let Some((p, n)) = crash_plan() {
-        if p == point && n == op {
-            eprintln!(
-                "{STORE_CRASH_ENV}: aborting at {} of store op {op}",
-                match point {
-                    CrashPoint::BeforeJournal => "before-journal",
-                    CrashPoint::BeforeRename => "before-rename",
-                }
-            );
-            std::process::abort();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers (fixed-width little-endian; store metadata is
-// tiny, so varint compactness buys nothing over parse simplicity).
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Cursor-based reads that fail (with `None`) on truncation instead of
-/// panicking — manifest and journal bytes are untrusted.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        if len > 4096 {
-            return None; // sanity bound: names and file names are short
-        }
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-}
-
 fn encode_meta(out: &mut Vec<u8>, m: &EntryMeta) {
     put_u64(out, m.identity.config_digest);
     put_u64(out, m.identity.seed);
@@ -377,73 +282,35 @@ enum JournalOp {
     Evict { file: String },
 }
 
-fn encode_journal_record(op: &JournalOp) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128);
-    match op {
-        JournalOp::Store { meta, tmp } => {
-            encode_meta(&mut body, meta);
-            put_str(&mut body, tmp);
-        }
-        JournalOp::Evict { file } => put_str(&mut body, file),
-    }
-    let kind = match op {
-        JournalOp::Store { .. } => REC_STORE,
-        JournalOp::Evict { .. } => REC_EVICT,
-    };
-    let mut rec = Vec::with_capacity(body.len() + 13);
-    rec.push(kind);
-    put_u32(&mut rec, body.len() as u32);
-    rec.extend_from_slice(&body);
-    let ck = payload_checksum(&rec);
-    put_u64(&mut rec, ck);
-    rec
-}
+impl LogRecord for JournalOp {
+    const MAGIC: [u8; 8] = JOURNAL_MAGIC;
 
-/// Decode journal records until EOF or the first torn/corrupt record —
-/// everything after a bad record is discarded, exactly as a crashed
-/// appender would have left it.
-fn decode_journal(bytes: &[u8]) -> Vec<JournalOp> {
-    let mut ops = Vec::new();
-    if bytes.len() < JOURNAL_MAGIC.len() + 4 || bytes[..8] != JOURNAL_MAGIC {
-        return ops;
-    }
-    let mut c = Cursor::new(bytes);
-    let _ = c.take(8);
-    match c.u32() {
-        Some(STORE_FORMAT_VERSION) => {}
-        _ => return ops,
-    }
-    loop {
-        let start = c.pos;
-        let Some(kind) = c.take(1).map(|b| b[0]) else {
-            break;
-        };
-        let Some(len) = c.u32() else { break };
-        let Some(body) = c.take(len as usize) else {
-            break;
-        };
-        let Some(ck) = c.u64() else { break };
-        if payload_checksum(&bytes[start..start + 5 + len as usize]) != ck {
-            break;
+    fn encode_body(&self, body: &mut Vec<u8>) -> u8 {
+        match self {
+            JournalOp::Store { meta, tmp } => {
+                encode_meta(body, meta);
+                put_str(body, tmp);
+                REC_STORE
+            }
+            JournalOp::Evict { file } => {
+                put_str(body, file);
+                REC_EVICT
+            }
         }
-        let mut bc = Cursor::new(body);
-        let op = match kind {
-            REC_STORE => {
-                let Some(meta) = decode_meta(&mut bc) else {
-                    break;
-                };
-                let Some(tmp) = bc.str() else { break };
-                JournalOp::Store { meta, tmp }
-            }
-            REC_EVICT => {
-                let Some(file) = bc.str() else { break };
-                JournalOp::Evict { file }
-            }
-            _ => break,
-        };
-        ops.push(op);
     }
-    ops
+
+    fn decode_body(kind: u8, body: &[u8]) -> Option<JournalOp> {
+        let mut c = Cursor::new(body);
+        let op = match kind {
+            REC_STORE => JournalOp::Store {
+                meta: decode_meta(&mut c)?,
+                tmp: c.str()?,
+            },
+            REC_EVICT => JournalOp::Evict { file: c.str()? },
+            _ => return None,
+        };
+        c.done().then_some(op)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +325,9 @@ struct State {
     index: HashMap<EntryIdentity, EntryMeta>,
     /// Monotonic last-access generation allocator.
     generation: u64,
-    /// Open append handle on the journal (lazily created).
-    journal: Option<File>,
+    /// The open journal (restarted by each checkpoint, else opened by
+    /// the first append).
+    journal: Option<RecordLog<JournalOp>>,
     /// Mutations since the last checkpoint.
     ops_since_checkpoint: u32,
     /// Anything (including generation bumps) changed since the last
@@ -623,9 +491,12 @@ impl TraceStore {
         //    discarded. Temp files named by surviving store records are
         //    accounted for so the sweep below does not double-handle
         //    them.
+        //    The sweep only decodes the journal; the checkpoint below
+        //    restarts it, and if that fails the first append's lazy
+        //    open truncates any torn tail first.
         let mut handled_tmp: Vec<String> = Vec::new();
         let journal_bytes = fs::read(self.dir.join(JOURNAL_FILE)).unwrap_or_default();
-        for op in decode_journal(&journal_bytes) {
+        for op in RecordLog::decode(&journal_bytes).0 {
             match op {
                 JournalOp::Store { meta, tmp } => {
                     handled_tmp.push(tmp.clone());
@@ -861,15 +732,8 @@ impl TraceStore {
         }
         // Manifest is durable: restart the journal.
         st.journal = None;
-        let fresh = || -> io::Result<File> {
-            let mut f = File::create(self.dir.join(JOURNAL_FILE))?;
-            f.write_all(&JOURNAL_MAGIC)?;
-            f.write_all(&STORE_FORMAT_VERSION.to_le_bytes())?;
-            f.sync_all()?;
-            Ok(f)
-        };
-        match fresh() {
-            Ok(f) => st.journal = Some(f),
+        match RecordLog::create(&self.dir.join(JOURNAL_FILE)) {
+            Ok(log) => st.journal = Some(log),
             Err(e) => {
                 return Err(StoreError {
                     what: "journal restart",
@@ -889,35 +753,25 @@ impl TraceStore {
         self.checkpoint_locked(st)
     }
 
-    /// Append one journal record, creating the journal lazily.
+    /// Append one journal record, opening the journal lazily (which
+    /// truncates any torn tail, so the record stays replayable).
     /// Soft-fails (counted by the caller): a lost journal record only
     /// costs recovery the roll-forward shortcut — the directory scan
     /// still adopts the entry.
     fn journal_append(&self, st: &mut State, op: &JournalOp) -> Result<(), StoreError> {
         if st.journal.is_none() {
-            let open = || -> io::Result<File> {
-                let path = self.dir.join(JOURNAL_FILE);
-                let exists = path.is_file() && fs::metadata(&path).map_or(0, |m| m.len()) > 0;
-                let mut f = OpenOptions::new().create(true).append(true).open(&path)?;
-                if !exists {
-                    f.write_all(&JOURNAL_MAGIC)?;
-                    f.write_all(&STORE_FORMAT_VERSION.to_le_bytes())?;
-                }
-                Ok(f)
-            };
-            st.journal = Some(open().map_err(|e| StoreError {
-                what: "journal open",
-                source: e,
-            })?);
+            let (log, _) =
+                RecordLog::open(&self.dir.join(JOURNAL_FILE)).map_err(|e| StoreError {
+                    what: "journal open",
+                    source: e,
+                })?;
+            st.journal = Some(log);
         }
-        let f = st.journal.as_mut().expect("journal opened above");
-        let rec = encode_journal_record(op);
-        f.write_all(&rec)
-            .and_then(|()| f.sync_data())
-            .map_err(|e| StoreError {
-                what: "journal append",
-                source: e,
-            })
+        let log = st.journal.as_mut().expect("journal opened above");
+        log.append(op).map_err(|e| StoreError {
+            what: "journal append",
+            source: e,
+        })
     }
 
     // -- mutations ----------------------------------------------------------
@@ -970,8 +824,7 @@ impl TraceStore {
             return Err("cannot write temp file");
         }
 
-        let op = STORE_OPS.fetch_add(1, Ordering::Relaxed) + 1;
-        crash_hook(CrashPoint::BeforeJournal, op);
+        crash_point("store.before-journal");
 
         st.generation += 1;
         let meta = EntryMeta {
@@ -1000,7 +853,7 @@ impl TraceStore {
             self.health.store_failures.fetch_add(1, Ordering::Relaxed);
         }
 
-        crash_hook(CrashPoint::BeforeRename, op);
+        crash_point("store.before-rename");
 
         if fs::rename(&tmp_path, self.dir.join(&file)).is_err() {
             let _ = fs::remove_file(&tmp_path);
@@ -1328,7 +1181,7 @@ fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<EntryMeta>)> {
     for _ in 0..count {
         entries.push(decode_meta(&mut c)?);
     }
-    if c.pos != body.len() {
+    if !c.done() {
         return None; // trailing garbage under a valid checksum: reject
     }
     Some((generation, entries))
@@ -1382,42 +1235,6 @@ mod tests {
             );
         }
         assert!(decode_manifest(&bytes[..bytes.len() - 3]).is_none());
-    }
-
-    #[test]
-    fn journal_replay_stops_at_torn_tail() {
-        let mut j = Vec::new();
-        j.extend_from_slice(&JOURNAL_MAGIC);
-        j.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        let m = EntryMeta {
-            identity: ident("x", 9),
-            file: "x-1.dcgact".into(),
-            bytes: 4,
-            checksum: 99,
-            generation: 1,
-            verified: 1,
-        };
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Store {
-            meta: m.clone(),
-            tmp: "x-1.dcgact.1.0.tmp".into(),
-        }));
-        let good_len = j.len();
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Evict {
-            file: "x-1.dcgact".into(),
-        }));
-
-        assert_eq!(decode_journal(&j).len(), 2, "intact journal replays all");
-        // Torn tail: any truncation inside the second record drops it
-        // (and only it).
-        for cut in good_len + 1..j.len() {
-            let ops = decode_journal(&j[..cut]);
-            assert_eq!(ops.len(), 1, "cut at {cut} keeps exactly the first record");
-        }
-        // Corrupt second record: same outcome.
-        let mut bad = j.clone();
-        let last = bad.len() - 3;
-        bad[last] ^= 1;
-        assert_eq!(decode_journal(&bad).len(), 1);
     }
 
     /// Write a syntactically valid manifest by hand (the store only
@@ -1645,14 +1462,13 @@ mod tests {
         };
         let tmp = "gz-0000000000000009.dcgact.42.0.tmp".to_string();
         fs::write(dir.join(&tmp), &body).unwrap();
-        let mut j = Vec::new();
-        j.extend_from_slice(&JOURNAL_MAGIC);
-        j.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        j.extend_from_slice(&encode_journal_record(&JournalOp::Store {
-            meta: meta.clone(),
-            tmp: tmp.clone(),
-        }));
-        fs::write(dir.join(JOURNAL_FILE), &j).unwrap();
+        RecordLog::create(&dir.join(JOURNAL_FILE))
+            .unwrap()
+            .append(&JournalOp::Store {
+                meta: meta.clone(),
+                tmp: tmp.clone(),
+            })
+            .unwrap();
 
         let store = TraceStore::new(dir.clone(), None);
         let stats = store.ensure_open();

@@ -14,7 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use dcg_core::{
-    run_passive, Dcg, PolicyOutcome, RunLength, TraceCache, JOURNAL_FILE, MANIFEST_FILE,
+    run_passive, Dcg, PolicyOutcome, RunLength, TraceCache, JOURNAL_FILE, LOG_HEADER_LEN,
+    MANIFEST_FILE,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, SimConfig};
@@ -94,7 +95,7 @@ fn template() -> &'static Template {
         assert!(dir.join(MANIFEST_FILE).is_file());
         let journal_len = fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
         assert!(
-            journal_len > 12,
+            journal_len > LOG_HEADER_LEN as u64,
             "the second entry must live in the journal tail"
         );
         Template {

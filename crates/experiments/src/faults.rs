@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use dcg_core::{
     run_passive, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan, FaultPoint, FaultSpec,
     FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength, TraceCache, JOURNAL_FILE,
-    MANIFEST_FILE,
+    LOG_HEADER_LEN, MANIFEST_FILE,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -602,7 +602,7 @@ impl Context {
 
         let journal = dir.join(JOURNAL_FILE);
         let bytes = fs::read(&journal).expect("the store appended a journal record");
-        let header = 12; // magic + format version
+        let header = LOG_HEADER_LEN;
         assert!(
             bytes.len() > header,
             "the journal must hold the store record"

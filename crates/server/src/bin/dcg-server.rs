@@ -13,8 +13,8 @@
 //!
 //! Environment knobs (flags take precedence): `DCG_SERVER_QUEUE` bounds
 //! the job queue, `DCG_SERVER_RETRIES` bounds execution attempts.
-//! `DCG_SERVER_CRASH=<point>:<n>` is the deterministic abort hook used
-//! by crash-recovery CI (points: `before-journal`, `before-commit`,
+//! `DCG_TEST_CRASH=server.<point>:<n>` is the deterministic abort hook
+//! used by crash-recovery CI (points: `before-journal`, `before-commit`,
 //! `after-commit`).
 
 use std::os::unix::net::UnixListener;

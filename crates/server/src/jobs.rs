@@ -11,13 +11,12 @@
 
 use std::path::Path;
 
+use dcg_core::durable::{put_str, put_u32, put_u64, Cursor};
 use dcg_core::{run_passive, Dcg, NoGating, RunLength, TraceCache};
 use dcg_experiments::{fault_campaign_json, suite_metrics_json, ExperimentConfig, FaultCampaign};
-use dcg_sim::{LatchGroups, SimConfig};
+use dcg_sim::{fnv1a, LatchGroups, SimConfig};
 use dcg_testkit::json::Json;
 use dcg_workloads::{Spec2000, SyntheticWorkload};
-
-use crate::protocol::{fnv1a, put_str, put_u32, put_u64, Cursor};
 
 const SPEC_SIMULATE: u8 = 1;
 const SPEC_REPLAY: u8 = 2;

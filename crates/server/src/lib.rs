@@ -6,11 +6,11 @@
 //!
 //! * **Journaled queue** — every job transition (submitted → running →
 //!   done/failed/retrying) is appended to a write-ahead log
-//!   (`JOBS.dcgwal`) with the same torn-tail-discard discipline as the
-//!   trace store journal, before it takes effect. `kill -9` at any
+//!   (`JOBS.dcgwal`), the same [`dcg_core::RecordLog`] the trace store
+//!   journal uses, before it takes effect. `kill -9` at any
 //!   point, then restart, resumes incomplete jobs and produces
 //!   byte-identical result documents (a CI-enforced invariant via the
-//!   deterministic [`SERVER_CRASH_ENV`] abort hook).
+//!   deterministic [`dcg_core::crash_point`] abort hook).
 //! * **Deadlines, retries, quarantine** — each job class has an
 //!   execution deadline; retryable failures (deadline misses, caught
 //!   panics, transient store errors) back off exponentially and retry
@@ -52,6 +52,6 @@ pub use protocol::{
 };
 pub use server::{
     ExperimentServer, JobState, ServerConfig, ServerCounters, SubmitOutcome, JOBS_DIR,
-    SERVER_CRASH_ENV, SERVER_QUEUE_ENV, SERVER_RETRIES_ENV,
+    SERVER_QUEUE_ENV, SERVER_RETRIES_ENV,
 };
-pub use wal::{decode_wal, JobWal, WalRecord, JOBS_WAL_FILE, JOBS_WAL_MAGIC};
+pub use wal::{JobWal, WalRecord, JOBS_WAL_FILE};

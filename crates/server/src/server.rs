@@ -31,10 +31,11 @@
 //! `SUBMIT` but no terminal record are re-queued and re-run; because
 //! every job body is a pure function of its spec, the resumed run
 //! produces **byte-identical** result documents. The deterministic
-//! abort hook ([`SERVER_CRASH_ENV`]) makes this a CI invariant rather
-//! than a hope: `before-journal:N` aborts before the Nth submit is
-//! journaled, `before-commit:N` aborts with the Nth result computed but
-//! not yet renamed into place, `after-commit:N` aborts between the
+//! abort hook ([`dcg_core::crash_point`], driven by `DCG_TEST_CRASH`)
+//! makes this a CI invariant rather than a hope:
+//! `server.before-journal:N` aborts before the Nth submit is journaled,
+//! `server.before-commit:N` aborts with the Nth result computed but not
+//! yet renamed into place, `server.after-commit:N` aborts between the
 //! rename and its `DONE` record (restart detects the orphaned result
 //! and completes the commit without re-running).
 //!
@@ -68,20 +69,15 @@ use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dcg_core::TraceCache;
+use dcg_core::{crash_point, TraceCache};
 use dcg_testkit::json::Json;
 
 use crate::jobs::{run_job_in, JobClass, JobError, JobSpec};
 use crate::protocol::{err_code, read_frame, write_frame, ProtocolError, Reply, Request};
 use crate::wal::{JobWal, WalRecord};
-
-/// Environment variable selecting a deterministic crash point
-/// (`before-journal:N`, `before-commit:N` or `after-commit:N`): the
-/// process aborts at the Nth op of that stage. Test/CI only.
-pub const SERVER_CRASH_ENV: &str = "DCG_SERVER_CRASH";
 
 /// Environment variable bounding the job queue (`dcg-server` and
 /// `repro serve` read it; the library takes [`ServerConfig`] directly).
@@ -97,61 +93,6 @@ pub const JOBS_DIR: &str = "jobs";
 /// Longest a `Result` request for an unfinished job waits for the job to
 /// settle before it is answered `NotReady`.
 const RESULT_WAIT: Duration = Duration::from_secs(1);
-
-// ---------------------------------------------------------------------------
-// Crash hook (mirrors DCG_STORE_CRASH in the trace store)
-// ---------------------------------------------------------------------------
-
-/// Process-global submit-journal ordinal, driving `before-journal:N`.
-static SUBMIT_OPS: AtomicU64 = AtomicU64::new(0);
-/// Process-global result-commit ordinal, driving `before-commit:N` and
-/// `after-commit:N`.
-static COMMIT_OPS: AtomicU64 = AtomicU64::new(0);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashPoint {
-    /// Before the Nth SUBMIT record is journaled (the client has not
-    /// been acknowledged; the job is simply lost, which is consistent).
-    BeforeJournal,
-    /// After the Nth result document is computed and written to its
-    /// temp file, before the rename — the torn state a restart must
-    /// re-run.
-    BeforeCommit,
-    /// After the Nth rename, before the DONE record — the orphaned
-    /// state a restart must complete without re-running.
-    AfterCommit,
-}
-
-fn crash_plan() -> Option<(CrashPoint, u64)> {
-    static PLAN: OnceLock<Option<(CrashPoint, u64)>> = OnceLock::new();
-    *PLAN.get_or_init(|| {
-        let v = std::env::var(SERVER_CRASH_ENV).ok()?;
-        let (point, n) = v.split_once(':')?;
-        let point = match point {
-            "before-journal" => CrashPoint::BeforeJournal,
-            "before-commit" => CrashPoint::BeforeCommit,
-            "after-commit" => CrashPoint::AfterCommit,
-            _ => return None,
-        };
-        Some((point, n.parse().ok()?))
-    })
-}
-
-fn crash_hook(point: CrashPoint, op: u64) {
-    if let Some((p, n)) = crash_plan() {
-        if p == point && n == op {
-            eprintln!(
-                "{SERVER_CRASH_ENV}: aborting at {} of server op {op}",
-                match point {
-                    CrashPoint::BeforeJournal => "before-journal",
-                    CrashPoint::BeforeCommit => "before-commit",
-                    CrashPoint::AfterCommit => "after-commit",
-                }
-            );
-            std::process::abort();
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -478,8 +419,7 @@ impl ExperimentServer {
                 retry_after_ms: 100 * (per_worker as u64 + 1),
             };
         }
-        let op = SUBMIT_OPS.fetch_add(1, Ordering::Relaxed) + 1;
-        crash_hook(CrashPoint::BeforeJournal, op);
+        crash_point("server.before-journal");
         if let Err(e) = self.wal.append(&WalRecord::Submit {
             id,
             spec: spec.clone(),
@@ -759,7 +699,6 @@ impl ExperimentServer {
     /// rename, with the crash hook at the torn point and after the
     /// rename.
     fn commit_result(&self, id: u64, json: &str) -> std::io::Result<()> {
-        let op = COMMIT_OPS.fetch_add(1, Ordering::Relaxed) + 1;
         let final_path = self.result_path(id);
         let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
         {
@@ -771,9 +710,9 @@ impl ExperimentServer {
             f.write_all(json.as_bytes())?;
             f.sync_data()?;
         }
-        crash_hook(CrashPoint::BeforeCommit, op);
+        crash_point("server.before-commit");
         fs::rename(&tmp_path, &final_path)?;
-        crash_hook(CrashPoint::AfterCommit, op);
+        crash_point("server.after-commit");
         self.wal.append(&WalRecord::Done { id })?;
         Ok(())
     }
@@ -1053,6 +992,13 @@ mod tests {
             SubmitOutcome::Accepted { deduped: true, .. }
         ));
         assert_eq!(server.counters.rejected_busy.load(Ordering::Relaxed), 1);
+        // Saturation never costs an accepted job: drain commits both.
+        server.drain();
+        for seed in [1, 2] {
+            let id = spec("gzip", seed).id();
+            assert_eq!(server.status(id).unwrap().0, JobState::Done);
+            assert!(server.result(id).is_some());
+        }
     }
 
     #[test]

@@ -1,39 +1,22 @@
 //! The server's write-ahead log of job transitions (`JOBS.dcgwal`).
 //!
-//! Same durability discipline as the trace store journal: an 8-byte
-//! magic header followed by checksummed records, appended with
-//! `sync_data` before the transition takes effect, decoded on open with
-//! **torn-tail discard** — the first record that fails its length or
-//! checksum ends the replay, and the file is truncated back to the last
-//! valid prefix so later appends extend a clean log. A `kill -9` at any
-//! byte therefore loses at most the record being written, never the
-//! log's integrity.
-//!
-//! Record framing (little-endian):
-//!
-//! ```text
-//! kind   u8      SUBMIT | START | DONE | FAIL
-//! len    u32     body length
-//! body   [len]
-//! check  u64     FNV-1a over the preceding 5 + len bytes
-//! ```
+//! A [`RecordLog`] of [`WalRecord`]s under the magic `DCGJWL01`, the
+//! same log the trace store journal uses: each transition is appended
+//! with `sync_data` before it takes effect, and a torn tail is
+//! discarded and truncated off on open, so a `kill -9` at any byte
+//! loses at most the record being written.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::Mutex;
 
+use dcg_core::durable::{put_bytes, put_str, put_u32, put_u64, Cursor};
+use dcg_core::{LogRecord, RecordLog};
+
 use crate::jobs::JobSpec;
-use crate::protocol::{fnv1a, put_bytes, put_str, put_u32, put_u64, Cursor};
 
 /// File name of the job WAL inside the server state directory.
 pub const JOBS_WAL_FILE: &str = "JOBS.dcgwal";
-
-/// Magic header of the job WAL.
-pub const JOBS_WAL_MAGIC: &[u8; 8] = b"DCGJWL01";
-
-/// Bound on one WAL record body (a spec plus a message; far below this).
-const MAX_RECORD: u32 = 1 << 20;
 
 const REC_SUBMIT: u8 = 1;
 const REC_START: u8 = 2;
@@ -77,25 +60,24 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let (kind, body) = match self {
+impl LogRecord for WalRecord {
+    const MAGIC: [u8; 8] = *b"DCGJWL01";
+
+    fn encode_body(&self, b: &mut Vec<u8>) -> u8 {
+        match self {
             WalRecord::Submit { id, spec } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, *id);
-                put_bytes(&mut b, &spec.encode());
-                (REC_SUBMIT, b)
+                put_u64(b, *id);
+                put_bytes(b, &spec.encode());
+                REC_SUBMIT
             }
             WalRecord::Start { id, attempt } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, *id);
-                put_u32(&mut b, *attempt);
-                (REC_START, b)
+                put_u64(b, *id);
+                put_u32(b, *attempt);
+                REC_START
             }
             WalRecord::Done { id } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, *id);
-                (REC_DONE, b)
+                put_u64(b, *id);
+                REC_DONE
             }
             WalRecord::Fail {
                 id,
@@ -103,34 +85,22 @@ impl WalRecord {
                 terminal,
                 message,
             } => {
-                let mut b = Vec::new();
-                put_u64(&mut b, *id);
-                put_u32(&mut b, *attempt);
+                put_u64(b, *id);
+                put_u32(b, *attempt);
                 b.push(u8::from(*terminal));
-                put_str(&mut b, message);
-                (REC_FAIL, b)
+                put_str(b, message);
+                REC_FAIL
             }
-        };
-        let mut rec = Vec::with_capacity(13 + body.len());
-        rec.push(kind);
-        put_u32(&mut rec, body.len() as u32);
-        rec.extend_from_slice(&body);
-        let check = fnv1a(&rec);
-        put_u64(&mut rec, check);
-        rec
+        }
     }
 
     fn decode_body(kind: u8, body: &[u8]) -> Option<WalRecord> {
         let mut c = Cursor::new(body);
         let rec = match kind {
-            REC_SUBMIT => {
-                let id = c.u64()?;
-                let spec_bytes = c.bytes()?;
-                WalRecord::Submit {
-                    id,
-                    spec: JobSpec::decode(&spec_bytes)?,
-                }
-            }
+            REC_SUBMIT => WalRecord::Submit {
+                id: c.u64()?,
+                spec: JobSpec::decode(&c.bytes()?)?,
+            },
             REC_START => WalRecord::Start {
                 id: c.u64()?,
                 attempt: c.u32()?,
@@ -144,104 +114,26 @@ impl WalRecord {
             },
             _ => return None,
         };
-        if !c.done() {
-            return None;
-        }
-        Some(rec)
+        c.done().then_some(rec)
     }
 }
 
-/// Decode a WAL byte image (past the magic header), stopping at the
-/// first torn or corrupt record. Returns the records plus the byte
-/// length of the valid prefix (magic included), so callers can truncate
-/// the tail away.
-pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    if bytes.len() < JOBS_WAL_MAGIC.len() || &bytes[..JOBS_WAL_MAGIC.len()] != JOBS_WAL_MAGIC {
-        return (records, 0);
-    }
-    let mut pos = JOBS_WAL_MAGIC.len();
-    while let Some(header) = bytes.get(pos..pos + 5) {
-        let kind = header[0];
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
-        if len > MAX_RECORD {
-            break;
-        }
-        let total = 5 + len as usize + 8;
-        let Some(rec) = bytes.get(pos..pos + total) else {
-            break;
-        };
-        let check = u64::from_le_bytes(rec[total - 8..].try_into().expect("8 bytes"));
-        if check != fnv1a(&rec[..total - 8]) {
-            break;
-        }
-        let Some(decoded) = WalRecord::decode_body(kind, &rec[5..total - 8]) else {
-            break;
-        };
-        records.push(decoded);
-        pos += total;
-    }
-    (records, pos)
-}
-
-/// The open, append-only job WAL.
+/// The open, append-only job WAL, shared by the server's threads.
 #[derive(Debug)]
-pub struct JobWal {
-    file: Mutex<File>,
-    path: PathBuf,
-}
+pub struct JobWal(Mutex<RecordLog<WalRecord>>);
 
 impl JobWal {
-    /// Open (or create) the WAL in `state_dir`, replaying survivors.
-    ///
-    /// A torn tail is discarded *and truncated off the file*, so the
-    /// next append continues a clean log. A file with an unrecognized
-    /// magic is reset to an empty log (fail-open, mirroring the trace
-    /// store's handling of foreign journals).
+    /// Open (or create) the WAL in `state_dir`, replaying survivors. A
+    /// torn tail is truncated off; an unrecognized file is reset to an
+    /// empty log.
     ///
     /// # Errors
     ///
     /// Only on unrecoverable I/O (the state directory itself being
     /// unusable).
     pub fn open(state_dir: &Path) -> io::Result<(JobWal, Vec<WalRecord>)> {
-        let path = state_dir.join(JOBS_WAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (records, valid_len) = if bytes.is_empty() {
-            file.write_all(JOBS_WAL_MAGIC)?;
-            file.sync_data()?;
-            (Vec::new(), JOBS_WAL_MAGIC.len())
-        } else {
-            let (records, valid_len) = decode_wal(&bytes);
-            if valid_len == 0 {
-                // Foreign or pre-magic file: reset to an empty log.
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(JOBS_WAL_MAGIC)?;
-                file.sync_data()?;
-                (Vec::new(), JOBS_WAL_MAGIC.len())
-            } else {
-                if valid_len < bytes.len() {
-                    file.set_len(valid_len as u64)?;
-                    file.sync_data()?;
-                }
-                (records, valid_len)
-            }
-        };
-        file.seek(SeekFrom::Start(valid_len as u64))?;
-        Ok((
-            JobWal {
-                file: Mutex::new(file),
-                path,
-            },
-            records,
-        ))
+        let (log, records) = RecordLog::open(&state_dir.join(JOBS_WAL_FILE))?;
+        Ok((JobWal(Mutex::new(log)), records))
     }
 
     /// Durably append one record (`write` + `sync_data` before return).
@@ -251,105 +143,6 @@ impl JobWal {
     /// The underlying I/O error; the caller must treat the transition as
     /// not having happened.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
-        let bytes = record.encode();
-        let mut file = self.file.lock().expect("job WAL lock");
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        Ok(())
-    }
-
-    /// Path of the WAL file.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/tmp")
-            .join(format!("server-wal-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn sample_records() -> Vec<WalRecord> {
-        let spec = JobSpec::Simulate {
-            bench: "gzip".into(),
-            seed: 42,
-            quick: true,
-        };
-        vec![
-            WalRecord::Submit {
-                id: spec.id(),
-                spec,
-            },
-            WalRecord::Start { id: 11, attempt: 1 },
-            WalRecord::Fail {
-                id: 11,
-                attempt: 1,
-                terminal: false,
-                message: "deadline exceeded".into(),
-            },
-            WalRecord::Start { id: 11, attempt: 2 },
-            WalRecord::Done { id: 11 },
-        ]
-    }
-
-    #[test]
-    fn append_then_reopen_replays_everything() {
-        let dir = scratch("roundtrip");
-        let (wal, recovered) = JobWal::open(&dir).unwrap();
-        assert!(recovered.is_empty());
-        let records = sample_records();
-        for r in &records {
-            wal.append(r).unwrap();
-        }
-        drop(wal);
-        let (_, recovered) = JobWal::open(&dir).unwrap();
-        assert_eq!(recovered, records);
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_and_truncated() {
-        let dir = scratch("torn");
-        let (wal, _) = JobWal::open(&dir).unwrap();
-        let records = sample_records();
-        for r in &records {
-            wal.append(r).unwrap();
-        }
-        let path = wal.path().to_path_buf();
-        drop(wal);
-
-        // Tear off the last 3 bytes of the final record.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
-        let (wal, recovered) = JobWal::open(&dir).unwrap();
-        assert_eq!(recovered, records[..records.len() - 1]);
-        // The torn bytes were truncated away: a fresh append extends a
-        // clean log.
-        wal.append(&WalRecord::Done { id: 99 }).unwrap();
-        drop(wal);
-        let (_, recovered) = JobWal::open(&dir).unwrap();
-        assert_eq!(recovered.len(), records.len());
-        assert_eq!(*recovered.last().unwrap(), WalRecord::Done { id: 99 });
-    }
-
-    #[test]
-    fn foreign_magic_resets_to_an_empty_log() {
-        let dir = scratch("foreign");
-        std::fs::write(dir.join(JOBS_WAL_FILE), b"NOTAWALFILE").unwrap();
-        let (wal, recovered) = JobWal::open(&dir).unwrap();
-        assert!(recovered.is_empty());
-        wal.append(&WalRecord::Done { id: 1 }).unwrap();
-        drop(wal);
-        let (_, recovered) = JobWal::open(&dir).unwrap();
-        assert_eq!(recovered, vec![WalRecord::Done { id: 1 }]);
+        self.0.lock().expect("job WAL lock").append(record)
     }
 }

@@ -8,7 +8,7 @@
 //! 1. **Reference** — serve on a socket, submit a small campaign through
 //!    [`DcgClient`], wait for every result, shut down cleanly.
 //! 2. **Crashed** — same campaign submitted under
-//!    `DCG_SERVER_CRASH=before-commit:2`: the process aborts right
+//!    `DCG_TEST_CRASH=server.before-commit:2`: the process aborts right
 //!    before committing its second result. The exit status must be
 //!    abnormal.
 //! 3. **Resumed** — reopen the crashed state dir with `--drain` (no
@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use dcg_core::CRASH_ENV;
 use dcg_server::{DcgClient, JobSpec, JOBS_DIR};
 
 const SERVER_BIN: &str = env!("CARGO_BIN_EXE_dcg-server");
@@ -83,7 +84,7 @@ fn reference_run(state: &Path) -> BTreeMap<String, Vec<u8>> {
         .args(["--state", state.to_str().unwrap()])
         .args(["--socket", sock.to_str().unwrap()])
         .args(["--workers", "2"])
-        .env_remove("DCG_SERVER_CRASH")
+        .env_remove(CRASH_ENV)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -122,7 +123,7 @@ fn kill_mid_campaign_then_drain_reproduces_identical_results() {
         .args(["--state", state.to_str().unwrap()])
         .args(["--socket", sock.to_str().unwrap()])
         .args(["--workers", "1"])
-        .env("DCG_SERVER_CRASH", "before-commit:2")
+        .env(CRASH_ENV, "server.before-commit:2")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -151,7 +152,7 @@ fn kill_mid_campaign_then_drain_reproduces_identical_results() {
     let status = Command::new(SERVER_BIN)
         .args(["--state", state.to_str().unwrap()])
         .args(["--workers", "2", "--drain"])
-        .env_remove("DCG_SERVER_CRASH")
+        .env_remove(CRASH_ENV)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()

@@ -15,6 +15,8 @@
 
 use dcg_isa::{FuClass, OpClass};
 
+use crate::Fnv1a;
+
 /// Geometry of one class of execution units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuSpec {
@@ -353,7 +355,7 @@ impl SimConfig {
     }
 
     /// Stable 64-bit content digest over every configuration field
-    /// (FNV-1a, hand-rolled so it never changes across toolchains).
+    /// ([`Fnv1a`]).
     ///
     /// Two configurations digest equally iff they simulate identically,
     /// so the digest content-addresses cached activity traces: any field
@@ -361,15 +363,8 @@ impl SimConfig {
     /// depth — yields a different digest and therefore a different cache
     /// entry. Not a cryptographic hash.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut state = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                state ^= u64::from(byte);
-                state = state.wrapping_mul(PRIME);
-            }
-        };
+        let mut state = Fnv1a::new();
+        let mut mix = |v: u64| state.write(&v.to_le_bytes());
         for v in [
             self.fetch_width as u64,
             self.issue_width as u64,
@@ -421,7 +416,7 @@ impl SimConfig {
         for up in self.unpipelined {
             mix(u64::from(up));
         }
-        state
+        state.finish()
     }
 
     /// Validate structural constraints.

@@ -34,6 +34,7 @@ mod cache;
 mod config;
 mod constraint;
 mod fu;
+mod hash;
 mod iq;
 mod lsq;
 mod pipeline;
@@ -52,6 +53,7 @@ pub use config::{
 };
 pub use constraint::ResourceConstraints;
 pub use fu::{ActiveTracker, BusyWindow, FuPool, FuSelectPolicy};
+pub use hash::{fnv1a, Fnv1a};
 pub use iq::IssueQueue;
 pub use lsq::{LoadDisposition, Lsq};
 pub use pipeline::Processor;

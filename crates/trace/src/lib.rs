@@ -1,50 +1,42 @@
-//! # dcg-trace — compact instruction-trace files
+//! # dcg-trace — the activity-trace format
 //!
-//! Record a workload once, replay it bit-exactly forever: the trace format
-//! captures the full dynamic instruction stream (operands, effective
-//! addresses, branch outcomes) the way production trace-driven simulators
-//! archive their inputs.
-//!
-//! The encoding exploits the streams' sequential consistency — an
-//! instruction whose PC is its predecessor's successor (nearly all of
-//! them) stores no PC — and varint-codes everything else; typical traces
-//! land around 4-8 bytes per instruction versus 24 for the raw
-//! [`dcg_isa::encode_word`] triple.
+//! Simulate once, replay forever: an activity trace stores the full
+//! per-cycle [`dcg_sim::CycleActivity`] stream of one simulation in
+//! checksummed columnar blocks, so gating policies, power accounting and
+//! statistics replay bit-exactly without re-running the pipeline. The
+//! trace store in `dcg-core` keeps these files (`.dcgact`).
 //!
 //! ```
-//! use dcg_trace::{TraceReader, TraceWriter};
-//! use dcg_workloads::{InstStream, Spec2000, SyntheticWorkload};
+//! use dcg_sim::CycleActivity;
+//! use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter};
 //!
 //! # fn main() -> Result<(), dcg_trace::TraceError> {
-//! // Record 1000 instructions of gzip.
-//! let mut workload = SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 1);
-//! let mut buf = Vec::new();
-//! let mut writer = TraceWriter::new(&mut buf, "gzip")?;
-//! for _ in 0..1000 {
-//!     writer.write_inst(&workload.next_inst())?;
+//! // Record three cycles of one (config, workload, seed) tuple.
+//! let header = ActivityHeader::new("gzip", 0x5eed, 1, 0, 6, 4)?;
+//! let mut writer = ActivityTraceWriter::new(Vec::new(), &header)?;
+//! for _ in 0..3 {
+//!     let cycle = CycleActivity { committed: 2, latch_occupancy: vec![0; 4], ..Default::default() };
+//!     writer.write_cycle(&cycle)?;
 //! }
-//! writer.finish()?;
+//! let bytes = writer.finish()?;
 //!
-//! // Replay: identical stream, loadable anywhere.
-//! let replay = TraceReader::new(&buf[..])?.into_replay()?;
-//! assert_eq!(replay.period(), 1000);
+//! // Replay: the trailer proves the file whole before any record decodes.
+//! let mut reader = ActivityTraceReader::new(&bytes[..])?;
+//! assert_eq!(reader.verified_totals(), Some((3, 6)));
+//! let mut cycle = CycleActivity::default();
+//! while reader.read_cycle(&mut cycle)? {}
+//! assert_eq!(cycle.cycle, 3);
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The `tracetool` binary records, inspects and verifies trace files from
-//! the command line.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 mod activity;
 mod error;
-mod format;
 mod mmap;
-mod reader;
 mod varint;
-mod writer;
 
 pub use activity::{
     payload_checksum, ActivityHeader, ActivityTraceReader, ActivityTraceWriter,
@@ -52,7 +44,4 @@ pub use activity::{
     ACTIVITY_TRAILER_MAGIC, ACTIVITY_VERSION, MAX_GRANTS, MAX_GROUPS,
 };
 pub use error::TraceError;
-pub use format::{Header, MAGIC, VERSION};
 pub use mmap::TraceData;
-pub use reader::TraceReader;
-pub use writer::TraceWriter;
