@@ -306,16 +306,74 @@ pub struct CycleActivity {
 impl CycleActivity {
     /// Reset all fields for reuse (keeps allocations).
     pub fn reset(&mut self, cycle: u64) {
-        let mut grants = std::mem::take(&mut self.grants);
-        let mut latches = std::mem::take(&mut self.latch_occupancy);
-        grants.clear();
-        latches.clear();
-        *self = CycleActivity {
-            cycle,
-            latch_occupancy: latches,
+        // Exhaustive destructuring: a new field fails to compile here
+        // until it is reset too.
+        let CycleActivity {
+            cycle: c,
+            fetched,
+            renamed,
+            dispatched,
+            issued,
+            issued_fp,
+            issued_loads,
+            issued_stores,
+            committed,
+            fu_active,
+            dcache_port_mask,
+            dcache_load_accesses,
+            dcache_store_accesses,
+            dcache_misses,
+            l2_accesses,
+            icache_access,
+            icache_miss,
+            bpred_lookups,
+            bpred_mispredicts,
+            regfile_reads,
+            regfile_writes,
+            result_bus_used,
+            latch_occupancy,
             grants,
-            ..CycleActivity::default()
-        };
+            decode_ready_next,
+            iq_occupancy,
+            rob_occupancy,
+            lsq_occupancy,
+            store_ports_next,
+            result_bus_in_2,
+        } = self;
+        *c = cycle;
+        *fu_active = [0; FuClass::COUNT];
+        *icache_access = false;
+        *icache_miss = false;
+        latch_occupancy.clear();
+        grants.clear();
+        for v in [
+            fetched,
+            renamed,
+            dispatched,
+            issued,
+            issued_fp,
+            issued_loads,
+            issued_stores,
+            committed,
+            dcache_port_mask,
+            dcache_load_accesses,
+            dcache_store_accesses,
+            dcache_misses,
+            l2_accesses,
+            bpred_lookups,
+            bpred_mispredicts,
+            regfile_reads,
+            regfile_writes,
+            result_bus_used,
+            decode_ready_next,
+            iq_occupancy,
+            rob_occupancy,
+            lsq_occupancy,
+            store_ports_next,
+            result_bus_in_2,
+        ] {
+            *v = 0;
+        }
     }
 }
 

@@ -8,8 +8,41 @@
 //! flight (MSHR behaviour) instead of paying the full latency again.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::CacheConfig;
+
+/// Hasher for line-number keys: one multiply by the 64-bit golden-ratio
+/// constant, high half folded into the low half (hashbrown takes bucket
+/// bits from the low end and tag bits from the top). The keys are the
+/// simulated program's own line addresses, looked up on every cache
+/// access, so SipHash's protection against crafted collisions buys
+/// nothing here but costs time; a program that made its lines collide
+/// would only slow its own simulation.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Outstanding line fills: line number -> fill completion cycle.
+type PendingFills = HashMap<u64, u64, BuildHasherDefault<LineHasher>>;
 
 /// Result of a tag-array lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,9 +239,19 @@ pub struct CacheHierarchy {
     l2: CacheArray,
     mem_latency: u32,
     /// Outstanding L1 line fills: line -> fill completion cycle.
-    l1_pending: HashMap<u64, u64>,
-    /// Outstanding L2 line fills.
-    l2_pending: HashMap<u64, u64>,
+    ///
+    /// Entries are retired lazily — only when an access to the same line
+    /// finds its fill already landed — and never pruned by age. Access
+    /// cycles are not monotonic (a committed store is scheduled up to 33
+    /// cycles ahead, a load 3), so an entry that looks stale to one access
+    /// can still delay an earlier-scheduled one; and
+    /// [`maybe_prefetch`](Self::maybe_prefetch) skips any line that still
+    /// has an entry, landed or not. Pruning would therefore move timing
+    /// and the prefetch ablation. Nothing iterates these maps, so their
+    /// size costs only memory.
+    l1_pending: PendingFills,
+    /// Outstanding L2 line fills (retired lazily, like `l1_pending`).
+    l2_pending: PendingFills,
     l2_accesses: u64,
     l2_misses_seen: u64,
     prefetch_next_line: bool,
@@ -223,8 +266,8 @@ impl CacheHierarchy {
             l1: CacheArray::new(l1),
             l2: CacheArray::new(l2),
             mem_latency,
-            l1_pending: HashMap::new(),
-            l2_pending: HashMap::new(),
+            l1_pending: PendingFills::default(),
+            l2_pending: PendingFills::default(),
             l2_accesses: 0,
             l2_misses_seen: 0,
             prefetch_next_line: false,
@@ -497,6 +540,38 @@ mod tests {
         let again = pf.access(0x1000, first.data_ready + 1);
         assert!(!again.l1_miss);
         assert_eq!(pf.prefetches(), 1);
+    }
+
+    #[test]
+    fn stale_pending_fill_suppresses_the_next_line_prefetch() {
+        // A landed fill for line L+1 whose MSHR entry was never retired
+        // (no later access touched L+1) still blocks the next-line
+        // prefetch for L+1 after L+1 is evicted: pending entries retire
+        // lazily, never by age, and the prefetcher tests the map.
+        let mut pf = CacheHierarchy::new(small_l1(), small_l2(), 100).with_next_line_prefetch();
+        let l_next = 0x1020; // line L+1 for L = 0x1000 (32-byte lines)
+        let first = pf.access(l_next, 0);
+        assert!(first.l1_miss && first.prefetched);
+        // Evict L+1 from L1 by filling its 2-way set with two other lines.
+        let stride = 16 * 32;
+        let mut t = first.data_ready + 1;
+        for k in 1..=2u64 {
+            t = pf.access(l_next + k * stride, t).data_ready + 1;
+        }
+        assert_eq!(pf.l1().peek(l_next), LookupResult::Miss, "L+1 evicted");
+        let before = pf.prefetches();
+        // Demand miss on L: L+1 is neither resident nor in flight, but its
+        // landed entry is still in the map, so no prefetch is launched.
+        let miss = pf.access(0x1000, t + 1000);
+        assert!(miss.l1_miss);
+        assert!(
+            !miss.prefetched,
+            "stale entry for L+1 suppresses the prefetch"
+        );
+        assert_eq!(pf.prefetches(), before);
+        // Once a demand access retires the entry, L+1 behaves normally.
+        let refill = pf.access(l_next, t + 2000);
+        assert!(refill.l1_miss);
     }
 
     #[test]

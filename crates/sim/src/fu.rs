@@ -18,23 +18,6 @@ use crate::config::SimConfig;
 pub struct BusyWindow(u64);
 
 impl BusyWindow {
-    /// `true` if the instance is busy in the current cycle.
-    #[inline]
-    pub fn busy_now(self) -> bool {
-        self.0 & 1 != 0
-    }
-
-    /// `true` if the instance is busy at `now + offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `offset >= 64`.
-    #[inline]
-    pub fn busy_at(self, offset: u32) -> bool {
-        debug_assert!(offset < 64);
-        self.0 & (1u64 << offset) != 0
-    }
-
     /// `true` if the span `[now+start, now+start+len)` is entirely free.
     #[inline]
     pub fn is_free_span(self, start: u32, len: u32) -> bool {
@@ -74,9 +57,12 @@ pub enum FuSelectPolicy {
     RoundRobin,
 }
 
-#[derive(Debug)]
+/// One class's slice of the flat instance array.
+#[derive(Debug, Clone, Copy)]
 struct ClassPool {
-    windows: Vec<BusyWindow>,
+    /// Index of instance 0 in [`FuPool::windows`].
+    base: usize,
+    count: usize,
     enabled: usize,
     rr_next: usize,
 }
@@ -98,67 +84,93 @@ struct ClassPool {
 /// ```
 #[derive(Debug)]
 pub struct FuPool {
-    pools: Vec<ClassPool>,
+    /// Every instance's busy window, class-major (class order of
+    /// [`FuClass::ALL`]), so one pass advances them all.
+    windows: Vec<BusyWindow>,
+    classes: [ClassPool; FuClass::COUNT],
     policy: FuSelectPolicy,
 }
 
 impl FuPool {
     /// Build the pool for `config` with the given selection policy.
     pub fn new(config: &SimConfig, policy: FuSelectPolicy) -> FuPool {
-        let pools = FuClass::ALL
-            .iter()
-            .map(|c| ClassPool {
-                windows: vec![BusyWindow::default(); config.fu_count(*c)],
-                enabled: config.fu_count(*c),
+        let mut base = 0;
+        let classes = FuClass::ALL.map(|c| {
+            let count = config.fu_count(c);
+            let pool = ClassPool {
+                base,
+                count,
+                enabled: count,
                 rr_next: 0,
-            })
-            .collect();
-        FuPool { pools, policy }
+            };
+            base += count;
+            pool
+        });
+        FuPool {
+            windows: vec![BusyWindow::default(); base],
+            classes,
+            policy,
+        }
     }
 
     /// Number of instances (enabled or not) of `class`.
     pub fn count(&self, class: FuClass) -> usize {
-        self.pools[class.index()].windows.len()
+        self.classes[class.index()].count
     }
 
     /// Number of currently enabled instances of `class`.
     pub fn enabled(&self, class: FuClass) -> usize {
-        self.pools[class.index()].enabled
+        self.classes[class.index()].enabled
     }
 
     /// Enable only the first `n` instances of `class` (PLB low-power modes
     /// disable the highest-numbered instances). `n` is clamped to the
     /// instance count.
     pub fn set_enabled(&mut self, class: FuClass, n: usize) {
-        let pool = &mut self.pools[class.index()];
-        pool.enabled = n.min(pool.windows.len());
+        let pool = &mut self.classes[class.index()];
+        pool.enabled = n.min(pool.count);
     }
 
     /// Advance all busy windows one cycle.
     pub fn advance(&mut self) {
-        for pool in &mut self.pools {
-            for w in &mut pool.windows {
-                w.advance();
-            }
+        for w in &mut self.windows {
+            w.advance();
         }
+    }
+
+    /// The enabled instances' windows of `class`.
+    #[inline]
+    fn enabled_windows(&self, class: FuClass) -> &[BusyWindow] {
+        let pool = &self.classes[class.index()];
+        &self.windows[pool.base..pool.base + pool.enabled]
+    }
+
+    /// `true` if some enabled instance of `class` is free over
+    /// `[now+start, now+start+occupy)`, i.e. [`try_reserve`] would succeed
+    /// under either policy. Reserves nothing.
+    ///
+    /// [`try_reserve`]: FuPool::try_reserve
+    #[inline]
+    pub fn any_free(&self, class: FuClass, start: u32, occupy: u32) -> bool {
+        self.enabled_windows(class)
+            .iter()
+            .any(|w| w.is_free_span(start, occupy))
     }
 
     /// Try to reserve an instance of `class` for the span
     /// `[now+start, now+start+occupy)`; returns the chosen instance index.
     pub fn try_reserve(&mut self, class: FuClass, start: u32, occupy: u32) -> Option<usize> {
-        let pool = &mut self.pools[class.index()];
+        let pool = &mut self.classes[class.index()];
         let n = pool.enabled;
-        if n == 0 {
-            return None;
-        }
+        let windows = &mut self.windows[pool.base..pool.base + n];
         let pick = match self.policy {
             FuSelectPolicy::SequentialPriority => {
-                (0..n).find(|&i| pool.windows[i].is_free_span(start, occupy))
+                windows.iter().position(|w| w.is_free_span(start, occupy))
             }
             FuSelectPolicy::RoundRobin => {
                 let found = (0..n)
                     .map(|k| (pool.rr_next + k) % n)
-                    .find(|&i| pool.windows[i].is_free_span(start, occupy));
+                    .find(|&i| windows[i].is_free_span(start, occupy));
                 if let Some(i) = found {
                     pool.rr_next = (i + 1) % n;
                 }
@@ -166,55 +178,26 @@ impl FuPool {
             }
         };
         if let Some(i) = pick {
-            pool.windows[i].reserve_span(start, occupy);
+            windows[i].reserve_span(start, occupy);
         }
         pick
     }
 
-    /// Reserve a *specific* instance at `now + offset` for one cycle,
-    /// returning `false` if it is already busy (used by committed stores
-    /// grabbing a D-cache port).
-    pub fn reserve_exact(&mut self, class: FuClass, index: usize, offset: u32) -> bool {
-        let pool = &mut self.pools[class.index()];
-        let w = &mut pool.windows[index];
-        if w.is_free_span(offset, 1) {
-            w.reserve_span(offset, 1);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Find any enabled instance of `class` free at `now + offset` and
-    /// reserve it for one cycle.
+    /// reserve it for one cycle (lowest-numbered first, whatever the
+    /// policy: committed stores grabbing a D-cache port).
     pub fn reserve_any_at(&mut self, class: FuClass, offset: u32) -> Option<usize> {
-        let pool = &mut self.pools[class.index()];
-        let n = pool.enabled;
-        let pick = (0..n).find(|&i| pool.windows[i].is_free_span(offset, 1))?;
-        pool.windows[pick].reserve_span(offset, 1);
+        let pool = &self.classes[class.index()];
+        let windows = &mut self.windows[pool.base..pool.base + pool.enabled];
+        let pick = windows.iter().position(|w| w.is_free_span(offset, 1))?;
+        windows[pick].reserve_span(offset, 1);
         Some(pick)
     }
-
-    /// Bitmask of instances of `class` busy in the current cycle.
-    pub fn busy_mask_now(&self, class: FuClass) -> u32 {
-        let pool = &self.pools[class.index()];
-        pool.windows
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.busy_now())
-            .fold(0u32, |m, (i, _)| m | (1 << i))
-    }
-
-    /// Bitmask of instances of `class` busy at `now + offset`.
-    pub fn busy_mask_at(&self, class: FuClass, offset: u32) -> u32 {
-        let pool = &self.pools[class.index()];
-        pool.windows
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.busy_at(offset))
-            .fold(0u32, |m, (i, _)| m | (1 << i))
-    }
 }
+
+/// Horizon of [`ActiveTracker`] marks, in cycles (the span a
+/// [`BusyWindow`] covers).
+const ACTIVE_HORIZON: usize = 64;
 
 /// Tracks which unit instances are *active* (holding an operation in any
 /// internal pipe stage) each cycle.
@@ -224,48 +207,56 @@ impl FuPool {
 /// switching for its full latency — the unit is only gateable in cycles
 /// where *no* op is in flight. This tracker is the ground truth the DCG
 /// invariant checks against.
-#[derive(Debug)]
+///
+/// Stored cycle-major: one per-class instance mask per future cycle, so
+/// reading the current cycle's masks is one row and advancing clears one
+/// row.
+#[derive(Debug, Clone)]
 pub struct ActiveTracker {
-    windows: Vec<Vec<BusyWindow>>,
+    /// `rows[(head + k) % ACTIVE_HORIZON][class]`: instances active at
+    /// `now + k`.
+    rows: [[u32; FuClass::COUNT]; ACTIVE_HORIZON],
+    head: usize,
 }
 
 impl ActiveTracker {
-    /// Build the tracker for `config`.
-    pub fn new(config: &SimConfig) -> ActiveTracker {
+    /// A tracker with every instance idle.
+    pub fn new() -> ActiveTracker {
         ActiveTracker {
-            windows: FuClass::ALL
-                .iter()
-                .map(|c| vec![BusyWindow::default(); config.fu_count(*c)])
-                .collect(),
+            rows: [[0; FuClass::COUNT]; ACTIVE_HORIZON],
+            head: 0,
         }
     }
 
     /// Mark instance `index` of `class` active over
-    /// `[now+start, now+start+len)`. Overlapping marks merge.
+    /// `[now+start, now+start+len)`. Overlapping marks merge (overlapping
+    /// ops on a pipelined unit are legal and both keep the unit active);
+    /// cycles beyond the 64-cycle horizon are dropped.
     pub fn mark(&mut self, class: FuClass, index: usize, start: u32, len: u32) {
-        let w = &mut self.windows[class.index()][index];
-        // Merge rather than assert: overlapping ops on a pipelined unit are
-        // legal and both keep the unit active.
-        let mask = (((1u128 << len) - 1) as u64) << start;
-        *w = BusyWindow(w.0 | mask);
+        debug_assert!(index < 32, "instance masks are 32 bits wide");
+        let end = (start + len).min(ACTIVE_HORIZON as u32);
+        for k in start..end {
+            let row = (self.head + k as usize) % ACTIVE_HORIZON;
+            self.rows[row][class.index()] |= 1 << index;
+        }
     }
 
     /// Advance one cycle.
     pub fn advance(&mut self) {
-        for class in &mut self.windows {
-            for w in class {
-                w.advance();
-            }
-        }
+        self.rows[self.head] = [0; FuClass::COUNT];
+        self.head = (self.head + 1) % ACTIVE_HORIZON;
     }
 
-    /// Bitmask of instances of `class` active in the current cycle.
-    pub fn mask_now(&self, class: FuClass) -> u32 {
-        self.windows[class.index()]
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.busy_now())
-            .fold(0u32, |m, (i, _)| m | (1 << i))
+    /// Every class's active mask in the current cycle, indexed by
+    /// [`FuClass::index`].
+    pub fn masks_now(&self) -> [u32; FuClass::COUNT] {
+        self.rows[self.head]
+    }
+}
+
+impl Default for ActiveTracker {
+    fn default() -> ActiveTracker {
+        ActiveTracker::new()
     }
 }
 
@@ -283,15 +274,15 @@ mod tests {
         let mut w = BusyWindow::default();
         assert!(w.is_free_span(2, 3));
         w.reserve_span(2, 3);
-        assert!(!w.busy_now());
-        assert!(w.busy_at(2) && w.busy_at(4));
-        assert!(!w.busy_at(5));
+        assert!(w.is_free_span(0, 2));
+        assert!(!w.is_free_span(2, 1) && !w.is_free_span(4, 1));
+        assert!(w.is_free_span(5, 1));
         assert!(!w.is_free_span(4, 1));
         assert!(w.is_free_span(5, 10));
         w.advance();
-        assert!(w.busy_at(1) && w.busy_at(3) && !w.busy_at(4));
+        assert!(!w.is_free_span(1, 1) && !w.is_free_span(3, 1) && w.is_free_span(4, 1));
         w.advance();
-        assert!(w.busy_now());
+        assert!(!w.is_free_span(0, 1));
     }
 
     #[test]
@@ -358,26 +349,47 @@ mod tests {
     }
 
     #[test]
-    fn busy_masks_track_reservations() {
+    fn any_port_reservation() {
         let mut p = pool(FuSelectPolicy::SequentialPriority);
-        p.try_reserve(FuClass::FpAlu, 1, 2);
-        assert_eq!(p.busy_mask_now(FuClass::FpAlu), 0);
-        assert_eq!(p.busy_mask_at(FuClass::FpAlu, 1), 0b1);
-        p.advance();
-        assert_eq!(p.busy_mask_now(FuClass::FpAlu), 0b1);
-        p.advance();
-        assert_eq!(p.busy_mask_now(FuClass::FpAlu), 0b1);
-        p.advance();
-        assert_eq!(p.busy_mask_now(FuClass::FpAlu), 0);
+        assert!(p.any_free(FuClass::MemPort, 1, 1));
+        assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), Some(0));
+        assert!(p.any_free(FuClass::MemPort, 1, 1), "one port left");
+        assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), Some(1));
+        assert!(!p.any_free(FuClass::MemPort, 1, 1), "both ports booked");
+        assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), None);
+        assert!(p.any_free(FuClass::MemPort, 0, 1) && p.any_free(FuClass::MemPort, 2, 1));
+        // A port-first check agrees with try_reserve under a narrowed pool.
+        p.set_enabled(FuClass::MemPort, 1);
+        assert!(!p.any_free(FuClass::MemPort, 1, 1));
+        assert_eq!(p.try_reserve(FuClass::MemPort, 1, 1), None);
+        assert!(p.any_free(FuClass::MemPort, 2, 1));
     }
 
     #[test]
-    fn exact_and_any_port_reservation() {
-        let mut p = pool(FuSelectPolicy::SequentialPriority);
-        assert!(p.reserve_exact(FuClass::MemPort, 0, 1));
-        assert!(!p.reserve_exact(FuClass::MemPort, 0, 1), "double booking");
-        assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), Some(1));
-        assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), None);
-        assert_eq!(p.busy_mask_at(FuClass::MemPort, 1), 0b11);
+    fn active_tracker_marks_merge_and_expire() {
+        let mut t = ActiveTracker::new();
+        t.mark(FuClass::FpAlu, 0, 1, 2);
+        t.mark(FuClass::FpAlu, 2, 2, 1);
+        t.mark(FuClass::MemPort, 1, 0, 1);
+        assert_eq!(t.masks_now()[FuClass::FpAlu.index()], 0);
+        assert_eq!(t.masks_now()[FuClass::MemPort.index()], 0b10);
+        t.advance();
+        assert_eq!(t.masks_now()[FuClass::FpAlu.index()], 0b001);
+        assert_eq!(t.masks_now()[FuClass::MemPort.index()], 0);
+        t.advance();
+        assert_eq!(t.masks_now()[FuClass::FpAlu.index()], 0b101);
+        t.advance();
+        assert_eq!(t.masks_now(), [0; FuClass::COUNT]);
+        // Marks past the horizon are dropped, not wrapped onto early cycles.
+        t.mark(FuClass::IntAlu, 0, 60, 10);
+        for k in 0..64 {
+            assert_eq!(
+                t.masks_now()[FuClass::IntAlu.index()] != 0,
+                k >= 60,
+                "cycle +{k}"
+            );
+            t.advance();
+        }
+        assert_eq!(t.masks_now()[FuClass::IntAlu.index()], 0);
     }
 }

@@ -21,10 +21,16 @@ use crate::rob::InstId;
 /// for k in 0..3 {
 ///     iq.push(rob.push(Inst::alu(k * 4, OpClass::IntAlu)).unwrap());
 /// }
-/// // Grant everything ready (here: everything), oldest first.
-/// let granted = iq.select(8, |_id| true);
-/// assert_eq!(granted.len(), 3);
-/// assert!(iq.is_empty());
+/// // Grant at most two, oldest first; the closure books resources and
+/// // answers whether each candidate issues (here: all of them).
+/// let mut seen = Vec::new();
+/// let granted = iq.select(2, |id| {
+///     seen.push(id.seq());
+///     true
+/// });
+/// assert_eq!(granted, 2);
+/// assert_eq!(seen, [0, 1]);
+/// assert_eq!(iq.iter().next().map(|id| id.seq()), Some(2));
 /// ```
 #[derive(Debug)]
 pub struct IssueQueue {
@@ -33,6 +39,14 @@ pub struct IssueQueue {
 }
 
 impl IssueQueue {
+    /// A zero-capacity stand-in that owns no allocation. The pipeline
+    /// parks it in its own field while it holds the real queue, so the
+    /// grant closure can borrow the rest of the processor.
+    pub(crate) const PARKED: IssueQueue = IssueQueue {
+        entries: Vec::new(),
+        capacity: 0,
+    };
+
     /// An empty queue holding at most `capacity` instructions.
     ///
     /// # Panics
@@ -78,27 +92,28 @@ impl IssueQueue {
 
     /// Select up to `max_grants` instructions, oldest first.
     ///
-    /// `try_grant` is called per candidate and performs all readiness
-    /// checks *and* resource booking; returning `true` removes the entry
-    /// from the queue. Returns the granted handles in age order.
+    /// `try_grant` is called per candidate, in age order, until
+    /// `max_grants` have been granted; it performs all readiness checks
+    /// *and* resource booking, and returning `true` removes the entry from
+    /// the queue. The queue is compacted in place (no allocation). Returns
+    /// the number of grants.
     pub fn select(
         &mut self,
         max_grants: usize,
         mut try_grant: impl FnMut(InstId) -> bool,
-    ) -> Vec<InstId> {
-        let mut granted = Vec::new();
+    ) -> usize {
+        let mut granted = 0;
         if max_grants == 0 {
             return granted;
         }
-        let mut keep = Vec::with_capacity(self.entries.len());
-        for &id in &self.entries {
-            if granted.len() < max_grants && try_grant(id) {
-                granted.push(id);
+        self.entries.retain(|&id| {
+            if granted < max_grants && try_grant(id) {
+                granted += 1;
+                false
             } else {
-                keep.push(id);
+                true
             }
-        }
-        self.entries = keep;
+        });
         granted
     }
 
@@ -141,8 +156,15 @@ mod tests {
             iq.push(h);
         }
         // Grant everything except the second-oldest.
-        let granted = iq.select(8, |id| id.seq() != 1);
-        let seqs: Vec<u64> = granted.iter().map(|g| g.seq()).collect();
+        let mut seqs = Vec::new();
+        let granted = iq.select(8, |id| {
+            let grant = id.seq() != 1;
+            if grant {
+                seqs.push(id.seq());
+            }
+            grant
+        });
+        assert_eq!(granted, 3);
         assert_eq!(seqs, vec![0, 2, 3]);
         let left: Vec<u64> = iq.iter().map(|g| g.seq()).collect();
         assert_eq!(left, vec![1]);
@@ -156,7 +178,7 @@ mod tests {
             iq.push(h);
         }
         let granted = iq.select(2, |_| true);
-        assert_eq!(granted.len(), 2);
+        assert_eq!(granted, 2);
         assert_eq!(iq.len(), 4);
         // Oldest remaining is seq 2.
         assert_eq!(iq.iter().next().unwrap().seq(), 2);
@@ -170,7 +192,7 @@ mod tests {
             iq.push(h);
         }
         let granted = iq.select(0, |_| true);
-        assert!(granted.is_empty());
+        assert_eq!(granted, 0);
         assert_eq!(iq.len(), 2);
     }
 
@@ -182,10 +204,11 @@ mod tests {
             iq.push(h);
         }
         let mut seen = Vec::new();
-        let _ = iq.select(8, |id| {
+        let granted = iq.select(8, |id| {
             seen.push(id.seq());
             false
         });
+        assert_eq!(granted, 0);
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(iq.len(), 5, "nothing granted, nothing removed");
     }

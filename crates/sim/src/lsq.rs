@@ -54,6 +54,17 @@ struct LsqEntry {
 pub struct Lsq {
     entries: VecDeque<LsqEntry>,
     capacity: usize,
+    /// Queued stores per word bucket ([`bucket`]): a load whose bucket
+    /// is empty has no same-word store to wait for or forward from, so it
+    /// skips the queue scan.
+    stores_in_bucket: [u32; BUCKETS],
+}
+
+const BUCKETS: usize = 256;
+
+#[inline]
+fn bucket(word: u64) -> usize {
+    ((word ^ (word >> 8)) as usize) % BUCKETS
 }
 
 impl Lsq {
@@ -67,6 +78,7 @@ impl Lsq {
         Lsq {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            stores_in_bucket: [0; BUCKETS],
         }
     }
 
@@ -97,47 +109,67 @@ impl Lsq {
         if self.is_full() {
             return false;
         }
+        debug_assert!(
+            self.entries.back().is_none_or(|b| b.id.seq() < id.seq()),
+            "memory operations enter the LSQ in program order"
+        );
+        let word = addr >> 3;
+        if is_store {
+            self.stores_in_bucket[bucket(word)] += 1;
+        }
         self.entries.push_back(LsqEntry {
             id,
             is_store,
-            word: addr >> 3,
+            word,
             executed: false,
         });
         true
     }
 
+    /// Position of `id` if queued, else where it would be inserted.
+    /// Entries are pushed in program order, so sequence numbers ascend.
+    #[inline]
+    fn position(&self, id: InstId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id.seq(), |e| e.id.seq())
+    }
+
     /// Decide how the load `id` (at `addr`) interacts with older stores.
     pub fn load_disposition(&self, id: InstId, addr: u64) -> LoadDisposition {
         let word = addr >> 3;
-        // Newest older store to the same word wins.
-        let mut result = LoadDisposition::AccessCache;
-        for e in &self.entries {
-            if e.id.seq() >= id.seq() {
-                break;
-            }
-            if e.is_store && e.word == word {
-                result = if e.executed {
-                    LoadDisposition::Forward
-                } else {
-                    LoadDisposition::WaitForStore(e.id)
-                };
-            }
+        if self.stores_in_bucket[bucket(word)] == 0 {
+            return LoadDisposition::AccessCache;
         }
-        result
+        let older = match self.position(id) {
+            Ok(i) | Err(i) => i,
+        };
+        // Newest older store to the same word wins: walk back from the load.
+        match self
+            .entries
+            .range(..older)
+            .rev()
+            .find(|e| e.is_store && e.word == word)
+        {
+            None => LoadDisposition::AccessCache,
+            Some(e) if e.executed => LoadDisposition::Forward,
+            Some(e) => LoadDisposition::WaitForStore(e.id),
+        }
     }
 
     /// Mark a memory operation as executed (address generated, store data
     /// available for forwarding).
     pub fn mark_executed(&mut self, id: InstId) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
-            e.executed = true;
+        if let Ok(i) = self.position(id) {
+            self.entries[i].executed = true;
         }
     }
 
     /// Remove a memory operation (at commit).
     pub fn remove(&mut self, id: InstId) {
-        if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
-            self.entries.remove(pos);
+        if let Ok(i) = self.position(id) {
+            let e = self.entries.remove(i).expect("position is in range");
+            if e.is_store {
+                self.stores_in_bucket[bucket(e.word)] -= 1;
+            }
         }
     }
 }
@@ -233,6 +265,26 @@ mod tests {
         lsq.push(ids[1], true, 0x400); // store (younger)
         assert_eq!(
             lsq.load_disposition(ids[0], 0x400),
+            LoadDisposition::AccessCache
+        );
+    }
+
+    #[test]
+    fn removed_store_no_longer_matches() {
+        let (_rob, ids) = mem_ids(3);
+        let mut lsq = Lsq::new(8);
+        lsq.push(ids[0], true, 0x500);
+        lsq.push(ids[1], true, 0x500);
+        lsq.push(ids[2], false, 0x500);
+        lsq.mark_executed(ids[1]);
+        lsq.remove(ids[0]);
+        assert_eq!(
+            lsq.load_disposition(ids[2], 0x500),
+            LoadDisposition::Forward
+        );
+        lsq.remove(ids[1]);
+        assert_eq!(
+            lsq.load_disposition(ids[2], 0x500),
             LoadDisposition::AccessCache
         );
     }

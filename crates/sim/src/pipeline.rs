@@ -77,6 +77,10 @@ struct DcacheSched {
 pub struct Processor<S> {
     cfg: SimConfig,
     constraints: ResourceConstraints,
+    /// `set_constraints` changed the enabled unit counts; the issue stage
+    /// applies them to `fus` (at the point in the cycle where it always
+    /// has, after commit has reserved its store ports).
+    fu_enabled_stale: bool,
     stream: S,
     peeked: Option<Inst>,
     cycle: u64,
@@ -136,6 +140,7 @@ impl<S: InstStream> Processor<S> {
         let latch_groups = LatchGroups::new(&config.depth);
         Processor {
             constraints: ResourceConstraints::unrestricted(&config),
+            fu_enabled_stale: false,
             stream,
             peeked: None,
             cycle: 0,
@@ -143,7 +148,7 @@ impl<S: InstStream> Processor<S> {
             iq: IssueQueue::new(config.iq_entries),
             lsq: Lsq::new(config.lsq_entries),
             fus: FuPool::new(&config, policy),
-            active: ActiveTracker::new(&config),
+            active: ActiveTracker::new(),
             bpred: BranchPredictor::new(&config.bpred),
             icache: CacheHierarchy::new(config.icache, config.l2, config.mem_latency),
             dcache: {
@@ -223,6 +228,7 @@ impl<S: InstStream> Processor<S> {
             panic!("invalid resource constraints: {e}");
         }
         self.constraints = constraints;
+        self.fu_enabled_stale = true;
     }
 
     /// Current resource constraints.
@@ -267,7 +273,7 @@ impl<S: InstStream> Processor<S> {
         self.drain_stores(now);
         self.do_commit(now);
         self.do_issue(now);
-        self.do_dispatch(now);
+        self.do_dispatch();
         self.do_front_advance();
         self.do_fetch(now);
         self.finalize_cycle(now);
@@ -303,21 +309,18 @@ impl<S: InstStream> Processor<S> {
     fn do_commit(&mut self, now: u64) {
         let mut committed = 0u32;
         while committed < self.cfg.commit_width as u32 {
-            let Some(head) = self.rob.head_id() else {
+            let Some((head, e)) = self.rob.head() else {
                 break;
             };
-            let ready = {
-                let e = self.rob.get(head).expect("head is live");
-                e.commit_ready(now)
-            };
-            if !ready {
+            if !e.commit_ready(now) {
                 break;
             }
-            let (op, addr, inst) = {
-                let e = self.rob.get(head).expect("head is live");
-                (e.inst.op, e.inst.mem.map(|m| m.addr), e.inst)
-            };
-            if op == OpClass::Store {
+            let inst = e.inst;
+            debug_assert!(
+                e.result_ready.is_none_or(|r| r <= now),
+                "a result is ready by commit (operand wake-up caching relies on it)"
+            );
+            if inst.op == OpClass::Store {
                 // Schedule the commit-time D-cache access; the store then
                 // retires immediately and drains through the LSQ/write
                 // buffer (paper §3.3).
@@ -328,7 +331,7 @@ impl<S: InstStream> Processor<S> {
                 let Some((t, port)) = self.reserve_store_port(now, delay) else {
                     break; // port pressure: retry next cycle
                 };
-                let addr = addr.expect("store has an address");
+                let addr = inst.mem.expect("store has an address").addr;
                 let out = self.dcache.access(addr, t);
                 let idx = (t % RING as u64) as usize;
                 self.store_port_ring[idx] |= 1 << port;
@@ -343,7 +346,7 @@ impl<S: InstStream> Processor<S> {
                 self.active
                     .mark(FuClass::MemPort, port, (t - now) as u32, 1);
                 self.store_drain.push((t, head));
-            } else if op == OpClass::Load {
+            } else if inst.op == OpClass::Load {
                 self.lsq.remove(head);
             }
             // Past the last early-exit: this instruction definitely
@@ -351,7 +354,12 @@ impl<S: InstStream> Processor<S> {
             if self.retire_log_enabled {
                 self.retire_log.push(inst);
             }
-            self.release_map(head);
+            if let Some(r) = inst.dest {
+                let slot = &mut self.map_table[r.dense()];
+                if *slot == Some(head) {
+                    *slot = None;
+                }
+            }
             self.rob.pop_head();
             committed += 1;
         }
@@ -379,88 +387,87 @@ impl<S: InstStream> Processor<S> {
         None
     }
 
-    fn release_map(&mut self, id: InstId) {
-        let dest = self.rob.get(id).and_then(|e| e.inst.dest);
-        if let Some(r) = dest {
-            let slot = &mut self.map_table[r.dense()];
-            if *slot == Some(id) {
-                *slot = None;
-            }
-        }
-    }
-
     fn do_issue(&mut self, now: u64) {
-        for c in FuClass::ALL {
-            self.fus.set_enabled(c, self.constraints.enabled(c));
+        if self.fu_enabled_stale {
+            for c in FuClass::ALL {
+                self.fus.set_enabled(c, self.constraints.enabled(c));
+            }
+            self.fu_enabled_stale = false;
         }
         let allowed = self.cfg.issue_width.min(self.constraints.issue_width);
-        let mut iq = std::mem::replace(&mut self.iq, IssueQueue::new(1));
-        let _granted = iq.select(allowed, |id| self.try_issue_one(id, now));
+        let mut iq = std::mem::replace(&mut self.iq, IssueQueue::PARKED);
+        let granted = iq.select(allowed, |id| self.try_issue_one(id, now));
         self.iq = iq;
+        debug_assert_eq!(granted, self.activity.issued as usize);
     }
 
-    fn operands_ready(&self, id: InstId, now: u64) -> bool {
-        let e = self.rob.get(id).expect("candidate is live");
-        for p in e.producers.iter().flatten() {
-            if let Some(pe) = self.rob.get(*p) {
-                match pe.result_ready {
-                    Some(r) if r <= now => {}
-                    _ => return false,
-                }
+    /// Cycle from which all of `producers`' results are available, or
+    /// `None` while a live producer has not issued yet. A stale handle
+    /// means the producer committed: its value is ready.
+    fn operands_at(&self, producers: [Option<InstId>; 2]) -> Option<u64> {
+        let mut at = 0;
+        for p in producers.into_iter().flatten() {
+            if let Some(pe) = self.rob.get(p) {
+                at = at.max(pe.result_ready?);
             }
-            // A stale handle means the producer committed: value is ready.
         }
-        true
+        Some(at)
     }
 
     fn try_issue_one(&mut self, id: InstId, now: u64) -> bool {
-        if !self.operands_ready(id, now) {
+        let e = self.rob.get(id).expect("candidate is live");
+        let (op, mem, mispredicted) = (e.inst.op, e.inst.mem, e.mispredicted);
+        let srcs = e.inst.src_count() as u32;
+        let operands_at = match e.operands_at {
+            Some(t) => t,
+            None => {
+                let Some(t) = self.operands_at(e.producers) else {
+                    return false;
+                };
+                self.rob.get_mut(id).expect("candidate is live").operands_at = Some(t);
+                t
+            }
+        };
+        if operands_at > now {
             return false;
         }
-        let (op, mem, mispredicted, srcs) = {
-            let e = self.rob.get(id).expect("candidate is live");
-            (
-                e.inst.op,
-                e.inst.mem,
-                e.mispredicted,
-                e.inst.src_count() as u32,
-            )
-        };
-        let spec = self.cfg.op_spec(op);
-        let ex_off = self.issue_to_exec;
-
         let issued = match op {
             OpClass::Load => self.issue_load(id, now, mem.expect("load has addr").addr),
             OpClass::Store => self.issue_store(id, now),
-            _ => self.issue_alu(id, now, op, spec.latency, spec.interval, mispredicted),
+            _ => {
+                let spec = self.cfg.op_spec(op);
+                self.issue_alu(id, now, op, spec.latency, spec.interval, mispredicted)
+            }
         };
         if !issued {
             return false;
         }
-
-        let e = self.rob.get_mut(id).expect("candidate is live");
-        e.issued = Some(now);
         self.activity.issued += 1;
         if op.is_fp() {
             self.activity.issued_fp += 1;
         }
         self.activity.regfile_reads += srcs;
-        let _ = ex_off;
         true
     }
 
     fn issue_load(&mut self, id: InstId, now: u64, addr: u64) -> bool {
+        let ex_off = self.issue_to_exec;
+        // The port pipeline is fully pipelined (AGU then array access):
+        // only the array-access cycle at X+3 is a structural resource, so
+        // at most `mem_ports` loads can issue per cycle. Both checks below
+        // are pure, so testing the ports first (the usual reason a load
+        // waits) skips the LSQ scan without changing any outcome.
+        if !self.fus.any_free(FuClass::MemPort, ex_off + 1, 1) {
+            return false;
+        }
         let disp = self.lsq.load_disposition(id, addr);
         if matches!(disp, LoadDisposition::WaitForStore(_)) {
             return false;
         }
-        let ex_off = self.issue_to_exec;
-        // The port pipeline is fully pipelined (AGU then array access):
-        // only the array-access cycle at X+3 is a structural resource, so
-        // at most `mem_ports` loads can issue per cycle.
-        let Some(port) = self.fus.try_reserve(FuClass::MemPort, ex_off + 1, 1) else {
-            return false;
-        };
+        let port = self
+            .fus
+            .try_reserve(FuClass::MemPort, ex_off + 1, 1)
+            .expect("a port was free");
         let access_cycle = now + u64::from(ex_off) + 1;
         let out = self.dcache.access(addr, access_cycle);
         // Paper §3.3: the load accesses the cache and the LSQ
@@ -484,13 +491,9 @@ impl<S: InstStream> Processor<S> {
         // Decoder active exactly in the access cycle.
         self.active.mark(FuClass::MemPort, port, ex_off + 1, 1);
         let wb = self.book_bus(data_ready + 1);
-        {
-            let e = self.rob.get_mut(id).expect("load is live");
-            e.result_ready = Some(data_ready.saturating_sub(2).max(now + 1));
-            e.writeback = Some(wb);
-            e.complete_at = Some(wb);
-            e.fu = Some((FuClass::MemPort, port));
-        }
+        let e = self.rob.get_mut(id).expect("load is live");
+        e.result_ready = Some(data_ready.saturating_sub(2).max(now + 1));
+        e.complete_at = Some(wb);
         self.lsq.mark_executed(id);
         self.activity.issued_loads += 1;
         self.activity.grants.push(FuGrant {
@@ -506,10 +509,8 @@ impl<S: InstStream> Processor<S> {
         let ex_off = self.issue_to_exec;
         // Address generation only: the pipelined AGU is not a structural
         // hazard, and the D-cache access happens at commit (§3.3).
-        {
-            let e = self.rob.get_mut(id).expect("store is live");
-            e.complete_at = Some(now + u64::from(ex_off) + 1);
-        }
+        let e = self.rob.get_mut(id).expect("store is live");
+        e.complete_at = Some(now + u64::from(ex_off) + 1);
         self.lsq.mark_executed(id);
         self.activity.issued_stores += 1;
         true
@@ -531,22 +532,15 @@ impl<S: InstStream> Processor<S> {
         };
         let exec_end = now + u64::from(ex_off) + u64::from(latency) - 1;
         self.active.mark(class, fu, ex_off, latency);
-        {
-            let e = self.rob.get_mut(id).expect("candidate is live");
-            e.fu = Some((class, fu));
-            if op.writes_result() {
-                e.result_ready = Some(now + u64::from(latency));
-            }
-        }
-        if op.writes_result() {
+        let (result_ready, complete_at) = if op.writes_result() {
             let wb = self.book_bus(exec_end + u64::from(self.exec_to_wb));
-            let e = self.rob.get_mut(id).expect("candidate is live");
-            e.writeback = Some(wb);
-            e.complete_at = Some(wb);
+            (Some(now + u64::from(latency)), wb)
         } else {
-            let e = self.rob.get_mut(id).expect("candidate is live");
-            e.complete_at = Some(exec_end + 1);
-        }
+            (None, exec_end + 1)
+        };
+        let e = self.rob.get_mut(id).expect("candidate is live");
+        e.result_ready = result_ready;
+        e.complete_at = Some(complete_at);
         if mispredicted {
             // Branch resolves at the end of execute; fetch restarts next
             // cycle (Table 1's 8-cycle penalty emerges from the refill).
@@ -574,7 +568,7 @@ impl<S: InstStream> Processor<S> {
         }
     }
 
-    fn do_dispatch(&mut self, now: u64) {
+    fn do_dispatch(&mut self) {
         let last = self.front.len() - 1;
         let mut dispatched = 0u32;
         while let Some(fi) = self.front[last].front().copied() {
@@ -616,7 +610,6 @@ impl<S: InstStream> Processor<S> {
             dispatched += 1;
         }
         self.activity.dispatched = dispatched;
-        let _ = now;
     }
 
     fn do_front_advance(&mut self) {
@@ -624,11 +617,12 @@ impl<S: InstStream> Processor<S> {
         let first_rename_slot = depth.fetch + depth.decode;
         for i in (1..self.front.len()).rev() {
             if self.front[i].is_empty() && !self.front[i - 1].is_empty() {
-                let moved = std::mem::take(&mut self.front[i - 1]);
+                // Swap rather than take: the emptied deque keeps its
+                // buffer for the next group.
+                self.front.swap(i - 1, i);
                 if i == first_rename_slot {
-                    self.renamed_this_cycle = moved.len() as u32;
+                    self.renamed_this_cycle = self.front[i].len() as u32;
                 }
-                self.front[i] = moved;
             }
         }
         // Single front slot (no distinct rename slot) degenerate case is
@@ -711,13 +705,9 @@ impl<S: InstStream> Processor<S> {
             self.activity.renamed,
             self.activity.issued,
         );
-        let mut occ = std::mem::take(&mut self.activity.latch_occupancy);
-        self.latch_groups.occupancies(&self.history, &mut occ);
-        self.activity.latch_occupancy = occ;
-
-        for c in FuClass::ALL {
-            self.activity.fu_active[c.index()] = self.active.mask_now(c);
-        }
+        self.latch_groups
+            .occupancies(&self.history, &mut self.activity.latch_occupancy);
+        self.activity.fu_active = self.active.masks_now();
         let idx = (now % RING as u64) as usize;
         self.activity.dcache_port_mask = self.load_port_ring[idx] | self.store_port_ring[idx];
         debug_assert_eq!(

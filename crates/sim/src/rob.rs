@@ -1,7 +1,7 @@
 //! Reorder buffer: the in-flight instruction window (128 entries in
 //! Table 1) and the per-instruction microarchitectural state.
 
-use dcg_isa::{FuClass, Inst};
+use dcg_isa::Inst;
 
 /// Handle to an in-flight instruction.
 ///
@@ -31,20 +31,16 @@ pub struct InFlight {
     /// The front end predicted this branch wrong; fetch is stalled until it
     /// executes.
     pub mispredicted: bool,
-    /// Cycle the instruction was issued (selected), if yet.
-    pub issued: Option<u64>,
     /// Earliest cycle a consumer may issue (result forwarding).
     pub result_ready: Option<u64>,
-    /// Booked result-bus / writeback cycle (value-producing ops only).
-    pub writeback: Option<u64>,
     /// Cycle at which the instruction becomes commit-eligible.
     pub complete_at: Option<u64>,
-    /// Execution-unit binding chosen at select time.
-    pub fu: Option<(FuClass, usize)>,
     /// Producers of the source operands (in-flight at dispatch time).
     pub producers: [Option<InstId>; 2],
-    /// For stores: the scheduled commit-time D-cache access cycle.
-    pub store_access: Option<u64>,
+    /// Cycle from which every source operand is available, cached by the
+    /// issue stage once all producers have issued (a producer's
+    /// `result_ready` never changes after issue).
+    pub operands_at: Option<u64>,
 }
 
 impl InFlight {
@@ -54,13 +50,10 @@ impl InFlight {
             inst,
             seq,
             mispredicted: false,
-            issued: None,
             result_ready: None,
-            writeback: None,
             complete_at: None,
-            fu: None,
             producers: [None, None],
-            store_access: None,
+            operands_at: None,
         }
     }
 
@@ -133,11 +126,6 @@ impl Rob {
         self.entries.len()
     }
 
-    /// Free slots remaining.
-    pub fn free(&self) -> usize {
-        self.capacity() - self.len
-    }
-
     /// Allocate the next entry (program order). Returns `None` when full.
     pub fn push(&mut self, inst: Inst) -> Option<InstId> {
         if self.is_full() {
@@ -168,16 +156,17 @@ impl Rob {
             .filter(|e| e.seq == id.seq)
     }
 
-    /// Handle of the oldest in-flight instruction.
-    pub fn head_id(&self) -> Option<InstId> {
+    /// Handle and state of the oldest in-flight instruction.
+    pub fn head(&self) -> Option<(InstId, &InFlight)> {
         if self.is_empty() {
             return None;
         }
         let e = self.entries[self.head].as_ref().expect("head occupied");
-        Some(InstId {
+        let id = InstId {
             slot: self.head as u32,
             seq: e.seq,
-        })
+        };
+        Some((id, e))
     }
 
     /// Commit (remove) the oldest instruction and return its state.
@@ -191,18 +180,6 @@ impl Rob {
         self.head = (self.head + 1) % self.entries.len();
         self.len -= 1;
         e
-    }
-
-    /// Iterate over in-flight handles in program order (oldest first).
-    pub fn iter_ids(&self) -> impl Iterator<Item = InstId> + '_ {
-        (0..self.len).map(move |k| {
-            let slot = (self.head + k) % self.entries.len();
-            let e = self.entries[slot].as_ref().expect("occupied");
-            InstId {
-                slot: slot as u32,
-                seq: e.seq,
-            }
-        })
     }
 }
 
@@ -223,10 +200,10 @@ mod tests {
         assert_eq!(rob.len(), 2);
         assert_eq!(rob.get(a).unwrap().seq, 0);
         assert_eq!(rob.get(b).unwrap().seq, 1);
-        assert_eq!(rob.head_id(), Some(a));
+        assert_eq!(rob.head().map(|(id, _)| id), Some(a));
         let popped = rob.pop_head();
         assert_eq!(popped.seq, 0);
-        assert_eq!(rob.head_id(), Some(b));
+        assert_eq!(rob.head().map(|(id, _)| id), Some(b));
     }
 
     #[test]
@@ -264,7 +241,8 @@ mod tests {
         for k in 3..5 {
             ids.push(rob.push(inst(k)).unwrap());
         }
-        let order: Vec<u64> = rob.iter_ids().map(|id| id.seq()).collect();
+        assert_eq!(rob.head().map(|(id, _)| id), Some(ids[2]));
+        let order: Vec<u64> = (0..3).map(|_| rob.pop_head().seq).collect();
         assert_eq!(order, vec![2, 3, 4]);
     }
 
