@@ -378,14 +378,6 @@ impl TraceCache {
         self.store.verify_all()
     }
 
-    /// Fast scan: resolve every tracked entry through the warm lookup
-    /// path — no payload checksum (see [`TraceStore::lookup_all`]).
-    ///
-    /// [`TraceStore::lookup_all`]: crate::store::TraceStore::lookup_all
-    pub fn lookup_all(&self) -> StoreScan {
-        self.store.lookup_all()
-    }
-
     /// Run a compaction pass now: drop stale-schema entries, enforce the
     /// byte budget, checkpoint.
     pub fn compact_now(&self) -> RecoveryStats {
@@ -961,8 +953,14 @@ mod tests {
         drop(cache);
 
         // A brand-new cache instance (fresh process, in effect) must
-        // serve the same tuple warm through the manifest, bit-identical.
+        // reopen without losses and serve the same tuple warm through
+        // the manifest, bit-identical.
         let cache2 = TraceCache::new(dir);
+        assert_eq!(
+            cache2.ensure_open().dropped_corrupt,
+            0,
+            "a clean checkpointed store reopens without dropping rows"
+        );
         assert!(
             cache2
                 .replay_source(&cfg, profile.name, 11, short())

@@ -399,7 +399,7 @@ pub fn run_passive_with_sinks(
 /// set-up time) — it is the upper bound of Wattch's most aggressive
 /// conditional-clocking style (`cc3`). Comparing DCG against it measures
 /// how much of the theoretically available gating DCG's *realizable*
-/// advance knowledge captures; the `oracle_comparison` bench shows DCG is
+/// advance knowledge captures; `repro oracle-comparison` shows DCG is
 /// within a fraction of a percent.
 pub fn run_oracle<S: InstStream>(
     config: &SimConfig,

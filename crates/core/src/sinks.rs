@@ -3,9 +3,10 @@
 //! One [`drive`](crate::drive) pass fans each cycle's
 //! [`CycleActivity`] out to any number of sinks: policy evaluation with
 //! energy accounting and the gating audit, Wattch/oracle reference
-//! accounting and statistics accumulation (a cache miss records at the
-//! source instead, see [`crate::CachedSource`]). Because every sink takes the activity by reference, adding consumers never
-//! adds simulation passes — the "simulate once" architecture.
+//! accounting and statistics accumulation. (A cache miss records at the
+//! source instead; see [`crate::CachedSource`].) Every sink takes the
+//! activity by reference, so adding consumers never adds simulation
+//! passes — the "simulate once" architecture.
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, GateLanes, GateState, PowerModel, PowerReport};

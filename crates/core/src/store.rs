@@ -1019,30 +1019,6 @@ impl TraceStore {
         self.ensure_open()
     }
 
-    /// Resolve every tracked identity through the fast lookup path —
-    /// manifest row, zero-copy open, length check — exactly what a warm
-    /// fetch of a verified entry pays. The bench harness times this as
-    /// the per-entry lookup cost; for the deep payload-checksum sweep
-    /// use [`verify_all`](TraceStore::verify_all).
-    pub fn lookup_all(&self) -> StoreScan {
-        let identities: Vec<EntryIdentity> = {
-            let mut guard = self.opened();
-            let st = guard.as_mut().expect("opened");
-            st.index.keys().cloned().collect()
-        };
-        let mut scan = StoreScan::default();
-        for id in identities {
-            match self.fetch_data(&id) {
-                Some(data) => {
-                    scan.valid += 1;
-                    scan.bytes += data.len() as u64;
-                }
-                None => scan.invalid += 1,
-            }
-        }
-        scan
-    }
-
     /// Deep integrity scan: verify every tracked entry's whole-payload
     /// checksum against its manifest row, evicting failures and
     /// re-stamping survivors' `verified` generation. This intentionally

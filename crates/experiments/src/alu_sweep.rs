@@ -174,4 +174,38 @@ mod tests {
             .expect("verified entry answers from its index");
         assert_eq!((cycles, committed), (folded.cycles, folded.committed));
     }
+
+    #[test]
+    fn sweep_table_is_bit_identical_live_cold_and_warm() {
+        // The whole table, not just one point: recording on a miss and
+        // answering from the index on a hit must both reproduce the
+        // uncached sweep exactly.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp/alu-sweep-table-bits");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TraceCache::new(dir);
+        let mut cfg = ExperimentConfig::quick();
+        cfg.benchmarks = ["gzip", "mcf"]
+            .iter()
+            .map(|n| Spec2000::by_name(n).unwrap())
+            .collect();
+        let bits = |t: &FigureTable| -> Vec<(String, Vec<u64>)> {
+            t.rows
+                .iter()
+                .map(|(label, values)| {
+                    (label.clone(), values.iter().map(|v| v.to_bits()).collect())
+                })
+                .collect()
+        };
+        let live = bits(&alu_sweep_with(&cfg, None));
+        let cold = bits(&alu_sweep_with(&cfg, Some(&cache)));
+        assert_eq!(cache.verify_all().valid, 6, "every sweep point recorded");
+        let warm = bits(&alu_sweep_with(&cfg, Some(&cache)));
+        assert_eq!(live.len(), 3, "two benchmarks plus the worst case");
+        assert_eq!(live, cold, "recording must not change the sweep");
+        assert_eq!(
+            live, warm,
+            "the warm index path must reproduce the live sweep"
+        );
+    }
 }

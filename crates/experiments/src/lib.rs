@@ -15,6 +15,10 @@
 //! | §4.4 sweep | [`alu_sweep`] | 98.8 % @ 6 ALUs, 92.7 % @ 4 (worst case) |
 //! | §5.2-5.5 utilizations | [`utilization`] | int 35/25 %, fp 0/23 %, latches 60 %, ports 40 %, bus 40 % |
 //!
+//! Extension studies and ablations (oracle, Wattch styles, width, seeds,
+//! PLB tuning, FU/store/IQ/leakage/prefetch/predictor ablations) are
+//! listed in [`STUDIES`], keyed by table id.
+//!
 //! The `repro` binary drives these from the command line and writes CSVs
 //! under `results/`.
 
@@ -27,6 +31,7 @@ mod figures;
 mod kernels;
 mod metrics_json;
 mod phases;
+mod studies;
 mod suite;
 mod summary;
 mod svg;
@@ -46,6 +51,11 @@ pub use kernels::{
 };
 pub use metrics_json::{metrics_json, suite_metrics_json};
 pub use phases::{phase_analysis, PhaseSeries};
+pub use studies::{
+    ablation_fu_policy, ablation_iq_gating, ablation_leakage, ablation_predictor,
+    ablation_prefetch, ablation_store_policy, oracle_comparison, plb_tuning_sensitivity,
+    seed_sensitivity, wattch_styles, width_scaling, STUDIES,
+};
 pub use suite::{
     suite_workers, suite_workers_from_env_value, BenchmarkRun, ExperimentConfig, Suite,
     SuiteFailure, SUITE_WORKERS_ENV,

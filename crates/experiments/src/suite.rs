@@ -58,7 +58,7 @@ pub struct BenchmarkRun {
     /// The benchmark profile.
     pub profile: BenchmarkProfile,
     /// Wall-clock time spent simulating this benchmark (all schemes),
-    /// nanoseconds. Fed into the bench-harness JSON trajectories.
+    /// nanoseconds. No result document carries it: it varies run to run.
     pub elapsed_ns: u64,
     /// Ungated base-case energy.
     pub baseline: PowerReport,

@@ -11,6 +11,11 @@
 //!   kernels  (real-program kernel suite: differential check + savings JSON)
 //!   config   (print the Table-1 machine configuration)
 //!
+//! extension studies (one table each, not part of `all`):
+//!   oracle-comparison wattch-styles width-scaling seed-sensitivity
+//!   plb-tuning-sensitivity ablation-fu-policy ablation-store-policy
+//!   ablation-iq-gating ablation-leakage ablation-prefetch ablation-predictor
+//!
 //! server mode (see DESIGN.md §16):
 //!   repro serve  [--state DIR] [--socket PATH] [--drain]
 //!   repro submit [--socket PATH] [--quick] [--no-wait] <job>...
@@ -33,10 +38,16 @@ use dcg_experiments::{
     alu_sweep, fault_campaign_json, fault_seed_from_env, fig10, fig11, fig12, fig13, fig14, fig15,
     fig16, fig17, phase_analysis, suite_metrics_json, summary, utilization, workload_stats,
     write_svg, write_utilization_svg, ExperimentConfig, FaultCampaign, FigureTable, Suite,
-    FAULT_SEED_ENV,
+    FAULT_SEED_ENV, STUDIES,
 };
 
-const USAGE: &str = "usage: repro [--quick] [--seeds N] [--chart] [--svg] [--json] [--out DIR] <fig10|...|fig17|alu-sweep|utilization|metrics|faults|kernels|workload-stats|phase-analysis|summary|config|all>...\n       repro serve [--state DIR] [--socket PATH] [--drain]\n       repro submit [--socket PATH] [--quick] [--no-wait] <job>...";
+const USAGE: &str = "\
+usage: repro [--quick] [--seeds N] [--chart] [--svg] [--json] [--out DIR] <fig10|...|fig17|alu-sweep|utilization|metrics|faults|kernels|workload-stats|phase-analysis|summary|config|all|STUDY>...
+       studies: oracle-comparison wattch-styles width-scaling seed-sensitivity
+                plb-tuning-sensitivity ablation-fu-policy ablation-store-policy
+                ablation-iq-gating ablation-leakage ablation-prefetch ablation-predictor
+       repro serve [--state DIR] [--socket PATH] [--drain]
+       repro submit [--socket PATH] [--quick] [--no-wait] <job>...";
 
 /// Faults injected by `repro faults` (one full round over every
 /// injection point per 9, so 32 covers each point at least three times).
@@ -309,11 +320,14 @@ fn main() -> ExitCode {
             "workload-stats" => workload_stats(&cfg, 200_000),
             "phase-analysis" => phase_analysis(&cfg),
             "summary" => summary(&cfg),
-            other => {
-                eprintln!("unknown experiment {other}\n{USAGE}");
-                failures += 1;
-                continue;
-            }
+            other => match STUDIES.iter().find(|(id, _)| *id == other) {
+                Some((_, study)) => study(&cfg),
+                None => {
+                    eprintln!("unknown experiment {other}\n{USAGE}");
+                    failures += 1;
+                    continue;
+                }
+            },
         };
         println!("{table}");
         if chart {

@@ -106,3 +106,31 @@ fn multi_seed_quick_run_averages() {
     assert!(text.contains("averaged over 2 runs"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn every_study_runs_quick_and_is_listed_in_help() {
+    let help = repro().arg("--help").output().expect("spawn");
+    let help = String::from_utf8_lossy(&help.stdout);
+    let ids: Vec<&str> = dcg_experiments::STUDIES.iter().map(|(id, _)| *id).collect();
+    for id in &ids {
+        assert!(help.contains(id), "--help does not list {id}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("dcg_cli_studies_{}", std::process::id()));
+    let out = repro()
+        .args(["--quick", "--out"])
+        .arg(&dir)
+        .args(&ids)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for id in &ids {
+        let path = dir.join(format!("{id}.csv"));
+        assert!(path.exists(), "missing {}", path.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

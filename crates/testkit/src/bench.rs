@@ -1,60 +1,11 @@
-//! A micro-bench harness replacing `criterion` for this workspace.
+//! Wall-clock timing for experiment runs.
 //!
-//! Each benchmark function is warmed up, then timed for a fixed number of
-//! samples; the harness reports median/p10/p90 wall times and writes one
-//! machine-readable JSON document per bench target (schema below), so CI
-//! can track performance trajectories without any external crate.
-//!
-//! # Knobs
-//!
-//! - `DCG_BENCH_SAMPLES` — timed samples per function (default 30).
-//! - `DCG_BENCH_WARMUP` — warm-up iterations per function (default 3).
-//! - `DCG_BENCH_QUICK=1` — smoke mode: 2 warm-up + 5 samples.
-//!
-//! # JSON schema
-//!
-//! ```json
-//! {
-//!   "target": "sim_throughput",
-//!   "results": [
-//!     {
-//!       "group": "pipeline",
-//!       "name": "commit_10k_insts_gzip",
-//!       "warmup_iters": 3,
-//!       "samples": 30,
-//!       "samples_ns": [ ... ],
-//!       "median_ns": 123,
-//!       "p10_ns": 100,
-//!       "p90_ns": 150,
-//!       "throughput_elems": 10000,
-//!       "elems_per_sec": 8.1e7
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! # Example
-//!
-//! ```
-//! use dcg_testkit::bench::Harness;
-//!
-//! let mut h = Harness::new("doc_example");
-//! let mut g = h.group("sums");
-//! g.throughput_elements(1_000);
-//! g.bench_function("sum_1k", |b| {
-//!     b.iter(|| (0u64..1_000).sum::<u64>());
-//! });
-//! drop(g);
-//! let stats = &h.results()[0];
-//! assert!(stats.median_ns > 0);
-//! ```
+//! [`time`] measures one closure; `Suite::run` uses it for the suite's
+//! wall time and each benchmark's elapsed time. Repeated-sample
+//! benchmarking (medians, spreads, per-layer splits) lives in
+//! `perfbench/`.
 
-use std::hint::black_box;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-use crate::json::Json;
 
 /// Time one closure, returning its result and the elapsed nanoseconds.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -64,298 +15,9 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ns)
 }
 
-/// Percentile of a sample set by nearest-rank (sorted copy; `q` in 0..=1).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Timing results for one benchmark function.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Group name (logical family of functions).
-    pub group: String,
-    /// Function name.
-    pub name: String,
-    /// Warm-up iterations executed before timing.
-    pub warmup_iters: u32,
-    /// Per-sample wall times, in execution order (nanoseconds).
-    pub samples_ns: Vec<u64>,
-    /// Median sample.
-    pub median_ns: u64,
-    /// 10th-percentile sample.
-    pub p10_ns: u64,
-    /// 90th-percentile sample.
-    pub p90_ns: u64,
-    /// Optional elements-per-iteration for throughput reporting.
-    pub throughput_elems: Option<u64>,
-}
-
-impl BenchResult {
-    /// Elements per second at the median sample (0 without a throughput).
-    #[must_use]
-    pub fn elems_per_sec(&self) -> f64 {
-        match (self.throughput_elems, self.median_ns) {
-            (Some(e), ns) if ns > 0 => e as f64 * 1e9 / ns as f64,
-            _ => 0.0,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("group".to_string(), Json::str(&self.group)),
-            ("name".to_string(), Json::str(&self.name)),
-            (
-                "warmup_iters".to_string(),
-                Json::u64(u64::from(self.warmup_iters)),
-            ),
-            (
-                "samples".to_string(),
-                Json::u64(self.samples_ns.len() as u64),
-            ),
-            (
-                "samples_ns".to_string(),
-                Json::arr(self.samples_ns.iter().copied().map(Json::u64).collect()),
-            ),
-            ("median_ns".to_string(), Json::u64(self.median_ns)),
-            ("p10_ns".to_string(), Json::u64(self.p10_ns)),
-            ("p90_ns".to_string(), Json::u64(self.p90_ns)),
-        ];
-        if let Some(e) = self.throughput_elems {
-            pairs.push(("throughput_elems".to_string(), Json::u64(e)));
-            pairs.push(("elems_per_sec".to_string(), Json::f64(self.elems_per_sec())));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// A bench session for one target; collects results and writes the JSON
-/// report.
-#[derive(Debug)]
-pub struct Harness {
-    target: String,
-    warmup: u32,
-    samples: u32,
-    results: Vec<BenchResult>,
-}
-
-impl Harness {
-    /// New harness. Sample counts come from the environment knobs in the
-    /// module docs.
-    #[must_use]
-    pub fn new(target: &str) -> Harness {
-        let quick = env_flag("DCG_BENCH_QUICK");
-        Harness {
-            target: target.to_string(),
-            warmup: env_u32("DCG_BENCH_WARMUP", if quick { 2 } else { 3 }),
-            samples: env_u32("DCG_BENCH_SAMPLES", if quick { 5 } else { 30 }).max(1),
-            results: Vec::new(),
-        }
-    }
-
-    /// Open a named group of benchmark functions.
-    pub fn group(&mut self, name: &str) -> Group<'_> {
-        Group {
-            harness: self,
-            name: name.to_string(),
-            throughput: None,
-        }
-    }
-
-    /// Results collected so far.
-    #[must_use]
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Serialise all results to the bench JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("target", Json::str(&self.target)),
-            (
-                "results",
-                Json::arr(self.results.iter().map(BenchResult::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Write the JSON report to `dir/<target>.json`, creating `dir` if
-    /// needed; returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.target));
-        std::fs::write(&path, format!("{}\n", self.to_json()))?;
-        Ok(path)
-    }
-}
-
-/// A group of related benchmark functions (mirrors the criterion API this
-/// workspace used: `throughput` + `bench_function`).
-#[derive(Debug)]
-pub struct Group<'h> {
-    harness: &'h mut Harness,
-    name: String,
-    throughput: Option<u64>,
-}
-
-impl Group<'_> {
-    /// Declare elements processed per iteration (enables
-    /// [`BenchResult::elems_per_sec`]).
-    pub fn throughput_elements(&mut self, elems: u64) {
-        self.throughput = Some(elems);
-    }
-
-    /// Warm up, time, summarise and print one benchmark function.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) {
-        let mut b = Bencher {
-            mode: Mode::Warmup(self.harness.warmup),
-            samples_ns: Vec::with_capacity(self.harness.samples as usize),
-            used: false,
-        };
-        f(&mut b);
-        // If f never called iter(), record nothing rather than lying.
-        assert!(b.used, "bench function '{name}' never called Bencher::iter");
-        b.mode = Mode::Timed(self.harness.samples);
-        b.used = false;
-        f(&mut b);
-        let mut sorted = b.samples_ns.clone();
-        sorted.sort_unstable();
-        let result = BenchResult {
-            group: self.name.clone(),
-            name: name.to_string(),
-            warmup_iters: self.harness.warmup,
-            median_ns: percentile(&sorted, 0.5),
-            p10_ns: percentile(&sorted, 0.10),
-            p90_ns: percentile(&sorted, 0.90),
-            samples_ns: b.samples_ns,
-            throughput_elems: self.throughput,
-        };
-        let thr = if result.throughput_elems.is_some() {
-            format!("  ({:.3e} elems/s)", result.elems_per_sec())
-        } else {
-            String::new()
-        };
-        println!(
-            "bench {}/{name}: median {} ns  p10 {} ns  p90 {} ns{thr}",
-            self.name, result.median_ns, result.p10_ns, result.p90_ns
-        );
-        self.harness.results.push(result);
-    }
-}
-
-#[derive(Debug)]
-enum Mode {
-    Warmup(u32),
-    Timed(u32),
-}
-
-/// Passed to each benchmark function; call [`Bencher::iter`] with the code
-/// under test.
-#[derive(Debug)]
-pub struct Bencher {
-    mode: Mode,
-    samples_ns: Vec<u64>,
-    used: bool,
-}
-
-impl Bencher {
-    /// Run the payload for the configured warm-up/sample count, timing
-    /// each timed invocation.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        self.used = true;
-        match self.mode {
-            Mode::Warmup(n) => {
-                for _ in 0..n {
-                    black_box(f());
-                }
-            }
-            Mode::Timed(n) => {
-                for _ in 0..n {
-                    let start = Instant::now();
-                    black_box(f());
-                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.samples_ns.push(ns);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let mut h = Harness::new("unit");
-        let mut g = h.group("g");
-        g.throughput_elements(100);
-        g.bench_function("spin", |b| {
-            b.iter(|| {
-                let mut x = 0u64;
-                for i in 0..2_000u64 {
-                    x = x.wrapping_add(i * i);
-                }
-                x
-            });
-        });
-        drop(g);
-        let r = &h.results()[0];
-        assert_eq!(
-            r.samples_ns.len() as u32,
-            env_u32("DCG_BENCH_SAMPLES", 30).max(1)
-        );
-        assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns);
-        assert!(r.elems_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn json_report_contains_all_fields() {
-        let mut h = Harness::new("unit_json");
-        h.group("g").bench_function("noop", |b| b.iter(|| 1 + 1));
-        let s = h.to_json().to_string();
-        for field in [
-            "\"target\":\"unit_json\"",
-            "\"group\":\"g\"",
-            "\"name\":\"noop\"",
-            "\"median_ns\"",
-            "\"p10_ns\"",
-            "\"p90_ns\"",
-            "\"samples_ns\"",
-        ] {
-            assert!(s.contains(field), "missing {field} in {s}");
-        }
-    }
-
-    #[test]
-    fn write_json_creates_file() {
-        let dir = std::env::temp_dir().join("dcg_testkit_bench_test");
-        let mut h = Harness::new("unit_write");
-        h.group("g").bench_function("noop", |b| b.iter(|| ()));
-        let path = h.write_json(&dir).expect("write");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        assert!(body.starts_with('{') && body.trim_end().ends_with('}'));
-        std::fs::remove_file(path).ok();
-    }
 
     #[test]
     fn time_measures_and_returns() {

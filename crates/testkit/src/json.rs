@@ -1,7 +1,7 @@
 //! A tiny JSON value model and serialiser.
 //!
-//! Only what the bench harness needs to emit machine-readable results —
-//! writing, not parsing. Strings are escaped per RFC 8259; non-finite
+//! Only what the workspace's result documents need — writing, not
+//! parsing. Strings are escaped per RFC 8259; non-finite
 //! floats serialise as `null` (JSON has no NaN/Infinity).
 //!
 //! # Example
@@ -10,13 +10,13 @@
 //! use dcg_testkit::json::Json;
 //!
 //! let doc = Json::obj([
-//!     ("name", Json::str("sim_throughput")),
+//!     ("name", Json::str("gzip")),
 //!     ("median_ns", Json::u64(1234)),
 //!     ("samples", Json::arr(vec![Json::u64(1), Json::u64(2)])),
 //! ]);
 //! assert_eq!(
 //!     doc.to_string(),
-//!     r#"{"name":"sim_throughput","median_ns":1234,"samples":[1,2]}"#
+//!     r#"{"name":"gzip","median_ns":1234,"samples":[1,2]}"#
 //! );
 //! ```
 

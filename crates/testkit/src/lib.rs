@@ -13,10 +13,9 @@
 //!   choice-stream generation with automatic shrinking for integers,
 //!   tuples, options and vectors; case count via `DCG_PROPTEST_CASES`;
 //!   failing cases print a replayable `DCG_PROPTEST_SEED`.
-//! - [`bench`] — a micro-bench harness (replaces `criterion`): warm-up,
-//!   N timed samples, median/p10/p90, JSON reports for trajectory
-//!   tracking.
-//! - [`json`] — the minimal JSON writer backing the bench reports.
+//! - [`bench`] — [`bench::time`], the wall-clock timer behind the
+//!   suite's elapsed times.
+//! - [`json`] — the minimal JSON writer behind every result document.
 //!
 //! See `crates/testkit/README.md` for the user guide.
 
@@ -28,7 +27,6 @@ pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use bench::Harness;
 pub use env::env_u64;
 pub use prop::{check, Gen};
 pub use rng::SmallRng;

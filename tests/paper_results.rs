@@ -1,7 +1,6 @@
 //! End-to-end reproduction checks: the paper's qualitative results must
 //! hold on a reduced (fast) configuration. The full-scale numbers are
-//! recorded in EXPERIMENTS.md and regenerated by `cargo bench` / the
-//! `repro` binary.
+//! recorded in EXPERIMENTS.md and regenerated by the `repro` binary.
 
 use dcg_repro::core::PlbVariant;
 use dcg_repro::experiments::{fig17, ExperimentConfig, Suite};
