@@ -14,21 +14,21 @@
 //! top of it: it re-runs a failed replay live with fresh state.
 //!
 //! The persistence layer underneath is [`crate::TraceStore`] — a
-//! manifest + write-ahead-journal storage engine (DESIGN.md §14) that
-//! indexes entries by their **full** `(config digest, name, seed, run
-//! length, schema)` identity, verifies a whole-payload checksum on every
-//! hit, recovers from interrupted stores on open, and enforces an
-//! optional byte budget ([`TRACE_CACHE_BUDGET_ENV`]) by evicting
-//! oldest-generation entries first.
+//! one-writer, one-log storage engine (DESIGN.md §14) that indexes
+//! entries by their **full** `(config digest, name, seed, run length,
+//! schema)` identity, recovers from interrupted stores on open, and
+//! enforces an optional byte budget ([`TRACE_CACHE_BUDGET_ENV`]) by
+//! evicting oldest-generation entries first. A second cache over a
+//! directory another store holds serves lookups read-only.
 //!
 //! The 64-bit FNV content key still names entry *files* (it keeps file
 //! names short and stable), but it is no longer the identity: two tuples
 //! colliding on the key are stored under disambiguated names and both
-//! stay warm. Stale entries are caught by the manifest identity match;
-//! truncated or corrupt ones by the manifest's payload checksum
-//! (verified at memory speed, no decode) — and both are evicted, falling
-//! back to a live simulation. A cache hit can never change results, only
-//! skip work.
+//! stay warm. Stale entries are caught by the index's identity match;
+//! truncated ones by the length check on every hit, and corrupt ones by
+//! the trace's own trailer and block checksums as they decode — and all
+//! are evicted, falling back to a live simulation. A cache hit can never
+//! change results, only skip work.
 
 use std::env::VarError;
 use std::path::{Path, PathBuf};
@@ -106,9 +106,10 @@ pub struct CacheHealth {
     /// Distinct tuples that collided on the 64-bit filename key and were
     /// stored under disambiguated names (both stay warm).
     pub key_collisions: u64,
-    /// Stores/evictions skipped because the store directory is not
-    /// writable (read-only degradation: lookups still served — e.g. a
-    /// CI artifact replayed from a read-only mount).
+    /// Stores/evictions skipped because another writer holds the store
+    /// directory or it is not writable (read-only degradation: lookups
+    /// still served — e.g. a second process on one store, or a CI
+    /// artifact replayed from a read-only mount).
     pub readonly_skips: u64,
 }
 
@@ -167,14 +168,14 @@ pub(crate) fn note_key_collision() {
     KEY_COLLISIONS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Called once per store open that auto-detects an unwritable directory
-/// and degrades to read-only mode.
-pub(crate) fn note_readonly(path: &Path) {
+/// Called once per store open that degrades to read-only mode; `why`
+/// says whether the directory is locked by another writer or is not
+/// writable.
+pub(crate) fn note_readonly(path: &Path, why: &str) {
     READONLY_NOTE.call_once(|| {
         eprintln!(
-            "note: trace store {} is not writable; degrading to a \
-             read-only store (lookups served; stores and evictions are \
-             counted skips)",
+            "note: trace store {} {why}; degrading to a read-only store \
+             (lookups served; stores and evictions are counted skips)",
             path.display()
         );
     });
@@ -359,13 +360,13 @@ impl TraceCache {
         self.store.ensure_open()
     }
 
-    /// Fold the journal into a fresh manifest checkpoint now.
+    /// Fold the log's appended records into fresh checkpoint rows now.
     ///
     /// # Errors
     ///
-    /// Fails if the manifest rewrite or journal restart fails; entries
-    /// themselves are unaffected (the next open recovers them from the
-    /// previous manifest, the journal, or the directory scan).
+    /// Fails if the log rewrite fails; entries themselves are unaffected
+    /// (the next open recovers them from the previous log or the
+    /// directory scan).
     pub fn checkpoint(&self) -> Result<(), DcgError> {
         self.store.checkpoint().map_err(DcgError::from)
     }
@@ -438,11 +439,11 @@ impl TraceCache {
     }
 
     /// Open a validated replay source for the tuple, or `None` on a cache
-    /// miss. The manifest index answers the identity match before any
+    /// miss. The store's index answers the identity match before any
     /// file I/O; the hit is opened zero-copy (`mmap(2)` where available,
-    /// no whole-payload scan for verified rows — see
-    /// [`TraceStore::fetch_data`]) and the header identity fields are
-    /// re-checked as defense in depth. Invalid entries are evicted.
+    /// no whole-payload scan — see [`TraceStore::fetch_data`]) and the
+    /// header identity fields are re-checked as defense in depth.
+    /// Invalid entries are evicted.
     ///
     /// [`TraceStore::fetch_data`]: crate::store::TraceStore::fetch_data
     pub fn replay_source(
@@ -678,7 +679,7 @@ mod tests {
     }
 
     /// Record gzip at `seed` through a miss, then flip one byte of the
-    /// last block's payload. The row was born verified and the subheader
+    /// last block's payload. The row keeps its length and the subheader
     /// chain and trailer are intact, so the entry still validates; the
     /// block checksum fails only when a replay reaches that block.
     fn entry_failing_mid_replay(
@@ -954,7 +955,7 @@ mod tests {
 
         // A brand-new cache instance (fresh process, in effect) must
         // reopen without losses and serve the same tuple warm through
-        // the manifest, bit-identical.
+        // the log's checkpoint rows, bit-identical.
         let cache2 = TraceCache::new(dir);
         assert_eq!(
             cache2.ensure_open().dropped_corrupt,
@@ -965,7 +966,7 @@ mod tests {
             cache2
                 .replay_source(&cfg, profile.name, 11, short())
                 .is_some(),
-            "the manifest-indexed entry survives a reopen"
+            "the checkpointed entry survives a reopen"
         );
         let mut base2 = NoGating::new(&cfg, &groups);
         let warm = cache2

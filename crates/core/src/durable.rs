@@ -20,7 +20,8 @@
 //! back to that valid prefix, so later appends extend a clean log. A
 //! `kill -9` at any byte therefore loses at most the record being
 //! written. A file with a foreign magic (another log, an older format)
-//! is reset to an empty log.
+//! is reset to an empty log. [`RecordLog::replace`] swaps in a fresh log
+//! by temp file + rename, so a checkpoint is atomic too.
 //!
 //! [`crash_point`] is the deterministic abort hook crash-recovery tests
 //! drive through [`CRASH_ENV`].
@@ -132,8 +133,8 @@ impl<'a> Cursor<'a> {
 /// Environment variable of the crash hook: `<layer>.<point>:<n>` aborts
 /// the process the `n`-th time (1-based) it reaches that point. The
 /// points are `store.before-journal`, `store.before-rename`,
-/// `server.before-journal`, `server.before-commit` and
-/// `server.after-commit`. Tests and CI only.
+/// `store.before-checkpoint-rename`, `server.before-journal`,
+/// `server.before-commit` and `server.after-commit`. Tests and CI only.
 pub const CRASH_ENV: &str = "DCG_TEST_CRASH";
 
 /// Abort the process if [`CRASH_ENV`] targets `point` and this is the
@@ -225,15 +226,30 @@ impl<R: LogRecord> RecordLog<R> {
         ))
     }
 
-    /// Create an empty log at `path`, replacing any file there.
+    /// Atomically replace the log at `path` with a fresh one holding
+    /// `records`: write them to `tmp` in one `write` + `sync_all`, hit the
+    /// [`crash_point`] named `crash`, then rename over `path`. Returns the
+    /// new log, open for appends.
     ///
     /// # Errors
     ///
-    /// I/O failures creating or syncing the file.
-    pub fn create(path: &Path) -> io::Result<RecordLog<R>> {
-        let mut file = File::create(path)?;
-        file.write_all(&R::MAGIC)?;
+    /// I/O failures writing, syncing or renaming; the log at `path` is
+    /// then untouched and `tmp` may be left for the caller to remove.
+    pub fn replace(
+        path: &Path,
+        tmp: &Path,
+        records: &[R],
+        crash: &str,
+    ) -> io::Result<RecordLog<R>> {
+        let mut image = R::MAGIC.to_vec();
+        for r in records {
+            image.extend(Self::encode(r));
+        }
+        let mut file = File::create(tmp)?;
+        file.write_all(&image)?;
         file.sync_all()?;
+        crash_point(crash);
+        std::fs::rename(tmp, path)?;
         Ok(RecordLog {
             file,
             records: PhantomData,

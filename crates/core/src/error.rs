@@ -21,9 +21,9 @@ pub enum DcgError {
     /// A trace-layer failure outside a replay drive (open, decode setup,
     /// recording I/O).
     Trace(TraceError),
-    /// A trace-store metadata failure (manifest checkpoint, journal
-    /// append). Entry payloads are never lost to these — the recovery
-    /// sweep rebuilds the index from the surviving files.
+    /// A trace-store metadata failure (log checkpoint or append).
+    /// Entry payloads are never lost to these — the recovery sweep
+    /// rebuilds the index from the surviving files.
     Store(StoreError),
     /// A replayed activity trace ended before the run reached its target
     /// instruction count.

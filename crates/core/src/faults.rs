@@ -47,9 +47,10 @@ pub enum FaultPoint {
     CacheLoadCorrupt,
     /// Panic inside an [`ActivitySink`] mid-drive.
     SinkPanic,
-    /// Tear the trace store's manifest mid-write (truncate or corrupt
-    /// it) between two opens.
-    ManifestTorn,
+    /// Tear a trace-store checkpoint mid-write: a truncated or corrupt
+    /// temp image left beside the log, as a crash before its rename
+    /// leaves it.
+    CheckpointTorn,
     /// Truncate the trace store's journal mid-record, as a crashed
     /// appender would leave it.
     JournalTruncate,
@@ -73,7 +74,7 @@ impl FaultPoint {
         FaultPoint::CacheStoreIo,
         FaultPoint::CacheLoadCorrupt,
         FaultPoint::SinkPanic,
-        FaultPoint::ManifestTorn,
+        FaultPoint::CheckpointTorn,
         FaultPoint::JournalTruncate,
         FaultPoint::StoreOrphanTmp,
     ];
@@ -90,7 +91,7 @@ impl FaultPoint {
             FaultPoint::CacheStoreIo => "cache-store-io",
             FaultPoint::CacheLoadCorrupt => "cache-load-corrupt",
             FaultPoint::SinkPanic => "sink-panic",
-            FaultPoint::ManifestTorn => "store-manifest-torn",
+            FaultPoint::CheckpointTorn => "store-checkpoint-torn",
             FaultPoint::JournalTruncate => "store-journal-truncate",
             FaultPoint::StoreOrphanTmp => "store-orphan-tmp",
         }

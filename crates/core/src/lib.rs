@@ -29,7 +29,7 @@
 //! * [`FaultPlan`]/[`FaultyPolicy`] — a deterministic, seeded
 //!   fault-injection layer that proves the checker catches what it must
 //!   (driven by the `dcg-experiments` fault campaign).
-//! * [`durable`] — the durability kit under the trace store journal and
+//! * [`durable`] — the durability kit under the trace store's log and
 //!   the server's job WAL: one [`RecordLog`], one [`crash_point`] hook
 //!   and one field codec.
 //!
@@ -99,7 +99,6 @@ pub use sinks::{ActivitySink, MetricsSink};
 pub use source::{ActivitySource, CachedSource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,
-    MANIFEST_FILE,
 };
 
 /// Bitmask with the low `n` bits set (shared by the policies).

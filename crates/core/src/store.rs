@@ -1,4 +1,4 @@
-//! The tiered, crash-safe backing store behind [`crate::TraceCache`].
+//! The crash-safe backing store behind [`crate::TraceCache`].
 //!
 //! The first-generation cache was a flat directory of `.dcgact` files
 //! addressed by a 64-bit FNV filename key. That shape had real
@@ -6,43 +6,47 @@
 //! other's file and thrashed forever, a writer dying between temp-file
 //! creation and rename leaked `.tmp` files, and every lookup had to read
 //! and re-validate a full file header before knowing whether the entry
-//! even matched. This module replaces it with a small storage engine in
-//! the LSM style (manifest + write-ahead journal + recovery sweep +
-//! bounded compaction):
+//! even matched. This module replaces it with a small storage engine
+//! (one record log + recovery sweep + bounded compaction):
 //!
-//! * a versioned, checksummed **manifest** (`MANIFEST.dcgstore`, written
-//!   via temp-file + rename) indexes entries by their **full identity**
-//!   — `(config digest, name, seed, warm-up/measure lengths, activity
-//!   schema, activity version)` — plus per-entry metadata: on-disk file
-//!   name, byte length, whole-payload checksum and a last-access
-//!   generation;
-//! * an append-only **journal** (`JOURNAL.dcgstore`) records every store
-//!   and eviction *before* it takes effect, so an interrupted mutation is
-//!   rolled forward (temp file renamed into place) or discarded (temp
-//!   file deleted) on the next open, never half-trusted;
-//! * an **open-time recovery sweep** reconciles the directory against
-//!   manifest + journal: untracked valid entries are adopted, corrupt
-//!   files and dangling manifest rows are dropped, and stale `.tmp`
-//!   files are reaped exactly once;
+//! * **one writer:** the open takes an exclusive, non-blocking `flock(2)`
+//!   on the store directory itself (no lock file, so a read-only mount
+//!   locks too). A second opener — in this process or another — serves
+//!   lookups read-only and counts every store and eviction it skips;
+//! * **one index:** `JOURNAL.dcgstore` is a [`RecordLog`] that indexes
+//!   entries by their **full identity** — `(config digest, name, seed,
+//!   warm-up/measure lengths, activity schema, activity version)` — plus
+//!   per-entry metadata: on-disk file name, byte length, whole-payload
+//!   checksum and a last-access generation. A checkpoint writes one row
+//!   per live entry to a fresh log (temp file + fsync + rename); every
+//!   store and eviction after it appends a record *before* it takes
+//!   effect, so an interrupted mutation is rolled forward (temp file
+//!   renamed into place) or discarded on the next open, never
+//!   half-trusted;
+//! * an **open-time recovery sweep** decodes the log and reconciles the
+//!   directory against it: checkpointed rows are trusted at the right
+//!   length, appended rows must prove their payload checksum, untracked
+//!   valid entries are adopted, corrupt files are dropped, and stale
+//!   `.tmp` files are reaped;
 //! * a **bounded-capacity eviction policy** (`DCG_TRACE_CACHE_BUDGET`
 //!   bytes, oldest generation first) and a **compaction pass** —
 //!   runnable on a background thread — that drops entries recorded under
 //!   an activity schema/version the current binary no longer speaks.
 //!
-//! Lookups go through the in-memory manifest index, so a hit knows the
-//! entry matches before touching the file, and the whole-payload
-//! checksum (the activity format's own 4-lane memory-speed checksum,
-//! [`dcg_trace::payload_checksum`]) rejects silently corrupted or
-//! swapped files with a clean miss instead of a half-replay.
+//! Lookups go through the in-memory index, so a hit knows the entry
+//! matches before touching the file. Every row is born verified — insert
+//! and adoption both compute the checksum from the bytes in hand — so a
+//! fetch only length-checks the file; in-place corruption is caught by
+//! the trace's own trailer and per-block checksums as it decodes, and
+//! [`TraceStore::verify_all`] rescans every payload on demand.
 //!
-//! The journal is a [`RecordLog`], so a torn tail is truncated off on
-//! open and later appends stay replayable. Crash-consistency test hook:
-//! `DCG_TEST_CRASH=store.before-journal:N` or `store.before-rename:N`
+//! Crash-consistency test hook: `DCG_TEST_CRASH=store.before-journal:N`,
+//! `store.before-rename:N` or `store.before-checkpoint-rename:N`
 //! ([`crate::crash_point`]) aborts the process at the named point of the
-//! `N`-th store in this process, letting CI kill a sweep mid-store and
-//! prove the reopen recovers (DESIGN.md §14).
+//! `N`-th store (or checkpoint) in this process, letting CI kill a sweep
+//! mid-store and prove the reopen recovers (DESIGN.md §14).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -54,40 +58,39 @@ use dcg_trace::{payload_checksum, ActivityTraceReader, ACTIVITY_SCHEMA, ACTIVITY
 
 use crate::durable::{crash_point, put_str, put_u32, put_u64, Cursor, LogRecord, RecordLog};
 
-/// Manifest file name inside the store directory.
-pub const MANIFEST_FILE: &str = "MANIFEST.dcgstore";
-/// Journal (write-ahead log) file name inside the store directory.
+/// The store's index file: a [`RecordLog`] of checkpointed rows plus the
+/// stores and evictions appended since.
 pub const JOURNAL_FILE: &str = "JOURNAL.dcgstore";
-/// Manifest magic. Bumped to `02` with format version 2 (the
-/// `verified` generation column); version-1 stores fail the magic check
-/// and self-heal through the directory scan, which re-verifies and
-/// re-checkpoints every entry under the new format.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"DCGMAN02";
-/// Journal magic. Bumped to `03` when the journal moved onto the
-/// [`RecordLog`] framing; an older journal reads as foreign and is
-/// reset, and its entries come back through directory adoption.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL03";
-/// Manifest format version.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+/// Log magic. Bumped to `04` when the log became the store's only index
+/// (checkpoint rows in the log, the per-row verified stamp gone). An
+/// older directory's log reads as foreign: its entries come back through
+/// directory adoption, and the writable open deletes its old index files.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"DCGWAL04";
 
-/// Mutations between automatic manifest checkpoints. The journal holds
-/// at most this many records (plus evictions) before being folded into
-/// a fresh manifest, so recovery replay stays short.
+/// Mutations between automatic checkpoints. The log holds at most this
+/// many appended records (plus evictions) past its checkpoint rows, so
+/// recovery replay stays short.
 const CHECKPOINT_EVERY: u32 = 16;
 
-/// Journal record kinds.
+/// Log record kinds.
 const REC_STORE: u8 = 1;
 const REC_EVICT: u8 = 2;
+const REC_ENTRY: u8 = 3;
 
-/// Counter making concurrent writers' temp-file names unique within one
-/// process (the pid distinguishes processes).
+/// Counter naming temp files. The directory lock admits one writer, and
+/// its open sweep clears every earlier `.tmp`, so the count alone is
+/// unique.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+fn next_tmp() -> u64 {
+    TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The full identity a cache entry is indexed by — every field that can
 /// change what a recorded activity stream replays to. The old flat
 /// layout folded all of this into one 64-bit FNV filename key; the
-/// manifest keeps the fields themselves, so two tuples that collide on
-/// the key remain distinct entries.
+/// index keeps the fields themselves, so two tuples that collide on the
+/// key remain distinct entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EntryIdentity {
     /// [`dcg_sim::SimConfig::digest`] of the producing configuration.
@@ -134,7 +137,7 @@ impl EntryIdentity {
     }
 }
 
-/// Per-entry metadata carried by the manifest and journal.
+/// Per-entry metadata carried by the log's rows and store records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntryMeta {
     /// Full identity of the tuple this entry caches.
@@ -147,19 +150,11 @@ pub struct EntryMeta {
     pub checksum: u64,
     /// Last-access generation (monotonic; oldest evicts first).
     pub generation: u64,
-    /// Generation at which the payload was last verified against
-    /// `checksum` (0 = never). Entries are born verified — insert and
-    /// adoption both compute the checksum from the bytes in hand — and
-    /// the manifest persists the stamp, so later opens trust it and
-    /// fetches skip the whole-payload scan; a row that arrives
-    /// unverified (0) is checksummed on first fetch and the stamp
-    /// journals through the normal checkpoint machinery.
-    pub verified: u64,
 }
 
-/// A failure in the store's own metadata I/O (manifest checkpoint,
-/// journal append). Entry-payload failures never surface here — they
-/// degrade to counted cache misses.
+/// A failure in the store's own metadata I/O (checkpoint, log append).
+/// Entry-payload failures never surface here — they degrade to counted
+/// cache misses.
 #[derive(Debug)]
 pub struct StoreError {
     /// What the store was doing.
@@ -187,12 +182,12 @@ impl std::error::Error for StoreError {
 pub struct RecoveryStats {
     /// Untracked valid entries adopted from the directory scan.
     pub adopted: u64,
-    /// Interrupted stores completed from their journal record (temp file
+    /// Interrupted stores completed from their log record (temp file
     /// renamed into place).
     pub rolled_forward: u64,
     /// Stale temp files deleted.
     pub reaped_tmp: u64,
-    /// Corrupt entry files (or dangling manifest rows) dropped.
+    /// Corrupt entry files (or rows whose file is gone) dropped.
     pub dropped_corrupt: u64,
     /// Entries dropped because their recorded activity schema/version is
     /// no longer live.
@@ -204,7 +199,7 @@ pub struct RecoveryStats {
 /// Summary of a full-store verification pass ([`TraceStore::verify_all`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreScan {
-    /// Entries whose payload checksum matched the manifest.
+    /// Entries whose payload checksum matched their row.
     pub valid: u64,
     /// Entries that failed verification (and were evicted).
     pub invalid: u64,
@@ -217,7 +212,7 @@ pub struct StoreScan {
 /// aggregate by the facade in `cache.rs`.
 #[derive(Debug, Default)]
 pub struct HealthCounters {
-    /// Failed stores (directory creation, write, journal, or rename).
+    /// Failed stores (directory creation, write, log append, or rename).
     pub store_failures: AtomicU64,
     /// Invalid entries that could not be deleted.
     pub evict_failures: AtomicU64,
@@ -226,16 +221,17 @@ pub struct HealthCounters {
     /// Distinct identities that collided on the 64-bit filename key and
     /// were stored under a disambiguated name.
     pub key_collisions: AtomicU64,
-    /// Stores/evictions skipped because the store directory is not
-    /// writable (read-only degradation: lookups still served).
+    /// Stores/evictions skipped because another writer holds the
+    /// directory or it is not writable (read-only degradation: lookups
+    /// still served).
     pub readonly_skips: AtomicU64,
     /// Untracked valid entries adopted by recovery sweeps.
     pub adopted_entries: AtomicU64,
     /// Stale temp files reaped by recovery sweeps.
     pub reaped_tmp: AtomicU64,
-    /// Interrupted stores rolled forward from the journal.
+    /// Interrupted stores rolled forward from the log.
     pub rolled_forward: AtomicU64,
-    /// Corrupt entry files or dangling manifest rows dropped.
+    /// Corrupt entry files or rows whose file is gone dropped.
     pub dropped_corrupt: AtomicU64,
 }
 
@@ -251,7 +247,6 @@ fn encode_meta(out: &mut Vec<u8>, m: &EntryMeta) {
     put_u64(out, m.bytes);
     put_u64(out, m.checksum);
     put_u64(out, m.generation);
-    put_u64(out, m.verified);
 }
 
 fn decode_meta(c: &mut Cursor<'_>) -> Option<EntryMeta> {
@@ -269,13 +264,14 @@ fn decode_meta(c: &mut Cursor<'_>) -> Option<EntryMeta> {
         bytes: c.u64()?,
         checksum: c.u64()?,
         generation: c.u64()?,
-        verified: c.u64()?,
     })
 }
 
-/// One decoded journal operation.
+/// One decoded log record.
 #[derive(Debug)]
 enum JournalOp {
+    /// A checkpointed row: the entry was durable when the log was written.
+    Entry(EntryMeta),
     /// Intent to store `meta` (payload staged in temp file `tmp`).
     Store { meta: EntryMeta, tmp: String },
     /// Intent to delete entry file `file`.
@@ -287,6 +283,10 @@ impl LogRecord for JournalOp {
 
     fn encode_body(&self, body: &mut Vec<u8>) -> u8 {
         match self {
+            JournalOp::Entry(meta) => {
+                encode_meta(body, meta);
+                REC_ENTRY
+            }
             JournalOp::Store { meta, tmp } => {
                 encode_meta(body, meta);
                 put_str(body, tmp);
@@ -302,6 +302,7 @@ impl LogRecord for JournalOp {
     fn decode_body(kind: u8, body: &[u8]) -> Option<JournalOp> {
         let mut c = Cursor::new(body);
         let op = match kind {
+            REC_ENTRY => JournalOp::Entry(decode_meta(&mut c)?),
             REC_STORE => JournalOp::Store {
                 meta: decode_meta(&mut c)?,
                 tmp: c.str()?,
@@ -314,6 +315,48 @@ impl LogRecord for JournalOp {
 }
 
 // ---------------------------------------------------------------------------
+// The one-writer lock
+// ---------------------------------------------------------------------------
+
+#[cfg(unix)]
+mod sys {
+    use std::fs::File;
+    use std::io;
+    use std::os::unix::io::AsRawFd;
+    use std::path::Path;
+
+    const LOCK_EX: i32 = 2;
+    const LOCK_NB: i32 = 4;
+
+    extern "C" {
+        fn flock(fd: i32, operation: i32) -> i32;
+    }
+
+    /// Open `dir` and take an exclusive, non-blocking `flock(2)` on its
+    /// own fd; the lock lives as long as the returned handle. Locks are
+    /// per open file description, so a second handle in this process
+    /// conflicts exactly as another process's does.
+    pub fn lock_dir(dir: &Path) -> io::Result<Option<File>> {
+        let f = File::open(dir)?;
+        // SAFETY: flock only reads the descriptor, which `f` owns and
+        // keeps open for the duration of the call.
+        if unsafe { flock(f.as_raw_fd(), LOCK_EX | LOCK_NB) } == 0 {
+            Ok(Some(f))
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+}
+
+#[cfg(not(unix))]
+mod sys {
+    /// No `flock` here: every opener writes.
+    pub fn lock_dir(_dir: &std::path::Path) -> std::io::Result<Option<std::fs::File>> {
+        Ok(None)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------------
 
@@ -321,24 +364,29 @@ impl LogRecord for JournalOp {
 /// first operation triggers the open-time recovery sweep.
 #[derive(Debug)]
 struct State {
-    /// Full-identity index — the in-memory manifest.
+    /// Full-identity index, as the log records it.
     index: HashMap<EntryIdentity, EntryMeta>,
     /// Monotonic last-access generation allocator.
     generation: u64,
-    /// The open journal (restarted by each checkpoint, else opened by
-    /// the first append).
+    /// The open log (replaced by each checkpoint, else opened by the
+    /// first append).
     journal: Option<RecordLog<JournalOp>>,
     /// Mutations since the last checkpoint.
     ops_since_checkpoint: u32,
     /// Anything (including generation bumps) changed since the last
     /// checkpoint — drives the best-effort checkpoint on drop.
     dirty: bool,
-    /// The directory is not writable (detected at open, or forced):
-    /// lookups are served from the manifest/journal/directory as found,
-    /// every mutation degrades to a counted no-op
-    /// ([`HealthCounters::readonly_skips`]), and nothing on disk is
-    /// touched — the shape a CI artifact replay needs.
+    /// Another writer holds the directory, or it is not writable
+    /// (detected at open, or forced): lookups are served from the log
+    /// and directory as found, every mutation degrades to a counted
+    /// no-op ([`HealthCounters::readonly_skips`]), and nothing on disk
+    /// is touched.
     readonly: bool,
+    /// The directory did not exist at open: the first insert creates it
+    /// and opens it again, taking the lock.
+    unborn: bool,
+    /// The one-writer lock, held for as long as this state lives.
+    _lock: Option<File>,
     /// What the open-time sweep did (kept for tests/campaigns).
     recovery: RecoveryStats,
 }
@@ -358,8 +406,8 @@ pub struct TraceStore {
     dir: PathBuf,
     /// Byte budget; `None` = unbounded.
     budget: Option<u64>,
-    /// Open in read-only mode unconditionally (otherwise a write probe
-    /// at open time decides).
+    /// Open in read-only mode unconditionally (otherwise the lock and a
+    /// write probe at open time decide).
     force_readonly: bool,
     /// Per-instance health counters.
     pub health: HealthCounters,
@@ -381,10 +429,10 @@ impl TraceStore {
     /// A store that never writes to `dir`: lookups are served, every
     /// store/eviction degrades to a counted no-op
     /// ([`HealthCounters::readonly_skips`]). The same degradation is
-    /// auto-detected when a normal open finds an unwritable directory
-    /// (e.g. a CI artifact replayed from a read-only mount); this
-    /// constructor forces it for callers that *know* the directory must
-    /// not change.
+    /// chosen when a normal open finds the directory locked by another
+    /// writer or unwritable (e.g. a CI artifact replayed from a
+    /// read-only mount); this constructor forces it for callers that
+    /// *know* the directory must not change.
     pub fn new_read_only(dir: PathBuf) -> TraceStore {
         TraceStore {
             dir,
@@ -408,11 +456,7 @@ impl TraceStore {
     /// mutations cannot land, which is exactly what read-only mode
     /// degrades around.
     fn probe_writable(dir: &Path) -> bool {
-        let probe = dir.join(format!(
-            ".probe.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let probe = dir.join(format!(".probe.{}.tmp", next_tmp()));
         match OpenOptions::new().write(true).create_new(true).open(&probe) {
             Ok(f) => {
                 drop(f);
@@ -451,8 +495,8 @@ impl TraceStore {
 
     // -- open-time recovery -------------------------------------------------
 
-    /// Build the in-memory state: load the manifest, roll the journal
-    /// forward, reconcile against the directory, drop stale schemas,
+    /// Build the in-memory state: take the lock, decode the log, prove
+    /// its rows, reconcile against the directory, drop stale schemas,
     /// enforce the budget, checkpoint.
     fn open_sweep(&self) -> State {
         let mut st = State {
@@ -462,106 +506,122 @@ impl TraceStore {
             ops_since_checkpoint: 0,
             dirty: false,
             readonly: self.force_readonly,
+            unborn: false,
+            _lock: None,
             recovery: RecoveryStats::default(),
         };
         if !self.dir.is_dir() {
-            // A missing directory is created by the first insert, so it
-            // only counts as read-only when explicitly forced.
+            // A missing directory is created (and locked) by the first
+            // insert, so it only counts as read-only when forced.
+            st.unborn = true;
             return st;
+        }
+        if !st.readonly {
+            // Lock first: a second opener must not so much as probe.
+            match sys::lock_dir(&self.dir) {
+                Ok(lock) => st._lock = lock,
+                Err(e) => {
+                    st.readonly = true;
+                    let why = if e.kind() == io::ErrorKind::WouldBlock {
+                        "is locked by another writer"
+                    } else {
+                        "cannot be locked"
+                    };
+                    crate::cache::note_readonly(&self.dir, why);
+                }
+            }
         }
         if !st.readonly && !Self::probe_writable(&self.dir) {
             st.readonly = true;
-            crate::cache::note_readonly(&self.dir);
+            crate::cache::note_readonly(&self.dir, "is not writable");
         }
 
-        // 1. Manifest: the checkpointed index. A torn or corrupt
-        //    manifest is *not* fatal — the directory scan below rebuilds
-        //    the index from the entries themselves.
-        if let Ok(bytes) = fs::read(self.dir.join(MANIFEST_FILE)) {
-            if let Some((gen, entries)) = decode_manifest(&bytes) {
-                st.generation = gen;
-                for m in entries {
-                    st.generation = st.generation.max(m.generation);
-                    st.index.insert(m.identity.clone(), m);
-                }
-            }
-        }
-
-        // 2. Journal: mutations since the checkpoint, rolled forward or
-        //    discarded. Temp files named by surviving store records are
-        //    accounted for so the sweep below does not double-handle
-        //    them.
-        //    The sweep only decodes the journal; the checkpoint below
-        //    restarts it, and if that fails the first append's lazy
-        //    open truncates any torn tail first.
-        let mut handled_tmp: Vec<String> = Vec::new();
-        let journal_bytes = fs::read(self.dir.join(JOURNAL_FILE)).unwrap_or_default();
-        for op in RecordLog::decode(&journal_bytes).0 {
+        // 1. The log: checkpointed rows, then the stores and evictions
+        //    appended since, folded in order (the last word on an
+        //    identity wins). A torn tail ends the decode; a foreign or
+        //    missing log leaves the index empty, and the directory scan
+        //    below rebuilds it from the entries themselves.
+        let log = fs::read(self.dir.join(JOURNAL_FILE)).unwrap_or_default();
+        let (ops, valid_len) = RecordLog::<JournalOp>::decode(&log);
+        st.dirty = valid_len == 0 || valid_len < log.len();
+        let mut rows: HashMap<EntryIdentity, (EntryMeta, Option<String>)> = HashMap::new();
+        let mut evicted: Vec<String> = Vec::new();
+        for op in ops {
             match op {
+                JournalOp::Entry(meta) => {
+                    rows.insert(meta.identity.clone(), (meta, None));
+                }
                 JournalOp::Store { meta, tmp } => {
-                    handled_tmp.push(tmp.clone());
-                    let final_path = self.dir.join(&meta.file);
-                    let tmp_path = self.dir.join(&tmp);
-                    if file_matches(&final_path, meta.bytes, meta.checksum) {
-                        // The rename completed before the crash (or there
-                        // was no crash): trust the journal row.
-                        st.generation = st.generation.max(meta.generation);
-                        st.index.insert(meta.identity.clone(), meta);
-                    } else if !st.readonly && file_matches(&tmp_path, meta.bytes, meta.checksum) {
-                        // Died between journal append and rename: roll
-                        // the store forward. (Read-only mode cannot
-                        // rename; the intent is simply not indexed —
-                        // the writable owner of the directory rolls it
-                        // forward on its next open.)
-                        if fs::rename(&tmp_path, &final_path).is_ok() {
-                            st.recovery.rolled_forward += 1;
-                            st.generation = st.generation.max(meta.generation);
-                            st.index.insert(meta.identity.clone(), meta);
-                        } else {
-                            let _ = fs::remove_file(&tmp_path);
-                            st.recovery.dropped_corrupt += 1;
-                        }
-                    } else {
-                        // Neither side of the rename holds the promised
-                        // payload: discard the intent entirely (from
-                        // the index only, when read-only).
-                        if !st.readonly {
-                            if tmp_path.exists() {
-                                let _ = fs::remove_file(&tmp_path);
-                            }
-                            if final_path.exists() {
-                                let _ = fs::remove_file(&final_path);
-                            }
-                        }
-                        st.index.remove(&meta.identity);
-                        st.recovery.dropped_corrupt += 1;
-                    }
+                    st.dirty = true;
+                    evicted.retain(|f| *f != meta.file);
+                    rows.insert(meta.identity.clone(), (meta, Some(tmp)));
                 }
                 JournalOp::Evict { file } => {
-                    st.index.retain(|_, m| m.file != file);
-                    let p = self.dir.join(&file);
-                    if !st.readonly && p.exists() {
-                        let _ = fs::remove_file(&p);
-                    }
+                    st.dirty = true;
+                    rows.retain(|_, (m, _)| m.file != file);
+                    evicted.push(file);
                 }
             }
         }
+        if !st.readonly {
+            for file in &evicted {
+                let _ = fs::remove_file(self.dir.join(file));
+            }
+        }
 
-        // 3. Directory reconciliation: adopt untracked valid entries,
-        //    delete corrupt ones, reap stale temp files, drop dangling
-        //    manifest rows.
-        let tracked: std::collections::HashSet<String> =
-            st.index.values().map(|m| m.file.clone()).collect();
+        // 2. Prove the rows. A checkpointed row is trusted the way the
+        //    index is trusted on every fetch: the file exists at the
+        //    right length (payload damage is caught as it decodes). An
+        //    appended store must prove its payload checksum, on the
+        //    final name (the rename landed) or on its temp file (rolled
+        //    forward now; read-only mode cannot rename and leaves the
+        //    intent to the writer). A row that fails drops; its files
+        //    are left to the directory scan, which adopts a valid entry
+        //    and deletes the rest.
+        for (meta, tmp) in rows.into_values() {
+            let path = self.dir.join(&meta.file);
+            let kept = match tmp {
+                None => fs::metadata(&path).is_ok_and(|m| m.len() == meta.bytes),
+                Some(_) if file_matches(&path, meta.bytes, meta.checksum) => true,
+                Some(tmp) => {
+                    let tmp_path = self.dir.join(tmp);
+                    let rolled = !st.readonly
+                        && file_matches(&tmp_path, meta.bytes, meta.checksum)
+                        && fs::rename(&tmp_path, &path).is_ok();
+                    st.recovery.rolled_forward += u64::from(rolled);
+                    rolled
+                }
+            };
+            if kept {
+                st.generation = st.generation.max(meta.generation);
+                st.index.insert(meta.identity.clone(), meta);
+            } else {
+                st.recovery.dropped_corrupt += 1;
+            }
+        }
+
+        // 3. Directory reconciliation: reap stale temp files, delete an
+        //    older format's index files, adopt untracked valid entries
+        //    and delete corrupt ones.
+        let tracked: HashSet<String> = st.index.values().map(|m| m.file.clone()).collect();
         if let Ok(rd) = fs::read_dir(&self.dir) {
             for entry in rd.flatten() {
                 let name = entry.file_name().to_string_lossy().into_owned();
-                if name == MANIFEST_FILE || name == JOURNAL_FILE {
+                if name == JOURNAL_FILE {
                     continue;
                 }
                 if name.ends_with(".tmp") {
-                    if !st.readonly && !handled_tmp.contains(&name) {
+                    if !st.readonly {
                         let _ = fs::remove_file(entry.path());
                         st.recovery.reaped_tmp += 1;
+                    }
+                    continue;
+                }
+                if name.ends_with(".dcgstore") {
+                    // The manifest (`MANIFEST.dcgstore`) of the two-file
+                    // format: its rows come back by adoption.
+                    if !st.readonly {
+                        let _ = fs::remove_file(entry.path());
                     }
                     continue;
                 }
@@ -580,9 +640,6 @@ impl TraceStore {
                                 bytes,
                                 checksum,
                                 generation: st.generation,
-                                // Adoption reads the whole file to derive
-                                // the checksum, so the row starts verified.
-                                verified: st.generation,
                             },
                         );
                     }
@@ -594,16 +651,6 @@ impl TraceStore {
                     }
                 }
             }
-        }
-        let dangling: Vec<EntryIdentity> = st
-            .index
-            .iter()
-            .filter(|(_, m)| !self.dir.join(&m.file).is_file())
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in dangling {
-            st.index.remove(&id);
-            st.recovery.dropped_corrupt += 1;
         }
 
         // 4. Compaction duties that are always safe at open: drop
@@ -631,9 +678,12 @@ impl TraceStore {
             .fetch_add(st.recovery.dropped_corrupt, Ordering::Relaxed);
         crate::cache::note_recovery(&st.recovery);
 
-        // 5. Checkpoint the reconciled state so the next open starts
-        //    from a clean manifest and an empty journal.
-        let _ = self.checkpoint_locked(&mut st);
+        // 5. Checkpoint whatever the sweep changed, so the next open
+        //    starts from checkpoint rows alone. A log that already is
+        //    exactly that is left as it is.
+        if st.dirty || st.recovery != RecoveryStats::default() {
+            let _ = self.checkpoint_locked(&mut st);
+        }
         st
     }
 
@@ -680,84 +730,52 @@ impl TraceStore {
 
     // -- checkpoint ---------------------------------------------------------
 
-    /// Rewrite the manifest (temp file + rename) and truncate the
-    /// journal. Soft-fails into the store-failure counter via the
+    /// Replace the log with one row per live entry (temp file + fsync +
+    /// rename). Soft-fails into the store-failure counter via the
     /// caller; returns the error for callers that care.
     fn checkpoint_locked(&self, st: &mut State) -> Result<(), StoreError> {
-        if st.readonly {
-            // Nothing this instance did can be persisted; clearing the
-            // flags keeps drop-time checkpoints quiet.
-            st.dirty = false;
-            st.ops_since_checkpoint = 0;
-            return Ok(());
-        }
-        if !self.dir.is_dir() {
-            // Nothing was ever stored; there is nothing to persist and
-            // creating the directory as a side effect of *reading*
-            // would be a surprise.
-            st.dirty = false;
-            st.ops_since_checkpoint = 0;
-            return Ok(());
-        }
-        let mut rows: Vec<&EntryMeta> = st.index.values().collect();
-        rows.sort_by(|a, b| a.file.cmp(&b.file));
-        let mut out = Vec::with_capacity(64 + rows.len() * 96);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        put_u32(&mut out, STORE_FORMAT_VERSION);
-        put_u64(&mut out, st.generation);
-        put_u32(&mut out, rows.len() as u32);
-        for m in rows {
-            encode_meta(&mut out, m);
-        }
-        let ck = payload_checksum(&out);
-        put_u64(&mut out, ck);
-
-        let tmp = self.dir.join(format!(
-            "{MANIFEST_FILE}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-            fs::rename(&tmp, self.dir.join(MANIFEST_FILE))
-        };
-        if let Err(e) = write() {
-            let _ = fs::remove_file(&tmp);
-            return Err(StoreError {
-                what: "manifest checkpoint",
-                source: e,
-            });
-        }
-        // Manifest is durable: restart the journal.
-        st.journal = None;
-        match RecordLog::create(&self.dir.join(JOURNAL_FILE)) {
-            Ok(log) => st.journal = Some(log),
-            Err(e) => {
-                return Err(StoreError {
-                    what: "journal restart",
-                    source: e,
-                })
+        if !st.readonly && !st.unborn {
+            let mut metas: Vec<&EntryMeta> = st.index.values().collect();
+            metas.sort_by(|a, b| a.file.cmp(&b.file));
+            let rows: Vec<JournalOp> = metas.into_iter().cloned().map(JournalOp::Entry).collect();
+            let tmp = self.dir.join(format!("{JOURNAL_FILE}.{}.tmp", next_tmp()));
+            let log = RecordLog::replace(
+                &self.dir.join(JOURNAL_FILE),
+                &tmp,
+                &rows,
+                "store.before-checkpoint-rename",
+            );
+            match log {
+                Ok(log) => st.journal = Some(log),
+                Err(e) => {
+                    let _ = fs::remove_file(&tmp);
+                    return Err(StoreError {
+                        what: "checkpoint",
+                        source: e,
+                    });
+                }
             }
         }
+        // Read-only and unborn stores have nothing to persist; clearing
+        // the flags keeps drop-time checkpoints quiet.
         st.ops_since_checkpoint = 0;
         st.dirty = false;
         Ok(())
     }
 
-    /// Public checkpoint: fold the journal into a fresh manifest now.
+    /// Public checkpoint: fold the log's appended records into fresh
+    /// checkpoint rows now.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         let mut guard = self.opened();
         let st = guard.as_mut().expect("opened");
         self.checkpoint_locked(st)
     }
 
-    /// Append one journal record, opening the journal lazily (which
-    /// truncates any torn tail, so the record stays replayable).
-    /// Soft-fails (counted by the caller): a lost journal record only
-    /// costs recovery the roll-forward shortcut — the directory scan
-    /// still adopts the entry.
+    /// Append one log record, opening the log lazily (which truncates
+    /// any torn tail, so the record stays replayable). Soft-fails
+    /// (counted by the caller): a lost record only costs recovery the
+    /// roll-forward shortcut — the directory scan still adopts the
+    /// entry.
     fn journal_append(&self, st: &mut State, op: &JournalOp) -> Result<(), StoreError> {
         if st.journal.is_none() {
             let (log, _) =
@@ -783,6 +801,14 @@ impl TraceStore {
     pub fn insert(&self, identity: &EntryIdentity, key: u64, bytes: &[u8]) {
         let mut guard = self.opened();
         let st = guard.as_mut().expect("opened");
+        if st.unborn && !st.readonly {
+            if fs::create_dir_all(&self.dir).is_err() {
+                self.health.store_failures.fetch_add(1, Ordering::Relaxed);
+                crate::cache::note_store_failure(&self.dir, "cannot create store directory");
+                return;
+            }
+            *st = self.open_sweep();
+        }
         if st.readonly {
             // Read-only degradation: the run keeps its results, the
             // store keeps its bytes, and the skip is counted instead of
@@ -804,15 +830,8 @@ impl TraceStore {
         key: u64,
         bytes: &[u8],
     ) -> Result<(), &'static str> {
-        if fs::create_dir_all(&self.dir).is_err() {
-            return Err("cannot create store directory");
-        }
         let file = self.file_for(st, identity, key);
-        let tmp = format!(
-            "{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
+        let tmp = format!("{file}.{}.tmp", next_tmp());
         let tmp_path = self.dir.join(&tmp);
         let write = || -> io::Result<()> {
             let mut f = File::create(&tmp_path)?;
@@ -827,27 +846,26 @@ impl TraceStore {
         crash_point("store.before-journal");
 
         st.generation += 1;
+        // Born verified: the checksum is computed from the bytes being
+        // written, and the roll-forward path re-proves the file against
+        // it before trusting this record after a crash.
         let meta = EntryMeta {
             identity: identity.clone(),
             file: file.clone(),
             bytes: bytes.len() as u64,
             checksum: payload_checksum(bytes),
             generation: st.generation,
-            // Born verified: the checksum was computed from the bytes
-            // being written, and the roll-forward path re-proves the
-            // file against it before trusting this row after a crash.
-            verified: st.generation,
         };
-        // Journal the intent first: after this record is durable, a
-        // crash on either side of the rename is recoverable.
+        // Log the intent first: after this record is durable, a crash on
+        // either side of the rename is recoverable.
         if let Err(e) = self.journal_append(
             st,
             &JournalOp::Store {
                 meta: meta.clone(),
-                tmp: tmp.clone(),
+                tmp,
             },
         ) {
-            // A store without a journal row still recovers through the
+            // A store without a log record still recovers through the
             // directory scan; degrade, but count it.
             crate::cache::note_store_failure(&self.dir, e.what);
             self.health.store_failures.fetch_add(1, Ordering::Relaxed);
@@ -885,7 +903,7 @@ impl TraceStore {
             return base;
         }
         // A different identity owns the key's file name: a 64-bit key
-        // collision. The manifest keeps both under distinct names — the
+        // collision. The index keeps both under distinct names — the
         // flat layout would have let them overwrite each other forever.
         self.health.key_collisions.fetch_add(1, Ordering::Relaxed);
         crate::cache::note_key_collision();
@@ -899,8 +917,8 @@ impl TraceStore {
         }
     }
 
-    /// Remove one entry: journal the eviction, delete the file, drop
-    /// the index row.
+    /// Remove one entry: log the eviction, delete the file, drop the
+    /// index row.
     fn evict_locked(&self, st: &mut State, identity: &EntryIdentity) {
         let Some(meta) = st.index.remove(identity) else {
             return;
@@ -950,18 +968,14 @@ impl TraceStore {
         self.fetch_data(identity).map(|d| d.to_vec())
     }
 
-    /// Fetch the payload for `identity` through the manifest index,
-    /// zero-copy (`mmap(2)` where available): a hit length-checks the
-    /// file and bumps the entry's last-access generation. The
-    /// whole-payload checksum is only recomputed for rows that were
-    /// never verified (`verified == 0` in the manifest — see
-    /// [`EntryMeta::verified`]); a successful first-fetch verification
-    /// stamps the row, and the stamp persists through the journal/
-    /// checkpoint machinery so later opens trust it. Verified rows skip
-    /// the scan entirely — in-place corruption is still caught, by the
-    /// trace's own trailer and per-block checksums as the payload is
-    /// decoded (which replay pays exactly once anyway). Any mismatch
-    /// evicts the entry and misses cleanly.
+    /// Fetch the payload for `identity` through the index, zero-copy
+    /// (`mmap(2)` where available): a hit length-checks the file and
+    /// bumps the entry's last-access generation. Every row was born
+    /// verified, so the whole-payload checksum is not recomputed here;
+    /// in-place corruption is caught by the trace's own trailer and
+    /// per-block checksums as the payload is decoded (which replay pays
+    /// exactly once anyway). A missing or resized file evicts the entry
+    /// and misses cleanly.
     pub fn fetch_data(&self, identity: &EntryIdentity) -> Option<dcg_trace::TraceData> {
         let meta = {
             let mut guard = self.opened();
@@ -973,32 +987,13 @@ impl TraceStore {
             st.dirty = true;
             m.clone()
         };
-        let path = self.dir.join(&meta.file);
-        let data = match dcg_trace::TraceData::open(&path) {
-            Ok(d) => d,
-            Err(_) => {
+        match dcg_trace::TraceData::open(&self.dir.join(&meta.file)) {
+            Ok(data) if data.len() as u64 == meta.bytes => Some(data),
+            _ => {
                 self.evict(identity);
-                return None;
-            }
-        };
-        if data.len() as u64 != meta.bytes {
-            self.evict(identity);
-            return None;
-        }
-        if meta.verified == 0 {
-            if payload_checksum(&data) != meta.checksum {
-                self.evict(identity);
-                return None;
-            }
-            let mut guard = self.opened();
-            let st = guard.as_mut().expect("opened");
-            let gen = st.generation;
-            if let Some(m) = st.index.get_mut(identity) {
-                m.verified = gen;
-                st.dirty = true;
+                None
             }
         }
-        Some(data)
     }
 
     /// The path the entry for `identity` occupies (or would occupy).
@@ -1020,11 +1015,9 @@ impl TraceStore {
     }
 
     /// Deep integrity scan: verify every tracked entry's whole-payload
-    /// checksum against its manifest row, evicting failures and
-    /// re-stamping survivors' `verified` generation. This intentionally
-    /// ignores the verified fast path — the fault campaign's recovery
-    /// sweep depends on it catching in-place corruption without
-    /// decoding.
+    /// checksum against its row, evicting failures. The fault
+    /// campaign's recovery verdicts depend on it catching in-place
+    /// corruption without decoding.
     pub fn verify_all(&self) -> StoreScan {
         let metas: Vec<EntryMeta> = {
             let mut guard = self.opened();
@@ -1033,17 +1026,9 @@ impl TraceStore {
         };
         let mut scan = StoreScan::default();
         for meta in metas {
-            let ok = file_matches(&self.dir.join(&meta.file), meta.bytes, meta.checksum);
-            if ok {
+            if file_matches(&self.dir.join(&meta.file), meta.bytes, meta.checksum) {
                 scan.valid += 1;
                 scan.bytes += meta.bytes;
-                let mut guard = self.opened();
-                let st = guard.as_mut().expect("opened");
-                let gen = st.generation;
-                if let Some(m) = st.index.get_mut(&meta.identity) {
-                    m.verified = gen.max(m.verified);
-                    st.dirty = true;
-                }
             } else {
                 self.evict(&meta.identity);
                 scan.invalid += 1;
@@ -1094,9 +1079,9 @@ impl TraceStore {
 impl Drop for TraceStore {
     fn drop(&mut self) {
         // Best-effort durability for short-lived processes: fold any
-        // journal tail and generation bumps into the manifest. Failure
-        // is fine — the journal and directory scan recover everything
-        // the checkpoint would have persisted.
+        // appended records and generation bumps into checkpoint rows.
+        // Failure is fine — the log's records and the directory scan
+        // recover everything the checkpoint would have persisted.
         let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(st) = guard.as_mut() {
             if st.dirty {
@@ -1136,33 +1121,6 @@ fn adopt_entry(path: &Path) -> Option<(EntryIdentity, u64, u64)> {
     Some((identity, bytes.len() as u64, payload_checksum(&bytes)))
 }
 
-/// Decode a manifest; `None` on any structural or checksum failure.
-fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<EntryMeta>)> {
-    if bytes.len() < 8 + 4 + 8 + 4 + 8 || bytes[..8] != MANIFEST_MAGIC {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let ck = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().ok()?);
-    if payload_checksum(body) != ck {
-        return None;
-    }
-    let mut c = Cursor::new(body);
-    let _ = c.take(8);
-    if c.u32()? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    let generation = c.u64()?;
-    let count = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        entries.push(decode_meta(&mut c)?);
-    }
-    if !c.done() {
-        return None; // trailing garbage under a valid checksum: reject
-    }
-    Some((generation, entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,70 +1147,78 @@ mod tests {
         (0..len).map(|i| tag ^ (i as u8)).collect()
     }
 
+    /// A row for `body` stored under `file`.
+    fn meta_for(identity: EntryIdentity, file: &str, body: &[u8]) -> EntryMeta {
+        EntryMeta {
+            identity,
+            file: file.into(),
+            bytes: body.len() as u64,
+            checksum: payload_checksum(body),
+            generation: 1,
+        }
+    }
+
+    /// Write a log holding `ops` by hand.
+    fn write_log(dir: &Path, ops: &[JournalOp]) {
+        fs::create_dir_all(dir).unwrap();
+        let _ = fs::remove_file(dir.join(JOURNAL_FILE));
+        let (mut log, _) = RecordLog::open(&dir.join(JOURNAL_FILE)).unwrap();
+        for op in ops {
+            log.append(op).unwrap();
+        }
+    }
+
     #[test]
-    fn manifest_roundtrips_and_rejects_corruption() {
-        let dir = scratch("manifest-roundtrip");
+    fn checkpoint_log_roundtrips_and_rejects_corruption() {
+        let dir = scratch("checkpoint-roundtrip");
         let store = TraceStore::new(dir.clone(), None);
         store.insert(&ident("a", 1), 0x11, &payload(1, 100));
         store.insert(&ident("b", 2), 0x22, &payload(2, 200));
         store.checkpoint().expect("checkpoint");
         drop(store);
 
-        let bytes = fs::read(dir.join(MANIFEST_FILE)).unwrap();
-        let (_gen, entries) = decode_manifest(&bytes).expect("valid manifest");
-        assert_eq!(entries.len(), 2);
+        // One checkpoint row per entry and nothing appended after them.
+        let bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let (ops, valid_len) = RecordLog::<JournalOp>::decode(&bytes);
+        assert_eq!(valid_len, bytes.len());
+        assert_eq!(ops.len(), 2);
+        assert!(ops.iter().all(|op| matches!(op, JournalOp::Entry(_))));
 
+        // Any flipped bit or cut byte ends the decode before the damaged
+        // row: it is never half-trusted.
         for at in [9, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x40;
-            assert!(
-                decode_manifest(&bad).is_none(),
-                "bit flip at {at} must invalidate the manifest"
-            );
+            let (ops, valid_len) = RecordLog::<JournalOp>::decode(&bad);
+            assert!(ops.len() < 2, "bit flip at {at} must drop a row");
+            assert!(valid_len < bad.len());
         }
-        assert!(decode_manifest(&bytes[..bytes.len() - 3]).is_none());
-    }
-
-    /// Write a syntactically valid manifest by hand (the store only
-    /// emits born-verified rows, so tests craft `verified == 0` here).
-    fn write_manifest(dir: &Path, generation: u64, metas: &[EntryMeta]) {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        put_u32(&mut out, STORE_FORMAT_VERSION);
-        put_u64(&mut out, generation);
-        put_u32(&mut out, metas.len() as u32);
-        for m in metas {
-            encode_meta(&mut out, m);
-        }
-        let ck = payload_checksum(&out);
-        put_u64(&mut out, ck);
-        fs::create_dir_all(dir).unwrap();
-        fs::write(dir.join(MANIFEST_FILE), out).unwrap();
+        let (ops, _) = RecordLog::<JournalOp>::decode(&bytes[..bytes.len() - 3]);
+        assert_eq!(ops.len(), 1);
     }
 
     #[test]
-    fn verified_rows_skip_the_payload_scan_but_length_check() {
+    fn fetch_length_checks_and_verify_all_catches_in_place_corruption() {
         let dir = scratch("fetch-fast");
         let store = TraceStore::new(dir.clone(), None);
         let id = ident("gz", 7);
         store.insert(&id, 0x77, &payload(7, 500));
         assert_eq!(store.fetch(&id).expect("hit"), payload(7, 500));
 
-        // Same-length in-place corruption passes the fast fetch — rows
-        // the store itself wrote are trusted; the decode-time block
-        // checksums own that detection. The deep scan still catches and
-        // evicts it.
+        // Same-length in-place corruption passes the fetch — every row is
+        // born verified; the decode-time block checksums own that
+        // detection. The deep scan still catches and evicts it.
         let path = store.entry_path(&id, 0x77);
         let mut b = fs::read(&path).unwrap();
         b[250] ^= 0x10;
         fs::write(&path, &b).unwrap();
-        assert!(store.fetch(&id).is_some(), "fast path trusts verified rows");
+        assert!(store.fetch(&id).is_some(), "fetch trusts the row");
         let scan = store.verify_all();
         assert_eq!((scan.valid, scan.invalid), (0, 1), "deep scan catches it");
         assert!(!path.exists(), "the corrupt entry is evicted");
         assert!(store.fetch(&id).is_none(), "and stays evicted");
 
-        // A length change fails even the fast fetch.
+        // A length change fails the fetch.
         let id2 = ident("gz", 8);
         store.insert(&id2, 0x78, &payload(8, 500));
         let path2 = store.entry_path(&id2, 0x78);
@@ -1263,67 +1229,57 @@ mod tests {
     }
 
     #[test]
-    fn unverified_rows_checksum_on_first_fetch_and_stamp_persists() {
-        let dir = scratch("fetch-first-verify");
+    fn checkpointed_rows_are_trusted_at_length_and_appended_rows_are_proven() {
+        // Both files hold the right length but not the promised bytes.
+        let dir = scratch("row-trust");
         let body = payload(5, 300);
-        let file = "gz-0000000000000005.dcgact".to_string();
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(&file), &body).unwrap();
-        let meta = EntryMeta {
-            identity: ident("gz", 5),
-            file,
-            bytes: body.len() as u64,
-            checksum: payload_checksum(&body),
-            generation: 1,
-            verified: 0,
-        };
-        write_manifest(&dir, 1, std::slice::from_ref(&meta));
-
-        let store = TraceStore::new(dir.clone(), None);
-        assert_eq!(store.fetch(&meta.identity).expect("hit"), body);
-        store.checkpoint().expect("checkpoint");
-        drop(store);
-        let (_gen, rows) =
-            decode_manifest(&fs::read(dir.join(MANIFEST_FILE)).unwrap()).expect("manifest decodes");
-        assert_eq!(rows.len(), 1);
-        assert_ne!(rows[0].verified, 0, "first fetch stamps the row verified");
-
-        // The corrupt flavor: an unverified row whose payload does not
-        // match its checksum misses and evicts on first fetch.
-        let dir2 = scratch("fetch-first-verify-corrupt");
         let mut bad = body.clone();
         bad[7] ^= 0x20;
-        fs::create_dir_all(&dir2).unwrap();
-        fs::write(dir2.join(&meta.file), &bad).unwrap();
-        write_manifest(&dir2, 1, std::slice::from_ref(&meta));
-        let store2 = TraceStore::new(dir2.clone(), None);
-        assert!(
-            store2.fetch(&meta.identity).is_none(),
-            "first fetch verifies"
+        let (a, b) = (ident("a", 1), ident("b", 2));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("a.dcgact"), &bad).unwrap();
+        fs::write(dir.join("b.dcgact"), &bad).unwrap();
+        write_log(
+            &dir,
+            &[
+                JournalOp::Entry(meta_for(a.clone(), "a.dcgact", &body)),
+                JournalOp::Store {
+                    meta: meta_for(b.clone(), "b.dcgact", &body),
+                    tmp: "b.dcgact.0.tmp".into(),
+                },
+            ],
         );
-        assert!(!dir2.join(&meta.file).exists(), "and evicts the mismatch");
+
+        let store = TraceStore::new(dir.clone(), None);
+        let stats = store.ensure_open();
+        assert_eq!(
+            stats.dropped_corrupt, 2,
+            "the appended row fails its proof, then its file fails adoption"
+        );
+        assert_eq!(store.fetch(&a).expect("checkpoint row trusted"), bad);
+        assert!(store.fetch(&b).is_none());
+        assert!(
+            !dir.join("b.dcgact").exists(),
+            "the unproven opaque file cannot be adopted and is deleted"
+        );
     }
 
     #[test]
-    fn old_format_store_self_heals_through_directory_scan() {
-        // A version-1 manifest (old magic) must not brick the store:
-        // decode fails, the directory scan re-adopts the entries, and
-        // the checkpoint rewrites everything under the new format.
+    fn older_format_store_self_heals_through_directory_scan() {
+        // A foreign log magic and the two-file format's index file must
+        // not brick the store: the log decodes empty, the directory scan
+        // adopts what it can, the old index file is deleted and the
+        // checkpoint rewrites the log under the current magic.
         let dir = scratch("format-upgrade");
         fs::create_dir_all(&dir).unwrap();
-        let mut old = Vec::new();
-        old.extend_from_slice(b"DCGMAN01");
-        put_u32(&mut old, 1);
-        put_u64(&mut old, 3);
-        put_u32(&mut old, 0);
-        let ck = payload_checksum(&old);
-        put_u64(&mut old, ck);
-        fs::write(dir.join(MANIFEST_FILE), old).unwrap();
+        fs::write(dir.join(JOURNAL_FILE), b"DCGWAL03").unwrap();
+        fs::write(dir.join("MANIFEST.dcgstore"), b"an older index").unwrap();
         let store = TraceStore::new(dir.clone(), None);
         assert_eq!(store.len(), 0);
         drop(store);
-        let bytes = fs::read(dir.join(MANIFEST_FILE)).unwrap();
-        assert!(decode_manifest(&bytes).is_some(), "rewritten as format 2");
+        assert!(!dir.join("MANIFEST.dcgstore").exists());
+        let bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(bytes, JOURNAL_MAGIC, "rewritten as an empty current log");
     }
 
     #[test]
@@ -1374,13 +1330,13 @@ mod tests {
     fn orphan_tmp_files_are_reaped_exactly_once() {
         let dir = scratch("orphan-tmp");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("gz-00ff.dcgact.123.0.tmp"), b"dead writer").unwrap();
+        fs::write(dir.join("gz-00ff.dcgact.0.tmp"), b"dead writer").unwrap();
         fs::write(dir.join("junk.tmp"), b"also dead").unwrap();
 
         let store = TraceStore::new(dir.clone(), None);
         let stats = store.ensure_open();
         assert_eq!(stats.reaped_tmp, 2, "both orphans reaped");
-        assert!(!dir.join("gz-00ff.dcgact.123.0.tmp").exists());
+        assert!(!dir.join("gz-00ff.dcgact.0.tmp").exists());
         assert!(!dir.join("junk.tmp").exists());
         drop(store);
 
@@ -1393,63 +1349,48 @@ mod tests {
     }
 
     #[test]
-    fn torn_manifest_recovers_from_directory_scan() {
-        let dir = scratch("torn-manifest");
-        // Opaque payloads cannot be adopted by the directory scan (they
-        // do not parse as activity traces), so this test uses the
-        // journal-surviving path: manifest destroyed, journal intact.
+    fn torn_checkpoint_temp_is_reaped_beside_an_intact_log() {
+        let dir = scratch("torn-checkpoint");
         let store = TraceStore::new(dir.clone(), None);
         let id = ident("gz", 5);
         store.insert(&id, 0x5, &payload(5, 256));
-        store.checkpoint().expect("checkpoint");
-        // Re-store after the checkpoint so the journal holds the row;
-        // leak the store so its drop-time checkpoint cannot fold the
-        // journal into the manifest before the test tears it.
-        store.insert(&id, 0x5, &payload(6, 256));
-        std::mem::forget(store);
-
-        let manifest = dir.join(MANIFEST_FILE);
-        let bytes = fs::read(&manifest).unwrap();
-        fs::write(&manifest, &bytes[..bytes.len() / 2]).unwrap();
+        drop(store);
+        // Leave a torn checkpoint image beside the log, as a crash
+        // between the temp write and its rename would.
+        let log = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let torn = dir.join(format!("{JOURNAL_FILE}.9.tmp"));
+        fs::write(&torn, &log[..log.len() / 2]).unwrap();
 
         let store2 = TraceStore::new(dir, None);
+        assert_eq!(store2.ensure_open().reaped_tmp, 1);
+        assert!(!torn.exists());
         assert_eq!(
-            store2
-                .fetch(&id)
-                .expect("journal row survives a torn manifest"),
-            payload(6, 256)
+            store2.fetch(&id).expect("the intact log serves the entry"),
+            payload(5, 256)
         );
     }
 
     #[test]
     fn crash_between_journal_and_rename_rolls_forward() {
         let dir = scratch("roll-forward");
-        // Simulate the torn state by hand: temp file written, journal
-        // row appended, rename never happened.
-        fs::create_dir_all(&dir).unwrap();
+        // Simulate the torn state by hand: temp file written, log record
+        // appended, rename never happened.
         let body = payload(9, 128);
-        let meta = EntryMeta {
-            identity: ident("gz", 9),
-            file: "gz-0000000000000009.dcgact".into(),
-            bytes: body.len() as u64,
-            checksum: payload_checksum(&body),
-            generation: 1,
-            verified: 1,
-        };
-        let tmp = "gz-0000000000000009.dcgact.42.0.tmp".to_string();
-        fs::write(dir.join(&tmp), &body).unwrap();
-        RecordLog::create(&dir.join(JOURNAL_FILE))
-            .unwrap()
-            .append(&JournalOp::Store {
+        let meta = meta_for(ident("gz", 9), "gz-0000000000000009.dcgact", &body);
+        let tmp = "gz-0000000000000009.dcgact.0.tmp".to_string();
+        write_log(
+            &dir,
+            &[JournalOp::Store {
                 meta: meta.clone(),
                 tmp: tmp.clone(),
-            })
-            .unwrap();
+            }],
+        );
+        fs::write(dir.join(&tmp), &body).unwrap();
 
         let store = TraceStore::new(dir.clone(), None);
         let stats = store.ensure_open();
         assert_eq!(stats.rolled_forward, 1, "the store completes the rename");
-        assert_eq!(stats.reaped_tmp, 0, "the journaled tmp is not an orphan");
+        assert_eq!(stats.reaped_tmp, 0, "the logged tmp is not an orphan");
         assert_eq!(store.fetch(&meta.identity).expect("rolled forward"), body);
         assert!(!dir.join(&tmp).exists());
     }
@@ -1475,8 +1416,8 @@ mod tests {
     fn read_only_store_serves_lookups_and_counts_skips() {
         let dir = scratch("readonly");
         // Seed the directory with a writable store, fold everything
-        // into the manifest, and leave an orphan tmp file the read-only
-        // open must *not* reap.
+        // into checkpoint rows, and leave an orphan tmp file the
+        // read-only open must *not* reap.
         let writer = TraceStore::new(dir.clone(), None);
         let (a, b) = (ident("a", 1), ident("b", 2));
         writer.insert(&a, 0xA, &payload(1, 300));
@@ -1552,7 +1493,7 @@ mod tests {
     }
 
     #[test]
-    fn dangling_manifest_rows_are_dropped() {
+    fn dangling_checkpoint_rows_are_dropped() {
         let dir = scratch("dangling");
         let store = TraceStore::new(dir.clone(), None);
         let id = ident("gz", 3);
@@ -1565,5 +1506,22 @@ mod tests {
         let stats = store2.ensure_open();
         assert_eq!(stats.dropped_corrupt, 1, "the dangling row is dropped");
         assert!(store2.fetch(&id).is_none());
+    }
+
+    #[test]
+    fn the_first_insert_creates_and_locks_an_unborn_directory() {
+        let dir = scratch("unborn");
+        let first = TraceStore::new(dir.clone(), None);
+        assert!(
+            !first.is_read_only(),
+            "a missing directory is not read-only"
+        );
+        assert!(!dir.exists(), "opening does not create the directory");
+        first.insert(&ident("a", 1), 0xA, &payload(1, 64));
+        let second = TraceStore::new(dir.clone(), None);
+        assert!(second.is_read_only(), "the first insert took the lock");
+        drop(first);
+        let third = TraceStore::new(dir, None);
+        assert!(!third.is_read_only(), "dropping the store releases it");
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for the trace store's crash recovery (DESIGN.md §14):
-//! however the manifest or journal is truncated or corrupted, `open()`
-//! must reach a **consistent** state — every entry that survives the
+//! however its log is truncated, corrupted or deleted, and whatever torn
+//! checkpoint image lies beside it, `open()` must reach a **consistent**
+//! state — every entry that survives the
 //! recovery sweep replays bit-identically to a live simulation, every
 //! entry that does not is evicted cleanly, no temp files are left
 //! behind, and a second open finds nothing more to repair. Entries may
@@ -13,20 +14,17 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use dcg_core::{
-    run_passive, Dcg, PolicyOutcome, RunLength, TraceCache, JOURNAL_FILE, LOG_HEADER_LEN,
-    MANIFEST_FILE,
-};
+use dcg_core::{run_passive, Dcg, PolicyOutcome, RunLength, TraceCache, JOURNAL_FILE};
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, SimConfig};
 use dcg_testkit::prop;
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
-/// The two tuples the template store holds: one checkpointed into the
-/// manifest, one living only in the journal tail — so every corruption
-/// case exercises both metadata paths.
-const MANIFEST_SEED: u64 = 1;
-const JOURNAL_SEED: u64 = 2;
+/// The two tuples the template store holds: one in the log's checkpoint
+/// rows, one living only in the records appended after them — so every
+/// corruption case exercises both trust paths.
+const CHECKPOINT_SEED: u64 = 1;
+const TAIL_SEED: u64 = 2;
 
 fn short() -> RunLength {
     RunLength {
@@ -63,14 +61,18 @@ fn live_bits(cfg: &SimConfig, seed: u64) -> Vec<u64> {
 struct Template {
     dir: PathBuf,
     cfg: SimConfig,
+    /// Byte length of the log's checkpoint image (magic + rows); the
+    /// appended tail follows it.
+    checkpoint_len: usize,
     clean: [(u64, Vec<u64>); 2],
 }
 
-/// Build the template store once: entry for [`MANIFEST_SEED`]
-/// checkpointed into the manifest, entry for [`JOURNAL_SEED`] recorded
-/// after the checkpoint so its only metadata is a journal record (the
-/// cache is leaked to keep its drop-time checkpoint from folding the
-/// journal away).
+/// Build the template store once: entry for [`CHECKPOINT_SEED`] in the
+/// log's checkpoint rows, entry for [`TAIL_SEED`] recorded after the
+/// checkpoint so its only metadata is an appended record. The cache is
+/// leaked to keep its drop-time checkpoint from folding the tail away.
+/// A leaked store keeps its directory lock, so nothing may reopen the
+/// template itself — every case works on a copy, which is unlocked.
 fn template() -> &'static Template {
     static TEMPLATE: OnceLock<Template> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
@@ -82,28 +84,30 @@ fn template() -> &'static Template {
         let _ = fs::remove_dir_all(&dir);
         let cache = TraceCache::new(dir.clone());
         let groups = LatchGroups::new(&cfg.depth);
-        for (seed, checkpoint) in [(MANIFEST_SEED, true), (JOURNAL_SEED, false)] {
+        let mut checkpoint_len = 0;
+        for (seed, checkpoint) in [(CHECKPOINT_SEED, true), (TAIL_SEED, false)] {
             let mut dcg = Dcg::new(&cfg, &groups);
             cache
                 .run_passive_cached(&cfg, profile, seed, short(), &mut [&mut dcg])
                 .expect("cold template run");
             if checkpoint {
                 cache.checkpoint().expect("template checkpoint");
+                checkpoint_len = fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len() as usize;
             }
         }
         std::mem::forget(cache);
-        assert!(dir.join(MANIFEST_FILE).is_file());
-        let journal_len = fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        let log_len = fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len() as usize;
         assert!(
-            journal_len > LOG_HEADER_LEN as u64,
-            "the second entry must live in the journal tail"
+            log_len > checkpoint_len,
+            "the second entry must live in the log's tail"
         );
         Template {
             dir,
             cfg: cfg.clone(),
+            checkpoint_len,
             clean: [
-                (MANIFEST_SEED, live_bits(&cfg, MANIFEST_SEED)),
-                (JOURNAL_SEED, live_bits(&cfg, JOURNAL_SEED)),
+                (CHECKPOINT_SEED, live_bits(&cfg, CHECKPOINT_SEED)),
+                (TAIL_SEED, live_bits(&cfg, TAIL_SEED)),
             ],
         }
     })
@@ -118,24 +122,26 @@ fn copy_template(case: &Path) {
     }
 }
 
-/// Apply one seeded mutation: truncate to `offset % len` bytes, or flip
-/// a bit at `offset % len`. Deleting the file outright is the
-/// `truncate-to-zero` case.
-fn mutate(path: &Path, truncate: bool, offset: u64, bit: u32) -> String {
-    let bytes = fs::read(path).unwrap();
-    let name = path.file_name().unwrap().to_string_lossy().into_owned();
-    if bytes.is_empty() {
-        return format!("{name} already empty");
-    }
+/// Apply one seeded mutation to `bytes`, at a position `offset` picks
+/// inside `span`, and write the result to `out`: truncate there, or flip
+/// bit `bit` of the byte there.
+fn mutate(
+    bytes: &[u8],
+    span: std::ops::Range<usize>,
+    out: &Path,
+    truncate: bool,
+    offset: u64,
+    bit: u32,
+) -> String {
+    let name = out.file_name().unwrap().to_string_lossy().into_owned();
+    let at = span.start + (offset % span.len() as u64) as usize;
     if truncate {
-        let cut = (offset % bytes.len() as u64) as usize;
-        fs::write(path, &bytes[..cut]).unwrap();
-        format!("{name} truncated to {cut}/{} bytes", bytes.len())
+        fs::write(out, &bytes[..at]).unwrap();
+        format!("{name} truncated to {at}/{} bytes", bytes.len())
     } else {
-        let at = (offset % bytes.len() as u64) as usize;
-        let mut b = bytes;
+        let mut b = bytes.to_vec();
         b[at] ^= 1 << (bit % 8);
-        fs::write(path, &b).unwrap();
+        fs::write(out, &b).unwrap();
         format!("{name} bit flipped at byte {at}")
     }
 }
@@ -192,11 +198,11 @@ fn assert_consistent(case: &Path, what: &str) {
     );
 }
 
-/// Exhaustive `kill -9` state space for the journal: truncate it at
+/// Exhaustive `kill -9` state space for the log: truncate it at
 /// **every** byte boundary (not a sample) and demand the full
-/// consistency contract at each cut — the torn tail is discarded, the
-/// checkpointed entry survives, the journal-tail entry either survives
-/// or re-simulates bit-identically, and recovery is idempotent.
+/// consistency contract at each cut — the torn tail is discarded, each
+/// entry either survives (through its row or by adoption) or
+/// re-simulates bit-identically, and recovery is idempotent.
 #[test]
 fn journal_truncated_at_every_byte_boundary_recovers() {
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -221,7 +227,7 @@ fn open_reaches_a_consistent_state_after_seeded_metadata_damage() {
     prop::check(
         "store_recovery_consistency",
         prop::tuple((
-            prop::range(0u64..4), // target: manifest, journal, both, delete manifest
+            prop::range(0u64..4), // target: checkpoint rows, tail, torn temp, deleted log
             prop::range(0u64..2), // mutation: truncate / bit flip
             prop::any_u64(),      // offset seed
             prop::range(0u32..8), // bit index
@@ -230,17 +236,19 @@ fn open_reaches_a_consistent_state_after_seeded_metadata_damage() {
             let case = root.join(format!("case-{target}-{kind}-{offset:016x}-{bit}"));
             copy_template(&case);
             let truncate = kind == 0;
+            let log = case.join(JOURNAL_FILE);
+            let bytes = fs::read(&log).unwrap();
+            let rows = 0..template().checkpoint_len;
             let what = match target {
-                0 => mutate(&case.join(MANIFEST_FILE), truncate, offset, bit),
-                1 => mutate(&case.join(JOURNAL_FILE), truncate, offset, bit),
+                0 => mutate(&bytes, rows, &log, truncate, offset, bit),
+                1 => mutate(&bytes, rows.end..bytes.len(), &log, truncate, offset, bit),
                 2 => {
-                    let a = mutate(&case.join(MANIFEST_FILE), truncate, offset, bit);
-                    let b = mutate(&case.join(JOURNAL_FILE), !truncate, offset ^ 0x9E37, bit);
-                    format!("{a} + {b}")
+                    let tmp = case.join(format!("{JOURNAL_FILE}.0.tmp"));
+                    mutate(&bytes, 0..bytes.len(), &tmp, truncate, offset, bit)
                 }
                 _ => {
-                    fs::remove_file(case.join(MANIFEST_FILE)).unwrap();
-                    "manifest deleted".to_string()
+                    fs::remove_file(&log).unwrap();
+                    "log deleted".to_string()
                 }
             };
             assert_consistent(&case, &what);

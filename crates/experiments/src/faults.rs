@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use dcg_core::{
     run_passive, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan, FaultPoint, FaultSpec,
     FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength, TraceCache, JOURNAL_FILE,
-    LOG_HEADER_LEN, MANIFEST_FILE,
+    LOG_HEADER_LEN,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -238,7 +238,7 @@ impl Context {
             FaultPoint::CacheStoreIo => self.inject_cache_store_io(spec),
             FaultPoint::CacheLoadCorrupt => self.inject_cache_load_corrupt(spec),
             FaultPoint::SinkPanic => self.inject_sink_panic(spec),
-            FaultPoint::ManifestTorn => self.inject_manifest_torn(spec),
+            FaultPoint::CheckpointTorn => self.inject_checkpoint_torn(spec),
             FaultPoint::JournalTruncate => self.inject_journal_truncate(spec),
             FaultPoint::StoreOrphanTmp => self.inject_store_orphan_tmp(spec),
             _ => unreachable!("every point is dispatched above"),
@@ -558,58 +558,61 @@ impl Context {
         }
     }
 
-    /// Tear the store manifest at a seeded offset (truncation or bit
-    /// flip), then reopen: the recovery sweep must rebuild the index
-    /// from the journal and the directory scan — never trust the torn
-    /// bytes — and the next run must reproduce clean results.
-    fn inject_manifest_torn(&self, spec: FaultSpec) -> (FaultClass, String) {
+    /// Tear a checkpoint at a seeded offset (truncation or bit flip) and
+    /// leave its temp image beside the intact log, as a crash between
+    /// the temp write and its rename would: the reopen must reap the
+    /// image, never read it, and the next run must reproduce clean
+    /// results from the log.
+    fn inject_checkpoint_torn(&self, spec: FaultSpec) -> (FaultClass, String) {
         let cache = self.fault_cache(spec);
         let (_path, _bytes) = self.recorded_entry(&cache, self.length);
-        cache
-            .checkpoint()
-            .expect("checkpointing a scratch store succeeds");
         let dir = cache.dir().to_path_buf();
         drop(cache);
 
-        let manifest = dir.join(MANIFEST_FILE);
-        let mut bytes = fs::read(&manifest).expect("the checkpoint wrote a manifest");
+        let mut bytes = fs::read(dir.join(JOURNAL_FILE)).expect("the drop checkpointed the log");
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         let detail = if rng.gen_range(0u64..2) == 0 {
             let cut = 1 + rng.gen_range(0u64..bytes.len() as u64 - 1) as usize;
             bytes.truncate(cut);
-            format!("manifest truncated to {cut} bytes")
+            format!("checkpoint image truncated to {cut} bytes")
         } else {
             let at = rng.gen_range(0u64..bytes.len() as u64) as usize;
             let bit = rng.gen_range(0u32..8);
             bytes[at] ^= 1 << bit;
-            format!("manifest bit {bit} of byte {at} flipped")
+            format!("checkpoint image bit {bit} of byte {at} flipped")
         };
-        fs::write(&manifest, &bytes).expect("rewrite the torn manifest");
+        fs::write(dir.join(format!("{JOURNAL_FILE}.0.tmp")), &bytes)
+            .expect("plant the torn checkpoint");
 
-        self.reopened_run_matches_clean(&TraceCache::new(dir), &detail)
+        let reopened = TraceCache::new(dir);
+        let reaped = reopened.ensure_open().reaped_tmp;
+        if reaped != 1 {
+            return (
+                FaultClass::Undetected,
+                format!("{detail}; the reopen reaped {reaped} temp files, not the image"),
+            );
+        }
+        self.reopened_run_matches_clean(&reopened, &detail)
     }
 
-    /// Truncate the store journal at a seeded offset inside its tail
-    /// record (a crashed appender), then reopen: replay must discard the
-    /// torn record and recover the entry from the directory scan.
+    /// Cut the store's log at a seeded offset inside its last record (a
+    /// crashed writer), then reopen: decoding must discard the torn row
+    /// and recover the entry from the directory scan.
     fn inject_journal_truncate(&self, spec: FaultSpec) -> (FaultClass, String) {
         let cache = self.fault_cache(spec);
         let (_path, _bytes) = self.recorded_entry(&cache, self.length);
         let dir = cache.dir().to_path_buf();
-        // Leak the cache so its drop-time checkpoint cannot fold the
-        // fresh store record out of the journal before we truncate it.
-        std::mem::forget(cache);
+        // Dropping the cache checkpoints the log and releases the
+        // directory lock the reopen below needs.
+        drop(cache);
 
         let journal = dir.join(JOURNAL_FILE);
-        let bytes = fs::read(&journal).expect("the store appended a journal record");
+        let bytes = fs::read(&journal).expect("the checkpoint wrote the log");
         let header = LOG_HEADER_LEN;
-        assert!(
-            bytes.len() > header,
-            "the journal must hold the store record"
-        );
+        assert!(bytes.len() > header, "the log must hold the entry's row");
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         let cut = header + rng.gen_range(0u64..(bytes.len() - header) as u64) as usize;
-        fs::write(&journal, &bytes[..cut]).expect("truncate the journal");
+        fs::write(&journal, &bytes[..cut]).expect("truncate the log");
 
         self.reopened_run_matches_clean(
             &TraceCache::new(dir),

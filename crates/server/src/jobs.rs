@@ -195,7 +195,8 @@ impl JobError {
 ///
 /// `state_dir` is the server's state directory; replay jobs open a trace
 /// store under `<state_dir>/traces` for this one call. The server itself
-/// runs every job against the single store it owns.
+/// runs every job against the single store it owns; while it holds that
+/// store, a call here serves its lookups read-only and records nothing.
 ///
 /// # Errors
 ///

@@ -1,8 +1,10 @@
 //! Byte-compatibility pins for everything the durability kit routes:
 //! the hash values that name trace files and jobs, the job WAL's on-disk
 //! bytes (a committed `JOBS.dcgwal` holding one record of each kind),
-//! and a trace store whose journal predates the record-log framing
-//! (`DCGWAL02`).
+//! and two older trace-store directories: one whose journal predates the
+//! record-log framing (`DCGWAL02`), and one of the two-file format (a
+//! `DCGMAN02` manifest beside a `DCGWAL03` journal) that the one-log
+//! store upgrades by adoption.
 
 use std::fs;
 use std::path::PathBuf;
@@ -103,8 +105,9 @@ fn dcgwal02_store_journal_resets_and_its_entry_is_adopted() {
     let store = TraceStore::new(dir.clone(), None);
     let stats = store.ensure_open();
     assert_eq!(
-        stats.adopted, 1,
-        "the journal-only entry comes back by adoption"
+        stats.adopted, 2,
+        "both entries come back by adoption: the one-log store reads \
+         neither the old journal nor the manifest"
     );
     assert_eq!(store.len(), 2);
     for seed in [1, 2] {
@@ -116,5 +119,37 @@ fn dcgwal02_store_journal_resets_and_its_entry_is_adopted() {
         );
     }
     let journal = fs::read(dir.join(JOURNAL_FILE)).unwrap();
-    assert_eq!(&journal[..8], b"DCGWAL03");
+    assert_eq!(&journal[..8], b"DCGWAL04");
+}
+
+#[test]
+fn dcgman02_store_upgrades_with_both_entries_and_drops_its_manifest() {
+    // Written by the two-file store: `tiny` seed 1 is checkpointed into
+    // the `DCGMAN02` manifest, seed 2 lives only in the `DCGWAL03`
+    // journal's tail. The one-log store reads neither: it adopts both
+    // entries from the directory and deletes the manifest.
+    let dir = scratch("store-dcgman02");
+    for entry in fs::read_dir(data("store-dcgman02")).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    assert!(dir.join("MANIFEST.dcgstore").is_file());
+    let store = TraceStore::new(dir.clone(), None);
+    assert_eq!(store.ensure_open().adopted, 2);
+    assert_eq!(store.len(), 2);
+    for seed in [1, 2] {
+        let id = EntryIdentity::current(0xABCD, "tiny", seed, 0, 40);
+        let file = format!("store-dcgman02/tiny-{seed:016x}.dcgact");
+        assert_eq!(
+            store.fetch(&id).expect("entry indexed"),
+            fs::read(data(&file)).unwrap()
+        );
+    }
+    drop(store);
+    assert!(
+        !dir.join("MANIFEST.dcgstore").exists(),
+        "the writable open deletes the old manifest"
+    );
+    let journal = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(&journal[..8], b"DCGWAL04");
 }

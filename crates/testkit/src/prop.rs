@@ -335,6 +335,21 @@ where
     G::Value: Clone + Debug + 'static,
     F: Fn(G::Value),
 {
+    check_capped(name, u32::MAX, gen, property);
+}
+
+/// [`check`] with the case count capped at `max_cases`, for properties
+/// whose every case is expensive (one that spawns processes, say).
+///
+/// # Panics
+///
+/// As [`check`].
+pub fn check_capped<G, F>(name: &str, max_cases: u32, gen: G, property: F)
+where
+    G: IntoGen,
+    G::Value: Clone + Debug + 'static,
+    F: Fn(G::Value),
+{
     let gen = gen.into_gen();
     if let Some(seed) = env_u64("DCG_PROPTEST_SEED") {
         eprintln!("{name}: replaying single case DCG_PROPTEST_SEED={seed:#x}");
@@ -346,7 +361,7 @@ where
     let base = name
         .bytes()
         .fold(0x5DC6_7E57_D00D_5EED, |h, b| splitmix64(h ^ u64::from(b)));
-    for case in 0..configured_cases() {
+    for case in 0..configured_cases().min(max_cases) {
         run_case(name, &gen, &property, splitmix64(base ^ u64::from(case)));
     }
 }

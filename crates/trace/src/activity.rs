@@ -197,9 +197,8 @@ fn record_checksum(bytes: &[u8]) -> u64 {
 
 /// The activity format's 4-lane payload checksum over an arbitrary byte
 /// slice — the same function the trace trailer and per-block subheaders
-/// use, exported so the trace *store* (manifest rows, journal records,
-/// whole-entry fingerprints) shares one integrity primitive instead of
-/// inventing a second one.
+/// use, exported so the trace *store*'s whole-entry fingerprints share
+/// one integrity primitive instead of inventing a second one.
 ///
 /// Not cryptographic: it guards against truncation, torn writes and bit
 /// rot, and runs near memory speed.
