@@ -632,7 +632,6 @@ impl ActivityBlock {
         assert!(self.len < BLOCK_CYCLES, "ActivityBlock overflow");
         assert_eq!(act.latch_occupancy.len(), self.groups, "latch group count");
         let i = self.len;
-        let bit = 1u64 << i;
         self.fetched[i] = act.fetched;
         self.renamed[i] = act.renamed;
         self.dispatched[i] = act.dispatched;
@@ -641,40 +640,31 @@ impl ActivityBlock {
         self.issued_loads[i] = act.issued_loads;
         self.issued_stores[i] = act.issued_stores;
         self.committed[i] = act.committed;
+        // Lane bits are set without branches: which counters are zero
+        // varies cycle to cycle and would mispredict.
+        let lane = |set: bool| u64::from(set) << i;
         for c in 0..FuClass::COUNT {
             let m = act.fu_active[c];
             self.fu_active[c][i] = m;
-            if m != 0 {
-                self.fu_any[c] |= bit;
-            }
+            self.fu_any[c] |= lane(m != 0);
         }
         self.dcache_port_mask[i] = act.dcache_port_mask;
-        if act.dcache_port_mask != 0 {
-            self.port_any |= bit;
-        }
+        self.port_any |= lane(act.dcache_port_mask != 0);
         self.dcache_load_accesses[i] = act.dcache_load_accesses;
         self.dcache_store_accesses[i] = act.dcache_store_accesses;
         self.dcache_misses[i] = act.dcache_misses;
         self.l2_accesses[i] = act.l2_accesses;
-        if act.icache_access {
-            self.icache_access_lanes |= bit;
-        }
-        if act.icache_miss {
-            self.icache_miss_lanes |= bit;
-        }
+        self.icache_access_lanes |= lane(act.icache_access);
+        self.icache_miss_lanes |= lane(act.icache_miss);
         self.bpred_lookups[i] = act.bpred_lookups;
         self.bpred_mispredicts[i] = act.bpred_mispredicts;
         self.regfile_reads[i] = act.regfile_reads;
         self.regfile_writes[i] = act.regfile_writes;
         self.result_bus_used[i] = act.result_bus_used;
-        if act.result_bus_used != 0 {
-            self.bus_any |= bit;
-        }
+        self.bus_any |= lane(act.result_bus_used != 0);
         self.latch_occupancy.extend_from_slice(&act.latch_occupancy);
-        for (g, &occ) in act.latch_occupancy.iter().enumerate() {
-            if occ != 0 {
-                self.latch_any[g] |= bit;
-            }
+        for (any, &occ) in self.latch_any.iter_mut().zip(&act.latch_occupancy) {
+            *any |= lane(occ != 0);
         }
         self.grants.extend_from_slice(&act.grants);
         self.grant_end[i] = self.grants.len() as u32;

@@ -81,6 +81,11 @@ struct ClassPool {
 /// // always picks the lowest-numbered free instances (paper §3.1).
 /// assert_eq!(pool.try_reserve(FuClass::IntAlu, 2, 1), Some(0));
 /// assert_eq!(pool.try_reserve(FuClass::IntAlu, 2, 1), Some(1));
+/// // Book both memory ports three cycles out: the first offset from 3
+/// // with a free port is then 4.
+/// assert_eq!(pool.reserve_any_at(FuClass::MemPort, 3), Some(0));
+/// assert_eq!(pool.reserve_any_at(FuClass::MemPort, 3), Some(1));
+/// assert_eq!(pool.first_free(FuClass::MemPort, 3), 4);
 /// ```
 #[derive(Debug)]
 pub struct FuPool {
@@ -145,16 +150,19 @@ impl FuPool {
         &self.windows[pool.base..pool.base + pool.enabled]
     }
 
-    /// `true` if some enabled instance of `class` is free over
-    /// `[now+start, now+start+occupy)`, i.e. [`try_reserve`] would succeed
-    /// under either policy. Reserves nothing.
-    ///
-    /// [`try_reserve`]: FuPool::try_reserve
+    /// The first offset at or after `from` at which some enabled instance
+    /// of `class` is free for one cycle: one AND over the enabled busy
+    /// windows. Returns 64 when every instance is busy to the end of the
+    /// window (nothing is ever booked beyond it). Reserves nothing; later
+    /// reservations can only move the answer later.
     #[inline]
-    pub fn any_free(&self, class: FuClass, start: u32, occupy: u32) -> bool {
-        self.enabled_windows(class)
+    pub fn first_free(&self, class: FuClass, from: u32) -> u32 {
+        debug_assert!(from < 64, "offset escapes the busy window");
+        let all_busy = self
+            .enabled_windows(class)
             .iter()
-            .any(|w| w.is_free_span(start, occupy))
+            .fold(u64::MAX, |m, w| m & w.0);
+        from + (!all_busy >> from).trailing_zeros().min(64 - from)
     }
 
     /// Try to reserve an instance of `class` for the span
@@ -351,18 +359,44 @@ mod tests {
     #[test]
     fn any_port_reservation() {
         let mut p = pool(FuSelectPolicy::SequentialPriority);
-        assert!(p.any_free(FuClass::MemPort, 1, 1));
+        assert_eq!(p.first_free(FuClass::MemPort, 1), 1);
         assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), Some(0));
-        assert!(p.any_free(FuClass::MemPort, 1, 1), "one port left");
+        assert_eq!(p.first_free(FuClass::MemPort, 1), 1, "one port left");
         assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), Some(1));
-        assert!(!p.any_free(FuClass::MemPort, 1, 1), "both ports booked");
+        assert_eq!(p.first_free(FuClass::MemPort, 1), 2, "both ports booked");
         assert_eq!(p.reserve_any_at(FuClass::MemPort, 1), None);
-        assert!(p.any_free(FuClass::MemPort, 0, 1) && p.any_free(FuClass::MemPort, 2, 1));
-        // A port-first check agrees with try_reserve under a narrowed pool.
+        assert_eq!(p.first_free(FuClass::MemPort, 0), 0);
+        // A first-free search agrees with try_reserve under a narrowed pool.
         p.set_enabled(FuClass::MemPort, 1);
-        assert!(!p.any_free(FuClass::MemPort, 1, 1));
         assert_eq!(p.try_reserve(FuClass::MemPort, 1, 1), None);
-        assert!(p.any_free(FuClass::MemPort, 2, 1));
+        assert_eq!(p.first_free(FuClass::MemPort, 1), 2);
+        assert_eq!(p.reserve_any_at(FuClass::MemPort, 2), Some(0));
+        // Port 1 is disabled, so its free cycle at 2 does not count.
+        assert_eq!(p.first_free(FuClass::MemPort, 1), 3);
+    }
+
+    #[test]
+    fn first_free_ands_the_enabled_windows() {
+        let mut p = pool(FuSelectPolicy::SequentialPriority);
+        // Port 0 busy over [3, 10), port 1 over [3, 6) and [7, 12): only
+        // offset 6 is free on some port before 10.
+        for (port, start, len) in [(0, 3, 7), (1, 3, 3), (1, 7, 5)] {
+            p.windows[p.classes[FuClass::MemPort.index()].base + port].reserve_span(start, len);
+        }
+        assert_eq!(p.first_free(FuClass::MemPort, 2), 2);
+        assert_eq!(p.first_free(FuClass::MemPort, 3), 6);
+        assert_eq!(p.first_free(FuClass::MemPort, 7), 10);
+        assert_eq!(p.reserve_any_at(FuClass::MemPort, 6), Some(1));
+        assert_eq!(p.first_free(FuClass::MemPort, 3), 10);
+        // Both ports busy to the end of the window.
+        for port in 0..2 {
+            p.windows[p.classes[FuClass::MemPort.index()].base + port].reserve_span(40, 24);
+        }
+        assert_eq!(p.first_free(FuClass::MemPort, 40), 64);
+        assert_eq!(p.first_free(FuClass::MemPort, 63), 64);
+        // No port enabled: nothing is ever free.
+        p.set_enabled(FuClass::MemPort, 0);
+        assert_eq!(p.first_free(FuClass::MemPort, 0), 64);
     }
 
     #[test]

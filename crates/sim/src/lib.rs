@@ -54,7 +54,7 @@ pub use config::{
 pub use constraint::ResourceConstraints;
 pub use fu::{ActiveTracker, BusyWindow, FuPool, FuSelectPolicy};
 pub use hash::{fnv1a, Fnv1a};
-pub use iq::IssueQueue;
+pub use iq::{Grant, IssueQueue};
 pub use lsq::{LoadDisposition, Lsq};
 pub use pipeline::Processor;
 pub use rob::{InFlight, InstId, Rob};

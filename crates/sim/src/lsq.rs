@@ -28,6 +28,8 @@ struct LsqEntry {
     is_store: bool,
     /// 8-byte-aligned word address (conflicts detected at word granularity).
     word: u64,
+    /// A store's address and data are ready, so a load can forward from
+    /// it. Only stores are marked; no query reads a load's flag.
     executed: bool,
 }
 
@@ -155,8 +157,9 @@ impl Lsq {
         }
     }
 
-    /// Mark a memory operation as executed (address generated, store data
-    /// available for forwarding).
+    /// Mark a store as executed (address generated, data available for
+    /// forwarding). Marking a load changes nothing: dispositions read
+    /// only the flags of stores, so the pipeline marks stores only.
     pub fn mark_executed(&mut self, id: InstId) {
         if let Ok(i) = self.position(id) {
             self.entries[i].executed = true;
@@ -287,6 +290,54 @@ mod tests {
             lsq.load_disposition(ids[2], 0x500),
             LoadDisposition::AccessCache
         );
+    }
+
+    #[test]
+    fn marking_loads_changes_no_disposition() {
+        // Stores and loads to two words, interleaved; every load's
+        // disposition is compared with and without its older loads marked,
+        // before and after each store executes.
+        let (_rob, ids) = mem_ids(8);
+        let ops = [
+            (true, 0x600),
+            (false, 0x600),
+            (true, 0x608),
+            (false, 0x600),
+            (false, 0x608),
+            (true, 0x600),
+            (false, 0x600),
+            (false, 0x608),
+        ];
+        let (mut stores_only, mut all) = (Lsq::new(8), Lsq::new(8));
+        for (&id, &(is_store, addr)) in ids.iter().zip(&ops) {
+            stores_only.push(id, is_store, addr);
+            all.push(id, is_store, addr);
+        }
+        let dispositions = |lsq: &Lsq| -> Vec<LoadDisposition> {
+            ids.iter()
+                .zip(&ops)
+                .filter(|(_, &(is_store, _))| !is_store)
+                .map(|(&id, &(_, addr))| lsq.load_disposition(id, addr))
+                .collect()
+        };
+        for (&id, &(is_store, _)) in ids.iter().zip(&ops) {
+            if !is_store {
+                all.mark_executed(id);
+            }
+        }
+        assert_eq!(dispositions(&stores_only), dispositions(&all));
+        for (&id, &(is_store, _)) in ids.iter().zip(&ops) {
+            if is_store {
+                stores_only.mark_executed(id);
+                all.mark_executed(id);
+                assert_eq!(dispositions(&stores_only), dispositions(&all));
+            }
+        }
+        assert!(dispositions(&all).contains(&LoadDisposition::Forward));
+        // Removing a marked load leaves the stores' answers as they were.
+        stores_only.remove(ids[1]);
+        all.remove(ids[1]);
+        assert_eq!(dispositions(&stores_only), dispositions(&all));
     }
 
     #[test]

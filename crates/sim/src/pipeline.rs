@@ -34,7 +34,7 @@ use crate::cache::CacheHierarchy;
 use crate::config::{SimConfig, StoreTiming};
 use crate::constraint::ResourceConstraints;
 use crate::fu::{ActiveTracker, FuPool, FuSelectPolicy};
-use crate::iq::IssueQueue;
+use crate::iq::{Grant, IssueQueue};
 use crate::lsq::{LoadDisposition, Lsq};
 use crate::rob::{InstId, Rob};
 use crate::stats::SimStats;
@@ -81,6 +81,10 @@ pub struct Processor<S> {
     /// applies them to `fus` (at the point in the cycle where it always
     /// has, after commit has reserved its store ports).
     fu_enabled_stale: bool,
+    /// No load can find a free memory port before this issue cycle. Only
+    /// a change in the enabled port count can bring it earlier, so
+    /// `set_constraints` resets it.
+    load_ports_free_at: u64,
     stream: S,
     peeked: Option<Inst>,
     cycle: u64,
@@ -113,6 +117,10 @@ pub struct Processor<S> {
     renamed_this_cycle: u32,
     retire_log_enabled: bool,
     retire_log: Vec<Inst>,
+    /// Producers of each ROB slot's operands at dispatch: the input of
+    /// the wake-up's debug reference (`Processor::polled_operands_at`).
+    #[cfg(debug_assertions)]
+    producers: Vec<[Option<InstId>; 2]>,
 }
 
 impl<S: InstStream> Processor<S> {
@@ -141,11 +149,12 @@ impl<S: InstStream> Processor<S> {
         Processor {
             constraints: ResourceConstraints::unrestricted(&config),
             fu_enabled_stale: false,
+            load_ports_free_at: 0,
             stream,
             peeked: None,
             cycle: 0,
             rob: Rob::new(config.rob_entries),
-            iq: IssueQueue::new(config.iq_entries),
+            iq: IssueQueue::new(config.iq_entries, config.rob_entries),
             lsq: Lsq::new(config.lsq_entries),
             fus: FuPool::new(&config, policy),
             active: ActiveTracker::new(),
@@ -179,6 +188,8 @@ impl<S: InstStream> Processor<S> {
             renamed_this_cycle: 0,
             retire_log_enabled: false,
             retire_log: Vec::new(),
+            #[cfg(debug_assertions)]
+            producers: vec![[None; 2]; config.rob_entries],
             cfg: config,
         }
     }
@@ -229,6 +240,7 @@ impl<S: InstStream> Processor<S> {
         }
         self.constraints = constraints;
         self.fu_enabled_stale = true;
+        self.load_ports_free_at = 0;
     }
 
     /// Current resource constraints.
@@ -318,7 +330,7 @@ impl<S: InstStream> Processor<S> {
             let inst = e.inst;
             debug_assert!(
                 e.result_ready.is_none_or(|r| r <= now),
-                "a result is ready by commit (operand wake-up caching relies on it)"
+                "a result is ready by commit (the wake-up's debug reference relies on it)"
             );
             if inst.op == OpClass::Store {
                 // Schedule the commit-time D-cache access; the store then
@@ -360,6 +372,9 @@ impl<S: InstStream> Processor<S> {
                     *slot = None;
                 }
             }
+            // Dependents of an instruction that writes no result wait for
+            // its commit; anything else woke its dependents at issue.
+            self.iq.wake(head, now);
             self.rob.pop_head();
             committed += 1;
         }
@@ -377,14 +392,17 @@ impl<S: InstStream> Processor<S> {
         }
     }
 
+    /// Book the first memory port free within 32 cycles of `now + delay`.
     fn reserve_store_port(&mut self, now: u64, delay: u32) -> Option<(u64, usize)> {
-        for extra in 0..32u32 {
-            let offset = delay + extra;
-            if let Some(port) = self.fus.reserve_any_at(FuClass::MemPort, offset) {
-                return Some((now + u64::from(offset), port));
-            }
+        let offset = self.fus.first_free(FuClass::MemPort, delay);
+        if offset >= delay + 32 {
+            return None;
         }
-        None
+        let port = self
+            .fus
+            .reserve_any_at(FuClass::MemPort, offset)
+            .expect("a port is free at the first free offset");
+        Some((now + u64::from(offset), port))
     }
 
     fn do_issue(&mut self, now: u64) {
@@ -394,19 +412,23 @@ impl<S: InstStream> Processor<S> {
             }
             self.fu_enabled_stale = false;
         }
+        #[cfg(debug_assertions)]
+        self.check_wakeup(now);
         let allowed = self.cfg.issue_width.min(self.constraints.issue_width);
         let mut iq = std::mem::replace(&mut self.iq, IssueQueue::PARKED);
-        let granted = iq.select(allowed, |id| self.try_issue_one(id, now));
+        let granted = iq.select(allowed, now, |id| self.try_issue_one(id, now));
         self.iq = iq;
         debug_assert_eq!(granted, self.activity.issued as usize);
     }
 
-    /// Cycle from which all of `producers`' results are available, or
-    /// `None` while a live producer has not issued yet. A stale handle
-    /// means the producer committed: its value is ready.
-    fn operands_at(&self, producers: [Option<InstId>; 2]) -> Option<u64> {
+    /// Debug reference for the wake-up: the per-cycle poll it replaced.
+    /// The cycle from which every operand of `id` is available, or `None`
+    /// while a producer still in flight has not issued or writes no
+    /// result. A committed producer's value is architectural.
+    #[cfg(debug_assertions)]
+    fn polled_operands_at(&self, id: InstId) -> Option<u64> {
         let mut at = 0;
-        for p in producers.into_iter().flatten() {
+        for p in self.producers[id.slot()].into_iter().flatten() {
             if let Some(pe) = self.rob.get(p) {
                 at = at.max(pe.result_ready?);
             }
@@ -414,24 +436,37 @@ impl<S: InstStream> Processor<S> {
         Some(at)
     }
 
-    fn try_issue_one(&mut self, id: InstId, now: u64) -> bool {
+    /// Checks every waiting entry's stamped ready cycle against the poll
+    /// before select, so every grant is covered. While every producer is
+    /// in flight the two are equal. The poll no longer sees a committed
+    /// producer (its result was ready by its commit), so after that only
+    /// their answers for `now` must agree.
+    #[cfg(debug_assertions)]
+    fn check_wakeup(&self, now: u64) {
+        for id in self.iq.iter() {
+            let stamped = self.iq.ready_at(id);
+            let polled = self.polled_operands_at(id);
+            let all_live = self.producers[id.slot()]
+                .into_iter()
+                .flatten()
+                .all(|p| self.rob.get(p).is_some());
+            if all_live {
+                debug_assert_eq!(stamped, polled, "wake-up of {id:?} at cycle {now}");
+            } else {
+                debug_assert_eq!(
+                    stamped.is_some_and(|t| t <= now),
+                    polled.is_some_and(|t| t <= now),
+                    "wake-up of {id:?} at cycle {now}"
+                );
+            }
+        }
+    }
+
+    fn try_issue_one(&mut self, id: InstId, now: u64) -> Grant {
         let e = self.rob.get(id).expect("candidate is live");
         let (op, mem, mispredicted) = (e.inst.op, e.inst.mem, e.mispredicted);
         let srcs = e.inst.src_count() as u32;
-        let operands_at = match e.operands_at {
-            Some(t) => t,
-            None => {
-                let Some(t) = self.operands_at(e.producers) else {
-                    return false;
-                };
-                self.rob.get_mut(id).expect("candidate is live").operands_at = Some(t);
-                t
-            }
-        };
-        if operands_at > now {
-            return false;
-        }
-        let issued = match op {
+        let grant = match op {
             OpClass::Load => self.issue_load(id, now, mem.expect("load has addr").addr),
             OpClass::Store => self.issue_store(id, now),
             _ => {
@@ -439,30 +474,37 @@ impl<S: InstStream> Processor<S> {
                 self.issue_alu(id, now, op, spec.latency, spec.interval, mispredicted)
             }
         };
-        if !issued {
-            return false;
+        if grant == Grant::Refused {
+            return grant;
         }
         self.activity.issued += 1;
         if op.is_fp() {
             self.activity.issued_fp += 1;
         }
         self.activity.regfile_reads += srcs;
-        true
+        grant
     }
 
-    fn issue_load(&mut self, id: InstId, now: u64, addr: u64) -> bool {
+    fn issue_load(&mut self, id: InstId, now: u64, addr: u64) -> Grant {
         let ex_off = self.issue_to_exec;
         // The port pipeline is fully pipelined (AGU then array access):
         // only the array-access cycle at X+3 is a structural resource, so
         // at most `mem_ports` loads can issue per cycle. Both checks below
         // are pure, so testing the ports first (the usual reason a load
-        // waits) skips the LSQ scan without changing any outcome.
-        if !self.fus.any_free(FuClass::MemPort, ex_off + 1, 1) {
-            return false;
+        // waits) skips the LSQ scan without changing any outcome. A load
+        // that finds every port booked records the first issue cycle with
+        // a free one, and loads skip the search until then.
+        if now < self.load_ports_free_at {
+            return Grant::Refused;
+        }
+        let first_free = self.fus.first_free(FuClass::MemPort, ex_off + 1);
+        if first_free > ex_off + 1 {
+            self.load_ports_free_at = now + u64::from(first_free - (ex_off + 1));
+            return Grant::Refused;
         }
         let disp = self.lsq.load_disposition(id, addr);
         if matches!(disp, LoadDisposition::WaitForStore(_)) {
-            return false;
+            return Grant::Refused;
         }
         let port = self
             .fus
@@ -491,10 +533,10 @@ impl<S: InstStream> Processor<S> {
         // Decoder active exactly in the access cycle.
         self.active.mark(FuClass::MemPort, port, ex_off + 1, 1);
         let wb = self.book_bus(data_ready + 1);
+        let result_ready = data_ready.saturating_sub(2).max(now + 1);
         let e = self.rob.get_mut(id).expect("load is live");
-        e.result_ready = Some(data_ready.saturating_sub(2).max(now + 1));
+        e.result_ready = Some(result_ready);
         e.complete_at = Some(wb);
-        self.lsq.mark_executed(id);
         self.activity.issued_loads += 1;
         self.activity.grants.push(FuGrant {
             class: FuClass::MemPort,
@@ -502,10 +544,10 @@ impl<S: InstStream> Processor<S> {
             exec_start: ex_off + 1,
             active_len: 1,
         });
-        true
+        Grant::Result(result_ready)
     }
 
-    fn issue_store(&mut self, id: InstId, now: u64) -> bool {
+    fn issue_store(&mut self, id: InstId, now: u64) -> Grant {
         let ex_off = self.issue_to_exec;
         // Address generation only: the pipelined AGU is not a structural
         // hazard, and the D-cache access happens at commit (§3.3).
@@ -513,7 +555,7 @@ impl<S: InstStream> Processor<S> {
         e.complete_at = Some(now + u64::from(ex_off) + 1);
         self.lsq.mark_executed(id);
         self.activity.issued_stores += 1;
-        true
+        Grant::NoResult
     }
 
     fn issue_alu(
@@ -524,11 +566,11 @@ impl<S: InstStream> Processor<S> {
         latency: u32,
         interval: u32,
         mispredicted: bool,
-    ) -> bool {
+    ) -> Grant {
         let class = op.fu_class();
         let ex_off = self.issue_to_exec;
         let Some(fu) = self.fus.try_reserve(class, ex_off, interval) else {
-            return false;
+            return Grant::Refused;
         };
         let exec_end = now + u64::from(ex_off) + u64::from(latency) - 1;
         self.active.mark(class, fu, ex_off, latency);
@@ -552,7 +594,7 @@ impl<S: InstStream> Processor<S> {
             exec_start: ex_off,
             active_len: latency,
         });
-        true
+        result_ready.map_or(Grant::NoResult, Grant::Result)
     }
 
     /// Book a result bus at the first free cycle at or after `desired`.
@@ -578,20 +620,32 @@ impl<S: InstStream> Processor<S> {
             }
             self.front[last].pop_front();
             let id = self.rob.push(fi.inst).expect("checked not full");
-            // Wire producers from the map table.
-            let mut producers = [None, None];
+            // Wire producers from the map table: one that has issued gives
+            // its result cycle now, any other wakes this entry later.
+            let mut known = 0;
+            let mut waiting = [None, None];
+            #[cfg(debug_assertions)]
+            {
+                self.producers[id.slot()] = [None, None];
+            }
             for (k, src) in fi.inst.srcs.iter().enumerate() {
-                if let Some(r) = src {
-                    if !r.is_zero() {
-                        producers[k] = self.map_table[r.dense()];
-                    }
+                let Some(p) = src
+                    .filter(|r| !r.is_zero())
+                    .and_then(|r| self.map_table[r.dense()])
+                else {
+                    continue;
+                };
+                #[cfg(debug_assertions)]
+                {
+                    self.producers[id.slot()][k] = Some(p);
+                }
+                match self.rob.get(p).map(|pe| pe.result_ready) {
+                    Some(Some(t)) => known = known.max(t),
+                    Some(None) => waiting[k] = Some(p),
+                    None => {} // committed: the value is architectural
                 }
             }
-            {
-                let e = self.rob.get_mut(id).expect("just pushed");
-                e.producers = producers;
-                e.mispredicted = fi.mispredicted;
-            }
+            self.rob.get_mut(id).expect("just pushed").mispredicted = fi.mispredicted;
             if let Some(dest) = fi.inst.dest {
                 if !dest.is_zero() {
                     self.map_table[dest.dense()] = Some(id);
@@ -605,7 +659,7 @@ impl<S: InstStream> Processor<S> {
                 );
                 debug_assert!(pushed, "LSQ space was checked");
             }
-            let pushed = self.iq.push(id);
+            let pushed = self.iq.push(id, known, waiting);
             debug_assert!(pushed, "IQ space was checked");
             dispatched += 1;
         }
@@ -899,6 +953,54 @@ mod tests {
         assert!(
             tiny.stats().ipc() > big.stats().ipc(),
             "code misses must cost fetch bandwidth"
+        );
+    }
+
+    #[test]
+    fn a_consumer_of_a_producer_without_a_result_waits_for_its_commit() {
+        use dcg_isa::{ArchReg, BranchInfo, BranchKind, Inst, OpClass};
+        use dcg_workloads::ReplayStream;
+        // A branch that names a destination writes no result, so its
+        // consumer (the stream's only FP op) reads the register once the
+        // branch commits. Well-formed streams never do this.
+        let producer = Inst::branch(
+            0,
+            BranchInfo {
+                kind: BranchKind::Conditional,
+                taken: false,
+                target: 0x100,
+            },
+        )
+        .with_dest(ArchReg::fp(5));
+        assert!(!producer.is_well_formed());
+        let mut trace = vec![
+            producer,
+            Inst::alu(4, OpClass::FpAlu)
+                .with_dest(ArchReg::fp(6))
+                .with_srcs([Some(ArchReg::fp(5)), None]),
+        ];
+        trace.extend((2..64).map(|k| Inst::alu(4 * k, OpClass::IntAlu)));
+        let mut cpu = Processor::new(
+            SimConfig::baseline_8wide(),
+            ReplayStream::new("no-result-producer", trace),
+        );
+        let (mut first_commit, mut first_fp_issue) = (None, None);
+        while first_fp_issue.is_none() {
+            let act = cpu.step();
+            if act.committed > 0 {
+                first_commit.get_or_insert(act.cycle);
+            }
+            if act.issued_fp > 0 {
+                first_fp_issue = Some(act.cycle);
+            }
+        }
+        assert!(
+            first_commit.is_some_and(|c| c > 6),
+            "the branch commits late"
+        );
+        assert_eq!(
+            first_fp_issue, first_commit,
+            "the consumer issues in its producer's commit cycle"
         );
     }
 

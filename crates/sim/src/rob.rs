@@ -19,6 +19,12 @@ impl InstId {
     pub fn seq(self) -> u64 {
         self.seq
     }
+
+    /// The ROB slot the instruction occupies (dense per-slot columns are
+    /// indexed by it).
+    pub(crate) fn slot(self) -> usize {
+        self.slot as usize
+    }
 }
 
 /// Microarchitectural state of one in-flight instruction.
@@ -31,16 +37,12 @@ pub struct InFlight {
     /// The front end predicted this branch wrong; fetch is stalled until it
     /// executes.
     pub mispredicted: bool,
-    /// Earliest cycle a consumer may issue (result forwarding).
+    /// Earliest cycle a consumer may issue (result forwarding), set at
+    /// issue. Stays `None` for an instruction that writes no result; a
+    /// consumer of one waits for its commit.
     pub result_ready: Option<u64>,
     /// Cycle at which the instruction becomes commit-eligible.
     pub complete_at: Option<u64>,
-    /// Producers of the source operands (in-flight at dispatch time).
-    pub producers: [Option<InstId>; 2],
-    /// Cycle from which every source operand is available, cached by the
-    /// issue stage once all producers have issued (a producer's
-    /// `result_ready` never changes after issue).
-    pub operands_at: Option<u64>,
 }
 
 impl InFlight {
@@ -52,8 +54,6 @@ impl InFlight {
             mispredicted: false,
             result_ready: None,
             complete_at: None,
-            producers: [None, None],
-            operands_at: None,
         }
     }
 

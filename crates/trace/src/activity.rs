@@ -345,81 +345,127 @@ impl ActivityHeader {
     }
 }
 
-/// Append one sparse column: the mask of nonzero lanes, then a varint
-/// per set lane in ascending order.
-fn encode_column(
-    out: &mut Vec<u8>,
-    n: usize,
-    value: impl Fn(usize) -> u32,
-) -> Result<(), TraceError> {
-    let mut mask = 0u64;
-    for i in 0..n {
-        if value(i) != 0 {
-            mask |= 1u64 << i;
-        }
+/// Write `value` as LEB128 at the front of `out` (the same bytes
+/// [`varint::write_u64`] writes, without its `io::Write` path); returns
+/// the length.
+#[inline]
+fn put_varint(out: &mut [u8], mut value: u64) -> usize {
+    let mut n = 0;
+    while value >= 0x80 {
+        out[n] = value as u8 | 0x80;
+        value >>= 7;
+        n += 1;
     }
+    out[n] = value as u8;
+    n + 1
+}
+
+/// The mask of `lanes`' nonzero values and the OR of all of them. One
+/// byte-per-lane pass the compiler vectorises, then one multiply folds
+/// eight lane bytes into eight mask bits.
+#[inline]
+fn lane_mask(lanes: &[u32]) -> (u64, u32) {
+    let mut nonzero = [0u8; BLOCK_CYCLES];
+    let mut all = 0;
+    for (z, &v) in nonzero.iter_mut().zip(lanes) {
+        *z = u8::from(v != 0);
+        all |= v;
+    }
+    let mut mask = 0;
+    for (k, bytes) in nonzero.chunks_exact(8).enumerate() {
+        // Byte j's 0/1 lands on bit 56 + j of the product; no carries.
+        let x = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        mask |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    (mask, all)
+}
+
+/// Append one sparse column straight into the block buffer: the mask of
+/// nonzero lanes, then a varint per set lane in ascending order. Only
+/// the set lanes are read a second time.
+fn encode_column(out: &mut Vec<u8>, lanes: &[u32]) {
+    let (mask, all) = lane_mask(lanes);
     out.extend_from_slice(&mask.to_le_bytes());
+    // Room for every set lane at its widest, trimmed after.
+    let widest = if all < 0x80 { 1 } else { 5 };
+    let mut len = out.len();
+    out.resize(len + widest * mask.count_ones() as usize, 0);
     let mut m = mask;
     while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        varint::write_u64(out, u64::from(value(i)))?;
+        len += put_varint(
+            &mut out[len..],
+            u64::from(lanes[m.trailing_zeros() as usize]),
+        );
         m &= m - 1;
     }
-    Ok(())
+    out.truncate(len);
+}
+
+/// Append one LEB128 varint per value straight into the block buffer.
+fn encode_stream(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
+    let mut len = out.len();
+    out.resize(len + varint::MAX_LEN * values.len(), 0);
+    for v in values {
+        len += put_varint(&mut out[len..], v);
+    }
+    out.truncate(len);
 }
 
 /// Serialise a staged block into the columnar payload form.
-fn encode_block(b: &ActivityBlock, out: &mut Vec<u8>) -> Result<(), TraceError> {
+fn encode_block(b: &ActivityBlock, out: &mut Vec<u8>) {
     let n = b.len();
+    let column = |out: &mut Vec<u8>, lanes: &[u32]| encode_column(out, &lanes[..n]);
     out.extend_from_slice(&b.icache_access_lanes.to_le_bytes());
     out.extend_from_slice(&b.icache_miss_lanes.to_le_bytes());
-    encode_column(out, n, |i| b.fetched[i])?;
-    encode_column(out, n, |i| b.renamed[i])?;
-    encode_column(out, n, |i| b.dispatched[i])?;
-    encode_column(out, n, |i| b.issued[i])?;
-    encode_column(out, n, |i| b.issued_fp[i])?;
-    encode_column(out, n, |i| b.issued_loads[i])?;
-    encode_column(out, n, |i| b.issued_stores[i])?;
-    encode_column(out, n, |i| b.committed[i])?;
-    for c in 0..FuClass::COUNT {
-        encode_column(out, n, |i| b.fu_active[c][i])?;
+    column(out, &b.fetched);
+    column(out, &b.renamed);
+    column(out, &b.dispatched);
+    column(out, &b.issued);
+    column(out, &b.issued_fp);
+    column(out, &b.issued_loads);
+    column(out, &b.issued_stores);
+    column(out, &b.committed);
+    for lanes in &b.fu_active {
+        column(out, lanes);
     }
-    encode_column(out, n, |i| b.dcache_port_mask[i])?;
-    encode_column(out, n, |i| b.dcache_load_accesses[i])?;
-    encode_column(out, n, |i| b.dcache_store_accesses[i])?;
-    encode_column(out, n, |i| b.dcache_misses[i])?;
-    encode_column(out, n, |i| b.l2_accesses[i])?;
-    encode_column(out, n, |i| b.bpred_lookups[i])?;
-    encode_column(out, n, |i| b.bpred_mispredicts[i])?;
-    encode_column(out, n, |i| b.regfile_reads[i])?;
-    encode_column(out, n, |i| b.regfile_writes[i])?;
-    encode_column(out, n, |i| b.result_bus_used[i])?;
+    column(out, &b.dcache_port_mask);
+    column(out, &b.dcache_load_accesses);
+    column(out, &b.dcache_store_accesses);
+    column(out, &b.dcache_misses);
+    column(out, &b.l2_accesses);
+    column(out, &b.bpred_lookups);
+    column(out, &b.bpred_mispredicts);
+    column(out, &b.regfile_reads);
+    column(out, &b.regfile_writes);
+    column(out, &b.result_bus_used);
+    // Latch occupancy is cycle-major; gather each group's lanes.
+    let mut gathered = [0u32; BLOCK_CYCLES];
     for g in 0..b.groups {
-        encode_column(out, n, |i| b.latch_occupancy[i * b.groups + g])?;
+        let lanes = b.latch_occupancy[g..].iter().step_by(b.groups);
+        for (dst, &v) in gathered.iter_mut().zip(lanes) {
+            *dst = v;
+        }
+        column(out, &gathered);
     }
-    encode_column(out, n, |i| b.decode_ready_next[i])?;
-    encode_column(out, n, |i| b.iq_occupancy[i])?;
-    encode_column(out, n, |i| b.rob_occupancy[i])?;
-    encode_column(out, n, |i| b.lsq_occupancy[i])?;
-    encode_column(out, n, |i| b.store_ports_next[i])?;
-    encode_column(out, n, |i| b.result_bus_in_2[i])?;
-    encode_column(out, n, |i| b.grants_at(i).len() as u32)?;
+    column(out, &b.decode_ready_next);
+    column(out, &b.iq_occupancy);
+    column(out, &b.rob_occupancy);
+    column(out, &b.lsq_occupancy);
+    column(out, &b.store_ports_next);
+    column(out, &b.result_bus_in_2);
+    let mut start = 0;
+    for (dst, &end) in gathered.iter_mut().zip(&b.grant_end[..n]) {
+        *dst = end - start;
+        start = end;
+    }
+    column(out, &gathered);
     // Grant fields as four homogeneous streams (classes are raw bytes),
     // so the decoder runs one tight loop per field instead of a
     // branch-heavy record walk.
-    for g in &b.grants {
-        out.push(g.class.index() as u8);
-    }
-    for g in &b.grants {
-        varint::write_u64(out, g.instance as u64)?;
-    }
-    for g in &b.grants {
-        varint::write_u64(out, u64::from(g.exec_start))?;
-    }
-    for g in &b.grants {
-        varint::write_u64(out, u64::from(g.active_len))?;
-    }
-    Ok(())
+    out.extend(b.grants.iter().map(|g| g.class.index() as u8));
+    encode_stream(out, b.grants.iter().map(|g| g.instance as u64));
+    encode_stream(out, b.grants.iter().map(|g| u64::from(g.exec_start)));
+    encode_stream(out, b.grants.iter().map(|g| u64::from(g.active_len)));
 }
 
 /// Streams [`CycleActivity`] records into an activity-trace file,
@@ -469,7 +515,7 @@ impl<W: Write> ActivityTraceWriter<W> {
             return Ok(());
         }
         self.block.clear();
-        encode_block(&self.stage, &mut self.block)?;
+        encode_block(&self.stage, &mut self.block);
         let mut sub = [0u8; ACTIVITY_BLOCK_HEADER_LEN];
         sub[0..4].copy_from_slice(&(self.block.len() as u32).to_le_bytes());
         sub[4..8].copy_from_slice(&(self.stage.len() as u32).to_le_bytes());

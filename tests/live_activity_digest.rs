@@ -9,11 +9,19 @@
 //! the next-line prefetcher, round-robin unit selection, and a run whose
 //! resource constraints flip between full and narrow every 256 cycles
 //! (the PLB mode-switch pattern).
+//!
+//! The same runs also pin the recorder: `encoded_trace_images` hashes the
+//! whole `.dcgact` image `ActivityTraceWriter` writes for each profile and
+//! for the constraint-flip run, so any change to the encoder's bytes
+//! fails it (the trace property suites only check that a decode gives
+//! the input back).
 
 use dcg_repro::isa::FuClass;
 use dcg_repro::sim::{
-    CycleActivity, Fnv1a, FuSelectPolicy, Processor, ResourceConstraints, SimConfig, StoreTiming,
+    fnv1a, CycleActivity, Fnv1a, FuSelectPolicy, LatchGroups, Processor, ResourceConstraints,
+    SimConfig, StoreTiming, BLOCK_CYCLES,
 };
+use dcg_repro::trace::{ActivityHeader, ActivityTraceWriter};
 use dcg_repro::workloads::{Spec2000, SyntheticWorkload};
 
 /// Cycles per profile in the baseline sweep.
@@ -128,8 +136,32 @@ fn fold_end<S: dcg_repro::workloads::InstStream>(h: &mut Fnv1a, cpu: &Processor<
     }
 }
 
-/// Digest of `cycles` live cycles of `bench`; `flip` (if any) is applied
-/// every 256 cycles, alternating with the unrestricted constraints.
+/// Run `cycles` live cycles of `bench`, handing each cycle to
+/// `on_cycle`; `flip` (if any) is applied every 256 cycles, alternating
+/// with the unrestricted constraints.
+fn run(
+    cfg: SimConfig,
+    policy: FuSelectPolicy,
+    bench: &str,
+    cycles: u64,
+    flip: Option<ResourceConstraints>,
+    mut on_cycle: impl FnMut(&CycleActivity),
+) -> Processor<SyntheticWorkload> {
+    let full = ResourceConstraints::unrestricted(&cfg);
+    let stream = SyntheticWorkload::new(Spec2000::by_name(bench).expect("known profile"), SEED);
+    let mut cpu = Processor::with_policy(cfg, stream, policy);
+    for k in 0..cycles {
+        if let Some(narrow) = flip {
+            if k % 256 == 0 {
+                cpu.set_constraints(if (k / 256) % 2 == 0 { full } else { narrow });
+            }
+        }
+        on_cycle(cpu.step());
+    }
+    cpu
+}
+
+/// Digest of the activity stream and end state of one [`run`].
 fn digest(
     cfg: SimConfig,
     policy: FuSelectPolicy,
@@ -137,20 +169,38 @@ fn digest(
     cycles: u64,
     flip: Option<ResourceConstraints>,
 ) -> u64 {
-    let full = ResourceConstraints::unrestricted(&cfg);
-    let stream = SyntheticWorkload::new(Spec2000::by_name(bench).expect("known profile"), SEED);
-    let mut cpu = Processor::with_policy(cfg, stream, policy);
     let mut h = Fnv1a::new();
-    for k in 0..cycles {
-        if let Some(narrow) = flip {
-            if k % 256 == 0 {
-                cpu.set_constraints(if (k / 256) % 2 == 0 { full } else { narrow });
-            }
-        }
-        fold_cycle(&mut h, cpu.step());
-    }
+    let cpu = run(cfg, policy, bench, cycles, flip, |a| fold_cycle(&mut h, a));
     fold_end(&mut h, &cpu);
     h.finish()
+}
+
+/// FNV-1a of the whole `.dcgact` image recorded from one [`run`]
+/// (sequential-priority selection).
+fn image_digest(
+    cfg: SimConfig,
+    bench: &str,
+    cycles: u64,
+    flip: Option<ResourceConstraints>,
+) -> u64 {
+    assert_ne!(
+        cycles % BLOCK_CYCLES as u64,
+        0,
+        "the run must end in a short block"
+    );
+    let groups = LatchGroups::new(&cfg.depth).len();
+    let header =
+        ActivityHeader::new(bench, cfg.digest(), SEED, 0, cycles, groups).expect("valid header");
+    let mut w = ActivityTraceWriter::new(Vec::new(), &header).expect("header writes");
+    run(
+        cfg,
+        FuSelectPolicy::SequentialPriority,
+        bench,
+        cycles,
+        flip,
+        |a| w.write_cycle(a).expect("cycle encodes"),
+    );
+    fnv1a(&w.finish().expect("trace finishes"))
 }
 
 fn baseline(bench: &str) -> u64 {
@@ -243,12 +293,10 @@ fn round_robin_unit_selection() {
     );
 }
 
-#[test]
-fn constraints_flip_every_256_cycles() {
-    let cfg = SimConfig::baseline_8wide();
-    // PLB's 4-wide mode, plus a halved set of memory ports so the flip
-    // also reaches commit-time store-port reservation.
-    let mut narrow = ResourceConstraints::unrestricted(&cfg)
+/// PLB's 4-wide mode, plus a halved set of memory ports so the flip
+/// also reaches commit-time store-port reservation.
+fn narrow_mode(cfg: &SimConfig) -> ResourceConstraints {
+    let mut narrow = ResourceConstraints::unrestricted(cfg)
         .with_issue_width(4)
         .with_fetch_width(4)
         .with_enabled(FuClass::MemPort, 1);
@@ -260,6 +308,13 @@ fn constraints_flip_every_256_cycles() {
     ] {
         narrow = narrow.with_enabled(c, cfg.fu_count(c).div_ceil(2));
     }
+    narrow
+}
+
+#[test]
+fn constraints_flip_every_256_cycles() {
+    let cfg = SimConfig::baseline_8wide();
+    let narrow = narrow_mode(&cfg);
     let got = digest(
         cfg,
         FuSelectPolicy::SequentialPriority,
@@ -268,4 +323,43 @@ fn constraints_flip_every_256_cycles() {
         Some(narrow),
     );
     assert_eq!(got, 0x480e1d3b8715f580);
+}
+
+#[test]
+fn encoded_trace_images() {
+    const PINNED: [(&str, u64); 18] = [
+        ("bzip2", 0xf399028e900e6ccf),
+        ("gcc", 0x03ff263621dbc26c),
+        ("gzip", 0x91fb9274991c0e66),
+        ("mcf", 0x0b6bfd7f2f46c736),
+        ("parser", 0x53b76ed80fbc96b4),
+        ("perlbmk", 0x94b02671f663eb4e),
+        ("twolf", 0x6387bf55073565d7),
+        ("vortex", 0x5411e243eebf9194),
+        ("vpr", 0xce0f17320b950503),
+        ("applu", 0x9e123ecf403d5e9d),
+        ("apsi", 0x27e63bf83cb859e6),
+        ("art", 0xbe04c5ec88da80fc),
+        ("equake", 0x6aa75592cb9cb06d),
+        ("lucas", 0x86fe91b015f1bd01),
+        ("mesa", 0x41e1f97e2e7b4974),
+        ("mgrid", 0x5f563773cfb2b4b3),
+        ("swim", 0x82d0435a9593b4ed),
+        ("wupwise", 0x8bfc1f8c6ff538f9),
+    ];
+    let got: Vec<(String, u64)> = Spec2000::all()
+        .iter()
+        .map(|p| {
+            let d = image_digest(SimConfig::baseline_8wide(), p.name, PROFILE_CYCLES, None);
+            (p.name.to_string(), d)
+        })
+        .collect();
+    let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(got, want);
+    let cfg = SimConfig::baseline_8wide();
+    let narrow = narrow_mode(&cfg);
+    assert_eq!(
+        image_digest(cfg, "vortex", VARIANT_CYCLES, Some(narrow)),
+        0xc0903b9ed2ae96bb
+    );
 }
