@@ -179,8 +179,8 @@ impl FaultWindow {
 /// [`FaultPoint`]s.
 ///
 /// The wrapper is itself a passive policy: it forwards `observe`,
-/// `constraints` and `is_passive` untouched, so it rides the normal
-/// passive runners. The perturbed decisions are exactly what the
+/// `constraints`, `horizon` and `is_passive` untouched, so it rides the
+/// normal passive runners. The perturbed decisions are exactly what the
 /// safety checker must catch (or what must be provably harmless).
 pub struct FaultyPolicy<'a> {
     inner: &'a mut dyn GatingPolicy,
@@ -340,6 +340,11 @@ impl GatingPolicy for FaultyPolicy<'_> {
 
     fn constraints(&self) -> ResourceConstraints {
         self.inner.constraints()
+    }
+
+    // Faults perturb gates, never constraints.
+    fn horizon(&self) -> usize {
+        self.inner.horizon()
     }
 
     fn observe(&mut self, activity: &CycleActivity) {

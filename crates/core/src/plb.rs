@@ -14,13 +14,16 @@
 //!
 //! Because PLB's mode changes *constrain* resources (disabled FUs and
 //! issue slots perturb timing), it can never replay a recorded trace:
-//! [`crate::drive`] sees its constraints and keeps the scalar live-source
-//! loop instead of the block path (DESIGN §13), and `run_active` always
-//! simulates live.
+//! `run_active` always simulates live. The mode changes only when a
+//! window closes, so [`crate::drive`] steps PLB runs in blocks that end
+//! at window boundaries (the policy's horizon, DESIGN §13) and applies
+//! the constraints once per block.
 
 use dcg_isa::FuClass;
-use dcg_power::GateState;
-use dcg_sim::{CycleActivity, LatchGroups, ResourceConstraints, SimConfig};
+use dcg_power::{GateLanes, GateState};
+use dcg_sim::{
+    ActivityBlock, CycleActivity, LatchGroups, ResourceConstraints, SimConfig, BLOCK_CYCLES,
+};
 
 use crate::policy::GatingPolicy;
 
@@ -117,10 +120,14 @@ pub struct Plb {
     window_issued: u64,
     window_issued_fp: u64,
     transitions: u64,
-    full_gate: GateState,
-    sim_cfg: SimConfig,
-    group_count: usize,
+    /// Gate state per mode, indexed by `PlbMode as usize`.
+    gates: [GateState; 3],
+    /// Resource constraints per mode, indexed like `gates`.
+    limits: [ResourceConstraints; 3],
 }
+
+/// Every mode, in `PlbMode as usize` order.
+const MODES: [PlbMode; 3] = [PlbMode::Wide4, PlbMode::Wide6, PlbMode::Full8];
 
 impl Plb {
     /// Build a PLB policy with default triggers.
@@ -155,9 +162,8 @@ impl Plb {
             window_issued: 0,
             window_issued_fp: 0,
             transitions: 0,
-            full_gate: GateState::ungated(config, groups),
-            sim_cfg: config.clone(),
-            group_count: groups.len(),
+            gates: MODES.map(|m| mode_gate(variant, m, config, groups)),
+            limits: MODES.map(|m| mode_constraints(variant, m, config)),
         }
     }
 
@@ -176,34 +182,6 @@ impl Plb {
         self.variant
     }
 
-    /// Enabled-unit counts for `mode` (§4.3's disable lists).
-    fn enabled_units(&self, mode: PlbMode) -> [usize; FuClass::COUNT] {
-        let cfg = &self.sim_cfg;
-        let mut e = [0usize; FuClass::COUNT];
-        for c in FuClass::ALL {
-            e[c.index()] = cfg.fu_count(c);
-        }
-        match mode {
-            PlbMode::Full8 => {}
-            PlbMode::Wide6 => {
-                // Disable 1 integer ALU, 1 FP ALU, 1 FP multiply/divide.
-                e[FuClass::IntAlu.index()] = cfg.int_alus.saturating_sub(1).max(1);
-                e[FuClass::FpAlu.index()] = cfg.fp_alus.saturating_sub(1).max(1);
-                e[FuClass::FpMulDiv.index()] = cfg.fp_muldivs.saturating_sub(1).max(1);
-            }
-            PlbMode::Wide4 => {
-                // Disable 3 integer ALUs, 1 integer mul/div, 2 FP ALUs,
-                // 2 FP mul/div, 1 memory issue port.
-                e[FuClass::IntAlu.index()] = cfg.int_alus.saturating_sub(3).max(1);
-                e[FuClass::IntMulDiv.index()] = cfg.int_muldivs.saturating_sub(1).max(1);
-                e[FuClass::FpAlu.index()] = cfg.fp_alus.saturating_sub(2).max(1);
-                e[FuClass::FpMulDiv.index()] = cfg.fp_muldivs.saturating_sub(2).max(1);
-                e[FuClass::MemPort.index()] = cfg.mem_ports.saturating_sub(1).max(1);
-            }
-        }
-        e
-    }
-
     fn decide_mode(&self, issue_ipc: f64, fp_ipc: f64) -> PlbMode {
         // Secondary trigger: heavy FP phases keep the machine wide.
         if fp_ipc >= self.plb_cfg.fp_guard_ipc {
@@ -217,60 +195,13 @@ impl Plb {
             PlbMode::Full8
         }
     }
-}
 
-impl GatingPolicy for Plb {
-    fn gate_for(&mut self, _cycle: u64) -> GateState {
-        let mut g = self.full_gate.clone();
-        let mode = self.mode;
-        let width = mode.width() as u32;
-        let units = self.enabled_units(mode);
-
-        // Both variants gate the disabled execution units and the unused
-        // fraction of the issue queue.
-        for c in [
-            FuClass::IntAlu,
-            FuClass::IntMulDiv,
-            FuClass::FpAlu,
-            FuClass::FpMulDiv,
-        ] {
-            g.fu_powered[c.index()] = crate::mask_of(units[c.index()]);
-        }
-        g.issue_queue_scale = mode.width() as f64 / self.sim_cfg.issue_width as f64;
-
-        if self.variant == PlbVariant::Ext && mode != PlbMode::Full8 {
-            // PLB-ext: narrow every stage's latches to the mode width and
-            // gate the matching result buses; in 4-wide mode also gate one
-            // D-cache port decoder (§4.3).
-            g.latch_slots = vec![Some(width); self.group_count];
-            g.result_buses_powered = width.min(self.sim_cfg.result_buses as u32);
-            if mode == PlbMode::Wide4 {
-                g.dcache_ports_powered = crate::mask_of(units[FuClass::MemPort.index()]);
-            }
-        }
-        g
-    }
-
-    fn constraints(&self) -> ResourceConstraints {
-        let units = self.enabled_units(self.mode);
-        let mut c = ResourceConstraints::unrestricted(&self.sim_cfg)
-            .with_issue_width(self.mode.width())
-            .with_fetch_width(self.mode.width());
-        for class in FuClass::ALL {
-            c = c.with_enabled(class, units[class.index()]);
-        }
-        // PLB-orig leaves cache ports intact for timing ("memory bandwidth
-        // is important", §4.3); only PLB-ext reduces the physical port.
-        if self.variant == PlbVariant::Orig {
-            c = c.with_enabled(FuClass::MemPort, self.sim_cfg.mem_ports);
-        }
-        c
-    }
-
-    fn observe(&mut self, act: &CycleActivity) {
+    /// Count one cycle's issue into the window; at the window's end,
+    /// decide the next mode.
+    fn observe_issue(&mut self, issued: u32, issued_fp: u32) {
         self.window_cycles += 1;
-        self.window_issued += u64::from(act.issued);
-        self.window_issued_fp += u64::from(act.issued_fp);
+        self.window_issued += u64::from(issued);
+        self.window_issued_fp += u64::from(issued_fp);
         if self.window_cycles < self.plb_cfg.window {
             return;
         }
@@ -303,6 +234,117 @@ impl GatingPolicy for Plb {
                 self.transitions += 1;
                 self.votes = 0;
             }
+        }
+    }
+}
+
+/// Enabled-unit counts for `mode` (§4.3's disable lists).
+fn enabled_units(cfg: &SimConfig, mode: PlbMode) -> [usize; FuClass::COUNT] {
+    let mut e = [0usize; FuClass::COUNT];
+    for c in FuClass::ALL {
+        e[c.index()] = cfg.fu_count(c);
+    }
+    match mode {
+        PlbMode::Full8 => {}
+        PlbMode::Wide6 => {
+            // Disable 1 integer ALU, 1 FP ALU, 1 FP multiply/divide.
+            e[FuClass::IntAlu.index()] = cfg.int_alus.saturating_sub(1).max(1);
+            e[FuClass::FpAlu.index()] = cfg.fp_alus.saturating_sub(1).max(1);
+            e[FuClass::FpMulDiv.index()] = cfg.fp_muldivs.saturating_sub(1).max(1);
+        }
+        PlbMode::Wide4 => {
+            // Disable 3 integer ALUs, 1 integer mul/div, 2 FP ALUs,
+            // 2 FP mul/div, 1 memory issue port.
+            e[FuClass::IntAlu.index()] = cfg.int_alus.saturating_sub(3).max(1);
+            e[FuClass::IntMulDiv.index()] = cfg.int_muldivs.saturating_sub(1).max(1);
+            e[FuClass::FpAlu.index()] = cfg.fp_alus.saturating_sub(2).max(1);
+            e[FuClass::FpMulDiv.index()] = cfg.fp_muldivs.saturating_sub(2).max(1);
+            e[FuClass::MemPort.index()] = cfg.mem_ports.saturating_sub(1).max(1);
+        }
+    }
+    e
+}
+
+/// The gate state `variant` holds throughout `mode`.
+fn mode_gate(
+    variant: PlbVariant,
+    mode: PlbMode,
+    cfg: &SimConfig,
+    groups: &LatchGroups,
+) -> GateState {
+    let mut g = GateState::ungated(cfg, groups);
+    let width = mode.width() as u32;
+    let units = enabled_units(cfg, mode);
+
+    // Both variants gate the disabled execution units and the unused
+    // fraction of the issue queue.
+    for c in [
+        FuClass::IntAlu,
+        FuClass::IntMulDiv,
+        FuClass::FpAlu,
+        FuClass::FpMulDiv,
+    ] {
+        g.fu_powered[c.index()] = crate::mask_of(units[c.index()]);
+    }
+    g.issue_queue_scale = mode.width() as f64 / cfg.issue_width as f64;
+
+    if variant == PlbVariant::Ext && mode != PlbMode::Full8 {
+        // PLB-ext: narrow every stage's latches to the mode width and
+        // gate the matching result buses; in 4-wide mode also gate one
+        // D-cache port decoder (§4.3).
+        g.latch_slots = vec![Some(width); groups.len()];
+        g.result_buses_powered = width.min(cfg.result_buses as u32);
+        if mode == PlbMode::Wide4 {
+            g.dcache_ports_powered = crate::mask_of(units[FuClass::MemPort.index()]);
+        }
+    }
+    g
+}
+
+/// The resource constraints `variant` applies throughout `mode`.
+fn mode_constraints(variant: PlbVariant, mode: PlbMode, cfg: &SimConfig) -> ResourceConstraints {
+    let units = enabled_units(cfg, mode);
+    let mut c = ResourceConstraints::unrestricted(cfg)
+        .with_issue_width(mode.width())
+        .with_fetch_width(mode.width());
+    for class in FuClass::ALL {
+        c = c.with_enabled(class, units[class.index()]);
+    }
+    // PLB-orig leaves cache ports intact for timing ("memory bandwidth
+    // is important", §4.3); only PLB-ext reduces the physical port.
+    if variant == PlbVariant::Orig {
+        c = c.with_enabled(FuClass::MemPort, cfg.mem_ports);
+    }
+    c
+}
+
+impl GatingPolicy for Plb {
+    fn gate_for(&mut self, _cycle: u64) -> GateState {
+        self.gates[self.mode as usize].clone()
+    }
+
+    fn gate_into(&mut self, _cycle: u64, out: &mut GateState) {
+        out.clone_from(&self.gates[self.mode as usize]);
+    }
+
+    fn constraints(&self) -> ResourceConstraints {
+        self.limits[self.mode as usize]
+    }
+
+    /// The mode, and with it the constraints, changes only when a window
+    /// closes: the cycles left in the current one.
+    fn horizon(&self) -> usize {
+        (self.plb_cfg.window - self.window_cycles).min(BLOCK_CYCLES as u64) as usize
+    }
+
+    fn observe(&mut self, act: &CycleActivity) {
+        self.observe_issue(act.issued, act.issued_fp);
+    }
+
+    fn gate_lanes(&mut self, block: &ActivityBlock, from: usize, to: usize, out: &mut GateLanes) {
+        for i in from..to {
+            out.set(i, &self.gates[self.mode as usize]);
+            self.observe_issue(block.issued[i], block.issued_fp[i]);
         }
     }
 

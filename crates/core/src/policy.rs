@@ -19,12 +19,13 @@ use dcg_sim::{ActivityBlock, CycleActivity, LatchGroups, ResourceConstraints, Si
 ///    (GRANT signals, one-hot issued count, scheduled stores, booked
 ///    buses) and updates its internal pipelined control state.
 ///
-/// On the block-replay hot path (DESIGN §13) the drive loop decodes
-/// [`ActivityBlock`]s, and the policy sinks call
-/// [`GatingPolicy::gate_lanes`] once per span instead: steps 1 and 4 for
-/// each lane in order (passive runs never constrain). Its default replays
-/// the per-cycle protocol lane by lane, so every policy is block-capable;
-/// the hot policies override it to read the block's columns directly.
+/// The drive loop (DESIGN §13) moves [`ActivityBlock`]s, and the policy
+/// sinks call [`GatingPolicy::gate_lanes`] once per span: steps 1 and 4
+/// for each lane in order. Step 2 happens once per block, which the
+/// policy keeps exact by bounding the block with
+/// [`GatingPolicy::horizon`]. The `gate_lanes` default replays the
+/// per-cycle protocol lane by lane, so every policy is block-capable; the
+/// hot policies override it to read the block's columns directly.
 pub trait GatingPolicy {
     /// Gate state for cycle `cycle`, decided ahead of its execution.
     fn gate_for(&mut self, cycle: u64) -> GateState;
@@ -41,6 +42,15 @@ pub trait GatingPolicy {
 
     /// Resource constraints for the upcoming cycle.
     fn constraints(&self) -> ResourceConstraints;
+
+    /// Upcoming cycles (at least 1) over which
+    /// [`constraints`](GatingPolicy::constraints) is guaranteed not to
+    /// change, whatever activity the policy observes meanwhile. An active
+    /// run steps at most this many cycles before polling again. The
+    /// default, 1, re-polls every cycle.
+    fn horizon(&self) -> usize {
+        1
+    }
 
     /// Observe the activity of the cycle that just executed.
     fn observe(&mut self, activity: &CycleActivity);

@@ -2,9 +2,11 @@
 //! accounting and the DCG safety audit.
 //!
 //! All run variants share **one** warm-up/measure driver loop, [`drive`]:
-//! an [`ActivitySource`] produces one [`dcg_sim::CycleActivity`] per
-//! cycle (or one decoded block of them) and any number of
-//! [`ActivitySink`]s consume it by reference. Passive-policy evaluation
+//! an [`ActivitySource`] produces [`dcg_sim::ActivityBlock`]s of
+//! consecutive cycles (stepped live or decoded from a trace) and any
+//! number of [`ActivitySink`]s consume each block by reference, span by
+//! span. Active policies bound the block length by their constraint
+//! horizon ([`ActivitySink::horizon`]). Passive-policy evaluation
 //! therefore works identically from a live [`dcg_sim::Processor`] or
 //! from a recorded activity trace replayed via [`crate::ReplaySource`] —
 //! the simulate-once architecture. Driving several configurations over
@@ -20,7 +22,9 @@
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, PowerModel, PowerReport};
-use dcg_sim::{ActivityColumns, LatchGroups, Processor, SimConfig, SimStats};
+use dcg_sim::{
+    ActivityBlock, ActivityColumns, LatchGroups, Processor, SimConfig, SimStats, BLOCK_CYCLES,
+};
 use dcg_workloads::InstStream;
 
 use crate::error::DcgError;
@@ -155,37 +159,38 @@ pub struct PassiveRun {
 
 /// The single warm-up/measure driver loop behind every run variant.
 ///
-/// Pulls cycles from `source` until `length.warmup_insts +
-/// length.measure_insts` instructions have committed, fanning each
-/// cycle's activity to all `sinks`. Before the first cycle at or past the
-/// warm-up boundary, every sink's [`ActivitySink::begin_measure`] fires
-/// exactly once. Sinks that constrain resources (active policies) are
-/// polled each cycle; the constraints are forwarded to the source, which
-/// must be a live simulation.
+/// Pulls blocks of consecutive cycles from `source`
+/// ([`ActivitySource::fill_block`]) until `length.warmup_insts +
+/// length.measure_insts` instructions have committed, and fans each block
+/// out to all `sinks` as a warm-up span and a measured span.
 ///
-/// When every sink is unconstrained and the source supports blocks (a
-/// [`crate::ReplaySource`]), the loop instead pulls whole
-/// [`dcg_sim::ActivityBlock`]s and fans out spans — each sink still
-/// observes exactly the per-cycle call sequence of the scalar loop, so
-/// results are bit-identical either way.
+/// Cycle `i` of a block is observed iff the committed total *before* it
+/// is below the target, and measured iff that same total is at or past
+/// the warm-up boundary; every sink's [`ActivitySink::begin_measure`]
+/// fires exactly once, between the two spans of the block that crosses
+/// the boundary. A live source stops stepping at the target; a replayed
+/// block's cycles past it are discarded unobserved, which is sound
+/// because the source is dropped with the run.
+///
+/// Before each block, sinks that constrain resources (active policies)
+/// are polled once and their constraints forwarded to the source, which
+/// must be a live simulation. The block is at most as long as the
+/// smallest [`ActivitySink::horizon`], the cycles over which every
+/// sink's constraints are guaranteed to hold, so each cycle runs under
+/// exactly the constraints a per-cycle poll would have applied.
 ///
 /// # Errors
 ///
-/// Propagates the first [`ActivitySource::next_cycle`] failure (replayed
+/// Propagates the first [`ActivitySource::fill_block`] failure (replayed
 /// traces only; live simulations are infallible).
 pub fn drive(
     source: &mut dyn ActivitySource,
     sinks: &mut [&mut dyn ActivitySink],
     length: RunLength,
 ) -> Result<(), DcgError> {
-    // Active policies publish constraints from construction onward, so a
-    // single poll up front decides the path; a passive fan-out never
-    // turns constraints on mid-run.
-    if source.supports_blocks() && sinks.iter_mut().all(|s| s.constraints().is_none()) {
-        return drive_blocks(source, sinks, length);
-    }
     let warm = length.warmup_insts;
     let target = warm + length.measure_insts;
+    let mut buffer = Box::new(ActivityBlock::new(0));
     let mut measuring = false;
     while source.committed() < target {
         if !measuring && source.committed() >= warm {
@@ -194,57 +199,16 @@ pub fn drive(
                 s.begin_measure();
             }
         }
+        let mut lanes = BLOCK_CYCLES;
         for s in sinks.iter_mut() {
             if let Some(c) = s.constraints() {
                 source.apply_constraints(c);
             }
-        }
-        let act = source.next_cycle()?;
-        if measuring {
-            for s in sinks.iter_mut() {
-                s.measure_cycle(act);
-            }
-        } else {
-            for s in sinks.iter_mut() {
-                s.warmup_cycle(act);
-            }
-        }
-    }
-    if !measuring {
-        // Degenerate zero-length measure window: still open it so sinks
-        // observe the boundary.
-        for s in sinks.iter_mut() {
-            s.begin_measure();
-        }
-    }
-    Ok(())
-}
-
-/// Block-granular twin of the scalar [`drive`] loop.
-///
-/// Cycle `i` of a block is observed iff the committed total *before* it
-/// is below the target, and measured iff that same total is at or past
-/// the warm-up boundary — exactly the scalar loop's top-of-iteration
-/// checks. Cycles decoded past the stop point are discarded unobserved,
-/// which is sound because the source is dropped with the run.
-fn drive_blocks(
-    source: &mut dyn ActivitySource,
-    sinks: &mut [&mut dyn ActivitySink],
-    length: RunLength,
-) -> Result<(), DcgError> {
-    let warm = length.warmup_insts;
-    let target = warm + length.measure_insts;
-    let mut measuring = false;
-    while source.committed() < target {
-        if !measuring && source.committed() >= warm {
-            measuring = true;
-            for s in sinks.iter_mut() {
-                s.begin_measure();
-            }
+            lanes = lanes.min(s.horizon());
         }
         let was_measuring = measuring;
         let mut committed = source.committed();
-        let block = source.next_block()?;
+        let block = source.fill_block(&mut buffer, lanes.max(1), target)?;
         let len = block.len();
         // `begin` is the first measured cycle index; `stop` is one past
         // the last observed cycle.
@@ -279,6 +243,8 @@ fn drive_blocks(
         }
     }
     if !measuring {
+        // Degenerate zero-length measure window: still open it so sinks
+        // observe the boundary.
         for s in sinks.iter_mut() {
             s.begin_measure();
         }
@@ -289,9 +255,9 @@ fn drive_blocks(
 /// Collect only the measured-window [`SimStats`] from `source` — the
 /// cheapest possible consumer (no power model, no policy state).
 ///
-/// On a block-capable source this folds whole decoded blocks into the
-/// counters without materializing per-cycle records, which is what a
-/// stats-only sweep point (e.g. an IPC table) should use.
+/// This folds whole blocks into the counters without materializing
+/// per-cycle records, which is what a stats-only sweep point (e.g. an
+/// IPC table) should use.
 ///
 /// # Errors
 ///
@@ -423,7 +389,7 @@ pub fn run_oracle_source(
 ) -> Result<PolicyOutcome, DcgError> {
     let groups = LatchGroups::new(&config.depth);
     let model = PowerModel::new(config, &groups);
-    let mut sink = OracleSink::new(&model, config, &groups);
+    let mut sink = OracleSink::new(&model, &groups);
     drive(source, &mut [&mut sink], length)?;
     Ok(sink.into_outcome())
 }

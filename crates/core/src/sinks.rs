@@ -1,18 +1,18 @@
 //! Consumers of the per-cycle activity stream.
 //!
-//! One [`drive`](crate::drive) pass fans each cycle's
-//! [`CycleActivity`] out to any number of sinks: policy evaluation with
-//! energy accounting and the gating audit, Wattch/oracle reference
-//! accounting and statistics accumulation. (A cache miss records at the
-//! source instead; see [`crate::CachedSource`].) Every sink takes the
-//! activity by reference, so adding consumers never adds simulation
-//! passes — the "simulate once" architecture.
+//! One [`drive`](crate::drive) pass fans each block of cycles out to any
+//! number of sinks: policy evaluation with energy accounting and the
+//! gating audit, Wattch/oracle reference accounting and statistics
+//! accumulation. (A cache miss records at the source instead; see
+//! [`crate::CachedSource`].) Every sink takes the activity by reference,
+//! so adding consumers never adds simulation passes — the "simulate
+//! once" architecture.
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, GateLanes, GateState, PowerModel, PowerReport};
 use dcg_sim::{
     ActivityBlock, ActivityColumns, CycleActivity, LatchGroups, ResourceConstraints, SimConfig,
-    SimStats,
+    SimStats, BLOCK_CYCLES,
 };
 
 use crate::metrics::{
@@ -25,13 +25,16 @@ use crate::safety::{GatingSafetyChecker, SafetyReport};
 
 /// A consumer of per-cycle activity.
 ///
-/// [`drive`](crate::drive) calls [`ActivitySink::warmup_cycle`] for every
-/// cycle before the measurement window opens,
-/// [`ActivitySink::begin_measure`] exactly once at the window boundary,
-/// and [`ActivitySink::measure_cycle`] for every measured cycle.
-/// [`ActivitySink::constraints`] is polled before each cycle; a sink
-/// wrapping an active policy returns its resource limits there (which
-/// only a live simulation source can honor).
+/// [`drive`](crate::drive) hands every sink each block of cycles as up
+/// to two spans: [`ActivitySink::warmup_span`] for the cycles before the
+/// measurement window opens and [`ActivitySink::measure_span`] for the
+/// measured ones, with [`ActivitySink::begin_measure`] exactly once at
+/// the window boundary. The span defaults forward lane by lane to
+/// [`ActivitySink::warmup_cycle`] and [`ActivitySink::measure_cycle`].
+/// [`ActivitySink::constraints`] and [`ActivitySink::horizon`] are polled
+/// before each block; a sink wrapping an active policy returns its
+/// resource limits there (which only a live simulation source can
+/// honor).
 pub trait ActivitySink {
     /// Observe a warm-up cycle (nothing should be recorded).
     fn warmup_cycle(&mut self, _act: &CycleActivity) {}
@@ -47,13 +50,25 @@ pub trait ActivitySink {
         None
     }
 
+    /// Upcoming cycles (at least 1) over which
+    /// [`constraints`](ActivitySink::constraints) is guaranteed not to
+    /// change, however those cycles run; the drive loop steps no longer
+    /// a block. The default is 1 for a sink that constrains, which
+    /// re-polls it every cycle, and [`BLOCK_CYCLES`] otherwise.
+    fn horizon(&self) -> usize {
+        if self.constraints().is_some() {
+            1
+        } else {
+            BLOCK_CYCLES
+        }
+    }
+
     /// Observe warm-up cycles `from..to` of a decoded block.
     ///
-    /// The default is the per-cycle compatibility shim: extract each
-    /// column and forward it to
-    /// [`warmup_cycle`](ActivitySink::warmup_cycle), preserving the exact
-    /// scalar call sequence. Sinks with a vectorized fold (or nothing to
-    /// do during warm-up) override this.
+    /// The default is the per-cycle shim: extract each lane and forward
+    /// it to [`warmup_cycle`](ActivitySink::warmup_cycle), in cycle
+    /// order. Sinks with a vectorized fold (or nothing to do during
+    /// warm-up) override this.
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
         let mut act = CycleActivity::default();
         for i in from..to {
@@ -65,9 +80,10 @@ pub trait ActivitySink {
     /// Observe and account measured cycles `from..to` of a decoded block.
     ///
     /// Same shim contract as [`warmup_span`](ActivitySink::warmup_span):
-    /// the default forwards column-by-column to
-    /// [`measure_cycle`](ActivitySink::measure_cycle), so any sink is
-    /// automatically block-capable and bit-identical to the scalar path.
+    /// the default forwards lane by lane to
+    /// [`measure_cycle`](ActivitySink::measure_cycle), so a sink that
+    /// implements only the per-cycle methods sees exactly the per-cycle
+    /// call sequence.
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
         let mut act = CycleActivity::default();
         for i in from..to {
@@ -81,13 +97,15 @@ pub trait ActivitySink {
 /// energy accounting.
 ///
 /// Per cycle the order is: gate, screen (fail open), audit, energy,
-/// observe. A block span runs the same steps span by span:
+/// observe. A block span runs these steps span by span:
 /// [`GatingPolicy::gate_lanes`] decides and observes every lane, then
 /// [`GatingSafetyChecker::screen_span`], [`GatingAudit::check`] and
 /// [`PowerModel::fold_span`] fold the lanes in cycle order. The policy
 /// never sees the screened gates, so deciding all lanes first changes
-/// nothing, and the audit and energy folds run the per-cycle code on a
-/// wider view.
+/// nothing, and the audit and energy folds run the per-cycle formulas on
+/// a wider view. The safety checker screens warm-up spans too: a hazard
+/// is a hazard whenever it strikes, and backoff state must be continuous
+/// across the measurement boundary.
 pub(crate) struct PolicySink<'a> {
     policy: &'a mut dyn GatingPolicy,
     model: &'a PowerModel,
@@ -104,9 +122,6 @@ pub(crate) struct PolicySink<'a> {
     constrain: bool,
     report: PowerReport,
     audit: GatingAudit,
-    /// Scratch gate state reused across cycles (see
-    /// [`GatingPolicy::gate_into`]).
-    gate: GateState,
     /// Scratch gate lanes reused across block spans.
     lanes: GateLanes,
 }
@@ -129,7 +144,6 @@ impl<'a> PolicySink<'a> {
             constrain,
             report: PowerReport::new(),
             audit: GatingAudit::default(),
-            gate: GateState::ungated(config, groups),
             lanes: GateLanes::new(groups.len()),
         }
     }
@@ -160,35 +174,24 @@ impl<'a> PolicySink<'a> {
     }
 }
 
+// The drive loop hands this sink spans only (it is crate-private), so the
+// per-cycle path lives in the policy's own `gate_into`/`observe`, which
+// the default `gate_lanes` shim calls.
 impl ActivitySink for PolicySink<'_> {
-    fn warmup_cycle(&mut self, act: &CycleActivity) {
-        // Keep the policy's pipelined control state primed, but record
-        // nothing. The safety checker still screens warm-up cycles: a
-        // hazard is a hazard whenever it strikes, and backoff state must
-        // be continuous across the measurement boundary.
-        self.policy.gate_into(act.cycle, &mut self.gate);
-        if let Some(chk) = &mut self.safety {
-            chk.screen(&mut self.gate, act);
-        }
-        self.policy.observe(act);
-    }
-
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        self.policy.gate_into(act.cycle, &mut self.gate);
-        debug_assert!(self.gate.validate(self.config, self.groups).is_ok());
-        if let Some(chk) = &mut self.safety {
-            // Screen (and fail open) *before* the audit and the energy
-            // accounting: downstream consumers see only safe gates.
-            chk.screen(&mut self.gate, act);
-        }
-        self.audit.check(&act.columns(), &self.gate.columns());
-        self.report
-            .record(&self.model.cycle_energy(act, &self.gate), act.committed);
-        self.policy.observe(act);
+    fn measure_cycle(&mut self, _act: &CycleActivity) {
+        unreachable!("drive hands a policy sink whole spans");
     }
 
     fn constraints(&self) -> Option<ResourceConstraints> {
         self.constrain.then(|| self.policy.constraints())
+    }
+
+    fn horizon(&self) -> usize {
+        if self.constrain {
+            self.policy.horizon()
+        } else {
+            BLOCK_CYCLES
+        }
     }
 
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
@@ -226,22 +229,18 @@ fn oracle_gate(act: &CycleActivity, groups: &LatchGroups, out: &mut GateState) {
 pub(crate) struct OracleSink<'a> {
     model: &'a PowerModel,
     groups: &'a LatchGroups,
-    /// Scratch gate rewritten every cycle; starts ungated, and the fields
-    /// the oracle does not decide keep that value.
-    gate: GateState,
+    /// Gate lanes rewritten every span; the fields the oracle
+    /// does not decide keep their ungated start values.
+    lanes: GateLanes,
     report: PowerReport,
 }
 
 impl<'a> OracleSink<'a> {
-    pub(crate) fn new(
-        model: &'a PowerModel,
-        config: &SimConfig,
-        groups: &'a LatchGroups,
-    ) -> OracleSink<'a> {
+    pub(crate) fn new(model: &'a PowerModel, groups: &'a LatchGroups) -> OracleSink<'a> {
         OracleSink {
             model,
             groups,
-            gate: GateState::ungated(config, groups),
+            lanes: GateLanes::new(groups.len()),
             report: PowerReport::new(),
         }
     }
@@ -256,15 +255,38 @@ impl<'a> OracleSink<'a> {
     }
 }
 
+// Driven by spans only, like `PolicySink`.
 impl ActivitySink for OracleSink<'_> {
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        oracle_gate(act, self.groups, &mut self.gate);
-        self.report
-            .record(&self.model.cycle_energy(act, &self.gate), act.committed);
+    fn measure_cycle(&mut self, _act: &CycleActivity) {
+        unreachable!("drive hands the oracle sink whole spans");
     }
 
-    // Nothing accumulates during warm-up, so skip the shim's extraction.
+    // Nothing accumulates during warm-up.
     fn warmup_span(&mut self, _block: &ActivityBlock, _from: usize, _to: usize) {}
+
+    fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
+        let lanes = &mut self.lanes;
+        for i in from..to {
+            for (col, used) in lanes.fu_powered.iter_mut().zip(&block.fu_active) {
+                col[i] = used[i];
+            }
+            lanes.dcache_ports_powered[i] = block.dcache_port_mask[i];
+            lanes.result_buses_powered[i] = block.result_bus_used[i];
+            for ((slot, spec), &occ) in lanes
+                .latch_slots_mut(i)
+                .iter_mut()
+                .zip(self.groups.specs())
+                .zip(block.latches(i))
+            {
+                *slot = spec.gated.then_some(occ);
+            }
+        }
+        self.model.fold_span(
+            &block.columns(from, to),
+            &self.lanes.columns(from, to),
+            &mut self.report,
+        );
+    }
 }
 
 /// Wattch `cc0`/`cc1`/`cc2` reference accounting (see

@@ -5,14 +5,18 @@
 //! of one simulation is valid input for *any* set of passive consumers.
 //! [`ActivitySource`] abstracts over the two producers:
 //!
-//! * a live [`Processor`] — steps the timing simulation one cycle at a
-//!   time (required for active policies, which constrain resources);
+//! * a live [`Processor`] — steps the timing simulation (required for
+//!   active policies, which constrain resources);
 //! * a [`ReplaySource`] — decodes a previously recorded activity trace,
 //!   skipping the timing simulation entirely (the "simulate once"
 //!   architecture).
 //!
-//! [`CachedSource`] is the one source type the trace cache hands out: a
-//! replay on a hit, or a live simulation that records itself on a miss.
+//! Either way [`crate::drive`] pulls [`ActivityBlock`]s through
+//! [`ActivitySource::fill_block`]: a replay hands out its decoded blocks,
+//! a live simulation steps up to the block size the sinks allow into the
+//! drive loop's block. [`CachedSource`] is the one source type the trace
+//! cache hands out: a replay on a hit, or a live simulation that records
+//! each block it steps on a miss.
 
 use std::fmt;
 
@@ -59,9 +63,10 @@ pub trait ActivitySource {
     fn apply_constraints(&mut self, constraints: ResourceConstraints);
 
     /// `true` if this source can hand out whole decoded
-    /// [`ActivityBlock`]s (the struct-of-arrays hot path). Sources that
-    /// produce cycles one at a time (live simulations) report `false`
-    /// and are driven through the per-cycle shim instead.
+    /// [`ActivityBlock`]s of its own ([`ActivitySource::next_block`]).
+    /// Sources that produce cycles one at a time (live simulations)
+    /// report `false` and step into the drive loop's block instead (see
+    /// [`ActivitySource::fill_block`]).
     fn supports_blocks(&self) -> bool {
         false
     }
@@ -79,6 +84,57 @@ pub trait ActivitySource {
     /// [`ActivitySource::supports_blocks`]).
     fn next_block(&mut self) -> Result<&ActivityBlock, DcgError> {
         panic!("this activity source does not produce blocks");
+    }
+
+    /// Produce the next run of consecutive cycles as one block: the unit
+    /// [`crate::drive`] pulls.
+    ///
+    /// A live source steps into `block` (the drive loop's reusable block)
+    /// until it holds `max_lanes` cycles or [`committed`] reaches
+    /// `until`, whichever comes first. The drive loop calls this only while
+    /// [`committed`] is below `until`, so a live source steps at least
+    /// one cycle and never one past the run. A source that supports blocks returns its own next block
+    /// whole; it cannot honor constraints, so no constraint horizon
+    /// bounds it, and the drive loop discards cycles past the run.
+    ///
+    /// The default does exactly that: [`next_block`] where
+    /// [`supports_blocks`], else one [`next_cycle`] per lane (for a
+    /// [`Processor`], one `step` per lane, statically dispatched).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`ActivitySource::next_cycle`].
+    ///
+    /// [`committed`]: ActivitySource::committed
+    /// [`next_block`]: ActivitySource::next_block
+    /// [`supports_blocks`]: ActivitySource::supports_blocks
+    /// [`next_cycle`]: ActivitySource::next_cycle
+    fn fill_block<'a>(
+        &'a mut self,
+        block: &'a mut ActivityBlock,
+        max_lanes: usize,
+        until: u64,
+    ) -> Result<&'a ActivityBlock, DcgError> {
+        if self.supports_blocks() {
+            return self.next_block();
+        }
+        let act = self.next_cycle()?;
+        restart(block, act.latch_occupancy.len());
+        block.push(act);
+        while block.len() < max_lanes && self.committed() < until {
+            block.push(self.next_cycle()?);
+        }
+        Ok(block)
+    }
+}
+
+/// Empty `block` for cycles with `groups` latch groups, reallocating only
+/// when the geometry changes.
+fn restart(block: &mut ActivityBlock, groups: usize) {
+    if block.groups == groups {
+        block.clear(0);
+    } else {
+        *block = ActivityBlock::new(groups);
     }
 }
 
@@ -287,6 +343,27 @@ impl<S: InstStream> ActivitySource for CachedSource<S> {
         matches!(self, CachedSource::Replay(_))
     }
 
+    fn fill_block<'a>(
+        &'a mut self,
+        block: &'a mut ActivityBlock,
+        max_lanes: usize,
+        until: u64,
+    ) -> Result<&'a ActivityBlock, DcgError> {
+        match self {
+            CachedSource::Replay(r) => r.next_block(),
+            CachedSource::Live(cpu, recorder) => {
+                let block = cpu.fill_block(block, max_lanes, until)?;
+                if recorder
+                    .as_mut()
+                    .is_some_and(|w| w.write_block(block).is_err())
+                {
+                    *recorder = None;
+                }
+                Ok(block)
+            }
+        }
+    }
+
     fn next_block(&mut self) -> Result<&ActivityBlock, DcgError> {
         match self {
             CachedSource::Replay(r) => r.next_block(),
@@ -377,6 +454,33 @@ mod tests {
             blocked.next_block(),
             Err(DcgError::ReplayExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn live_fill_stops_at_the_lane_limit_or_the_target() {
+        let mut cpu = Processor::new(
+            SimConfig::baseline_8wide(),
+            SyntheticWorkload::new(Spec2000::by_name("gzip").unwrap(), 3),
+        );
+        let mut buffer = ActivityBlock::new(0);
+        let until = 500;
+        let mut cycles = 0;
+        for max_lanes in [10, 64, 1, 37].into_iter().cycle() {
+            if cpu.committed() >= until {
+                break;
+            }
+            let block = cpu.fill_block(&mut buffer, max_lanes, until).unwrap();
+            let (len, last) = (block.len(), u64::from(block.committed[block.len() - 1]));
+            assert_eq!(block.first_cycle, cycles + 1, "blocks continue each other");
+            cycles += len as u64;
+            assert!(len <= max_lanes);
+            assert!(
+                len == max_lanes || cpu.committed() >= until,
+                "stopped short"
+            );
+            assert!(cpu.committed() - last < until, "stepped past the target");
+        }
+        assert_eq!(ActivitySource::cycle(&cpu), cycles);
     }
 
     #[test]

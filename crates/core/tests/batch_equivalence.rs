@@ -1,25 +1,28 @@
-//! Bit-identity of the struct-of-arrays block path against the scalar
-//! per-cycle path, across 2 workload profiles × 2 pipeline depths.
+//! Bit-identity of the block drive loop against a per-cycle reference,
+//! across 2 workload profiles × 2 pipeline depths.
 //!
-//! The policies cover the baseline, DCG, a fault-injected DCG (hazards,
-//! fail-open lanes, backoff across block boundaries) and DCG with
-//! issue-queue gating. Three ways of driving consume the same recorded
-//! activity trace:
+//! The reference wraps every policy and extra sink so that only their
+//! per-cycle methods show: policies decide through `gate_into` and
+//! `observe` (the per-lane `gate_lanes` shim) and keep the default
+//! horizon of 1; sinks see `warmup_cycle`/`measure_cycle` (the per-lane
+//! span shims) and report a horizon of 1, so the live source steps one
+//! cycle per block and constraints are polled before every cycle — the
+//! per-cycle loop that the block loop replaced.
 //!
-//! 1. the scalar loop (forced through a wrapper that hides block support),
-//! 2. the block loop ([`dcg_core::drive`] routes there automatically),
-//! 3. several configurations' sinks in one [`dcg_core::drive`] sink list,
-//!    sharing one decode.
-//!
-//! All three must produce byte-identical policy outcomes, metrics reports
-//! and simulator statistics — the equivalence the warm-cache sweep
-//! speedup rests on.
+//! The passive fan-out covers the baseline, DCG, a fault-injected DCG
+//! (hazards, fail-open lanes, backoff across block boundaries), DCG with
+//! issue-queue gating and a [`MetricsSink`]. It runs three ways: live
+//! blocks, the live per-cycle reference and a replay of the trace the
+//! live-block run recorded. The active runs cover PLB-orig, PLB-ext and
+//! a fault-wrapped PLB, live blocks against the live reference, which
+//! checks every constraint horizon.
 
 use dcg_core::{
-    drive, run_passive_with_sinks, run_stats_source, ActivitySink, ActivitySource, Dcg, DcgError,
-    DcgOptions, FaultPoint, FaultSpec, FaultyPolicy, MetricsSink, NoGating, PassiveRun,
-    ReplaySource, RunLength,
+    drive, run_active, run_passive_with_sinks, run_stats_source, ActivitySink, CachedSource, Dcg,
+    DcgOptions, FaultPoint, FaultSpec, FaultyPolicy, GatingPolicy, MetricsReport, MetricsSink,
+    NoGating, PassiveRun, Plb, PlbConfig, PlbVariant, PolicyOutcome, ReplaySource, RunLength,
 };
+use dcg_power::GateState;
 use dcg_sim::{
     CycleActivity, LatchGroups, PipelineDepth, Processor, ResourceConstraints, SimConfig,
 };
@@ -35,12 +38,35 @@ fn length() -> RunLength {
     }
 }
 
-/// Record `name` on `cfg` into an in-memory activity trace covering the
-/// whole warm-up + measure window.
-fn record(cfg: &SimConfig, name: &str) -> Vec<u8> {
-    let profile = Spec2000::by_name(name).expect("known benchmark");
-    let mut cpu = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, SEED));
-    let groups = cpu.latch_groups().len();
+/// Long enough for PLB to change mode several times.
+fn plb_length() -> RunLength {
+    RunLength {
+        warmup_insts: 2_000,
+        measure_insts: 30_000,
+    }
+}
+
+fn configs() -> impl Iterator<Item = (SimConfig, &'static str)> {
+    [PipelineDepth::stages8(), PipelineDepth::stages20()]
+        .into_iter()
+        .flat_map(|depth| {
+            ["gzip", "swim"].into_iter().map(move |name| {
+                let cfg = SimConfig {
+                    depth,
+                    ..SimConfig::baseline_8wide()
+                };
+                (cfg, name)
+            })
+        })
+}
+
+fn stream(name: &str) -> SyntheticWorkload {
+    SyntheticWorkload::new(Spec2000::by_name(name).expect("known benchmark"), SEED)
+}
+
+/// A live source of `name` on `cfg` that records every cycle it steps.
+fn recording(cfg: &SimConfig, name: &str) -> CachedSource<SyntheticWorkload> {
+    let cpu = Processor::new(cfg.clone(), stream(name));
     let l = length();
     let header = ActivityHeader::new(
         name,
@@ -48,35 +74,18 @@ fn record(cfg: &SimConfig, name: &str) -> Vec<u8> {
         SEED,
         l.warmup_insts,
         l.measure_insts,
-        groups,
+        cpu.latch_groups().len(),
     )
     .expect("valid header");
-    let mut w = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory writer");
-    let target = l.warmup_insts + l.measure_insts;
-    while ActivitySource::committed(&cpu) < target {
-        w.write_cycle(cpu.step()).expect("record cycle");
-    }
-    w.finish().expect("finish trace")
+    let writer = ActivityTraceWriter::new(Vec::new(), &header).expect("in-memory writer");
+    CachedSource::Live(Box::new(cpu), Some(writer))
 }
 
-/// Hides block support so [`dcg_core::drive`] takes the scalar loop.
-struct ScalarOnly(ReplaySource);
-
-impl ActivitySource for ScalarOnly {
-    fn next_cycle(&mut self) -> Result<&CycleActivity, DcgError> {
-        self.0.next_cycle()
-    }
-    fn committed(&self) -> u64 {
-        self.0.committed()
-    }
-    fn cycle(&self) -> u64 {
-        self.0.cycle()
-    }
-    fn supports_constraints(&self) -> bool {
-        false
-    }
-    fn apply_constraints(&mut self, _constraints: ResourceConstraints) {
-        panic!("replayed activity cannot honor resource constraints");
+/// The finished recording of a [`recording`] source.
+fn recorded(source: CachedSource<SyntheticWorkload>) -> Vec<u8> {
+    match source {
+        CachedSource::Live(_, Some(writer)) => writer.finish().expect("finish trace"),
+        _ => panic!("the recording was dropped"),
     }
 }
 
@@ -84,13 +93,59 @@ fn replay(bytes: &[u8]) -> ReplaySource {
     ReplaySource::new(ActivityTraceReader::new(bytes).expect("open trace"))
 }
 
+/// A policy seen only through its per-cycle methods.
+struct PerCyclePolicy<'a>(&'a mut dyn GatingPolicy);
+
+impl GatingPolicy for PerCyclePolicy<'_> {
+    fn gate_for(&mut self, cycle: u64) -> GateState {
+        self.0.gate_for(cycle)
+    }
+    fn gate_into(&mut self, cycle: u64, out: &mut GateState) {
+        self.0.gate_into(cycle, out);
+    }
+    fn constraints(&self) -> ResourceConstraints {
+        self.0.constraints()
+    }
+    fn observe(&mut self, activity: &CycleActivity) {
+        self.0.observe(activity);
+    }
+    fn is_passive(&self) -> bool {
+        self.0.is_passive()
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// A sink seen only through its per-cycle methods, stepping the run one
+/// cycle per block.
+struct PerCycleSink<'a>(&'a mut dyn ActivitySink);
+
+impl ActivitySink for PerCycleSink<'_> {
+    fn warmup_cycle(&mut self, act: &CycleActivity) {
+        self.0.warmup_cycle(act);
+    }
+    fn begin_measure(&mut self) {
+        self.0.begin_measure();
+    }
+    fn measure_cycle(&mut self, act: &CycleActivity) {
+        self.0.measure_cycle(act);
+    }
+    fn constraints(&self) -> Option<ResourceConstraints> {
+        self.0.constraints()
+    }
+    fn horizon(&self) -> usize {
+        1
+    }
+}
+
 /// Outcome index of the fault-injected DCG in [`passive_run`].
 const FAULTY: usize = 2;
 
 /// Gate-level fault for the faulty lane: gates a unit, port, bus or latch
-/// group DCG powered inside a seeded window, so the safety checker
-/// records hazards and fails the class open for its 256-cycle backoff,
-/// which spans several 64-cycle blocks.
+/// group the policy powered inside a seeded window. On DCG the safety
+/// checker records hazards and fails the class open for its 256-cycle
+/// backoff, which spans several 64-cycle blocks.
 fn fault() -> FaultSpec {
     FaultSpec {
         id: 0,
@@ -101,11 +156,12 @@ fn fault() -> FaultSpec {
 
 /// Run the passive fan-out (NoGating, DCG, a fault-injected DCG and DCG
 /// with issue-queue gating, plus a MetricsSink on DCG) over `source`;
-/// return the run plus the metrics report.
+/// `per_cycle` wraps every policy and the sink for the reference.
 fn passive_run(
     cfg: &SimConfig,
-    source: &mut dyn ActivitySource,
-) -> (PassiveRun, dcg_core::MetricsReport) {
+    source: &mut dyn dcg_core::ActivitySource,
+    per_cycle: bool,
+) -> (PassiveRun, MetricsReport) {
     let groups = LatchGroups::new(&cfg.depth);
     let mut base = NoGating::new(cfg, &groups);
     let mut dcg = Dcg::new(cfg, &groups);
@@ -120,80 +176,152 @@ fn passive_run(
     );
     let mut observed = Dcg::new(cfg, &groups);
     let mut metrics = MetricsSink::new(&mut observed, cfg, &groups);
-    let run = run_passive_with_sinks(
-        cfg,
-        source,
-        length(),
-        &mut [&mut base, &mut dcg, &mut faulty, &mut dcg_iq],
-        &mut [&mut metrics],
-    )
-    .expect("replay covers the recorded window");
+    let mut policies: [&mut dyn GatingPolicy; 4] = [&mut base, &mut dcg, &mut faulty, &mut dcg_iq];
+    let run = if per_cycle {
+        let [a, b, c, d] = policies;
+        run_passive_with_sinks(
+            cfg,
+            source,
+            length(),
+            &mut [
+                &mut PerCyclePolicy(a),
+                &mut PerCyclePolicy(b),
+                &mut PerCyclePolicy(c),
+                &mut PerCyclePolicy(d),
+            ],
+            &mut [&mut PerCycleSink(&mut metrics)],
+        )
+    } else {
+        run_passive_with_sinks(cfg, source, length(), &mut policies, &mut [&mut metrics])
+    }
+    .expect("the source covers the run");
     (run, metrics.into_report())
 }
 
 /// Exact-bit fingerprint of a run: Debug formatting covers every counter,
 /// and the f64 energy totals are compared through `to_bits`.
 fn fingerprint(run: &PassiveRun) -> String {
-    let energy_bits: Vec<(u64, u64)> = run
-        .outcomes
-        .iter()
-        .map(|o| {
-            (
-                o.report.total_pj().to_bits(),
-                o.report.energy_per_inst_pj().to_bits(),
-            )
-        })
-        .collect();
-    format!("{run:?}|{energy_bits:?}")
+    let outcomes: Vec<String> = run.outcomes.iter().map(outcome_fingerprint).collect();
+    format!("{:?}|{outcomes:?}", run.stats)
+}
+
+fn outcome_fingerprint(o: &PolicyOutcome) -> String {
+    format!(
+        "{o:?}|{}|{}",
+        o.report.total_pj().to_bits(),
+        o.report.energy_per_inst_pj().to_bits()
+    )
 }
 
 #[test]
-fn block_path_matches_scalar_path_bit_for_bit() {
-    for depth in [PipelineDepth::stages8(), PipelineDepth::stages20()] {
-        for name in ["gzip", "swim"] {
-            let cfg = SimConfig {
-                depth,
-                ..SimConfig::baseline_8wide()
-            };
-            let bytes = record(&cfg, name);
+fn live_blocks_match_the_per_cycle_reference_and_replay() {
+    for (cfg, name) in configs() {
+        let mut live = recording(&cfg, name);
+        let (block_run, block_metrics) = passive_run(&cfg, &mut live, false);
+        let bytes = recorded(live);
 
-            let mut scalar_src = ScalarOnly(replay(&bytes));
-            let (scalar_run, scalar_metrics) = passive_run(&cfg, &mut scalar_src);
+        let mut reference = recording(&cfg, name);
+        let (ref_run, ref_metrics) = passive_run(&cfg, &mut reference, true);
+        assert_eq!(
+            bytes,
+            recorded(reference),
+            "{name}/{:?}: whole-block and lane-by-lane recordings must be the same bytes",
+            cfg.depth
+        );
 
-            let mut block_src = replay(&bytes);
-            assert!(block_src.supports_blocks());
-            let (block_run, block_metrics) = passive_run(&cfg, &mut block_src);
+        let (replay_run, replay_metrics) = passive_run(&cfg, &mut replay(&bytes), false);
 
-            // The fault lane must exercise the screen's fallback: hazards,
-            // fail-open cycles, and a backoff window longer than a block.
-            let safety = &scalar_run.outcomes[FAULTY].safety;
-            assert!(
-                !safety.hazards.is_empty(),
-                "{name}/{depth:?}: fault produced no hazard"
-            );
-            assert!(
-                safety.failed_open_cycles.iter().any(|&n| n > 64),
-                "{name}/{depth:?}: no backoff window crossed a block boundary"
+        // The fault lane must exercise the screen's fallback: hazards,
+        // fail-open cycles, and a backoff window longer than a block.
+        let safety = &ref_run.outcomes[FAULTY].safety;
+        assert!(
+            !safety.hazards.is_empty(),
+            "{name}/{:?}: fault produced no hazard",
+            cfg.depth
+        );
+        assert!(
+            safety.failed_open_cycles.iter().any(|&n| n > 64),
+            "{name}/{:?}: no backoff window crossed a block boundary",
+            cfg.depth
+        );
+        for (run, metrics, how) in [
+            (&block_run, &block_metrics, "live blocks"),
+            (&replay_run, &replay_metrics, "replayed blocks"),
+        ] {
+            assert_eq!(
+                fingerprint(&ref_run),
+                fingerprint(run),
+                "{name}/{:?}: {how} must equal the per-cycle reference",
+                cfg.depth
             );
             assert_eq!(
-                fingerprint(&scalar_run),
-                fingerprint(&block_run),
-                "{name}/{depth:?}: block drive must equal scalar drive"
-            );
-            assert_eq!(
-                scalar_metrics, block_metrics,
-                "{name}/{depth:?}: metrics must be identical"
-            );
-
-            // Stats-only fold over blocks equals the full run's stats.
-            let stats = run_stats_source(&mut replay(&bytes), length())
-                .expect("replay covers the recorded window");
-            assert_eq!(
-                format!("{:?}", scalar_run.stats),
-                format!("{stats:?}"),
-                "{name}/{depth:?}: blockwise stats fold must equal scalar stats"
+                &ref_metrics, metrics,
+                "{name}/{:?}: {how}: metrics must be identical",
+                cfg.depth
             );
         }
+
+        // Stats-only fold over blocks equals the full run's stats.
+        let stats =
+            run_stats_source(&mut replay(&bytes), length()).expect("replay covers the window");
+        assert_eq!(
+            format!("{:?}", ref_run.stats),
+            format!("{stats:?}"),
+            "{name}/{:?}: blockwise stats fold must equal the reference stats",
+            cfg.depth
+        );
+    }
+}
+
+#[test]
+fn plb_live_blocks_match_the_per_cycle_reference() {
+    let l = plb_length();
+    for (cfg, name) in configs() {
+        let groups = LatchGroups::new(&cfg.depth);
+        // The paper's 256-cycle window ends on a block boundary; a
+        // 100-cycle one ends mid-block, where a horizon one cycle too
+        // long would run a cycle under the old mode's constraints.
+        for window in [256, 100] {
+            let plb_cfg = PlbConfig {
+                window,
+                ..PlbConfig::default()
+            };
+            for variant in [PlbVariant::Orig, PlbVariant::Ext] {
+                let what = format!("{name}/{:?}/{variant:?}/window {window}", cfg.depth);
+                let mut blocks = Plb::with_config(variant, plb_cfg, &cfg, &groups);
+                let block_run = run_active(&cfg, stream(name), l, &mut blocks);
+                let mut per_cycle = Plb::with_config(variant, plb_cfg, &cfg, &groups);
+                let ref_run =
+                    run_active(&cfg, stream(name), l, &mut PerCyclePolicy(&mut per_cycle));
+                assert!(
+                    per_cycle.transitions() >= 2,
+                    "{what}: PLB must change mode to test its horizon"
+                );
+                assert_eq!(blocks.transitions(), per_cycle.transitions(), "{what}");
+                assert_eq!(
+                    outcome_fingerprint(&ref_run),
+                    outcome_fingerprint(&block_run),
+                    "{what}: live blocks must equal the per-cycle reference"
+                );
+            }
+        }
+
+        let mut inner = Plb::new(PlbVariant::Ext, &cfg, &groups);
+        let mut faulty = FaultyPolicy::new(&mut inner, fault(), &cfg, &groups);
+        let block_run = run_active(&cfg, stream(name), l, &mut faulty);
+        assert!(
+            faulty.altered() > 0,
+            "the fault window must fall in the run"
+        );
+        let mut inner = Plb::new(PlbVariant::Ext, &cfg, &groups);
+        let mut faulty = FaultyPolicy::new(&mut inner, fault(), &cfg, &groups);
+        let ref_run = run_active(&cfg, stream(name), l, &mut PerCyclePolicy(&mut faulty));
+        assert_eq!(
+            outcome_fingerprint(&ref_run),
+            outcome_fingerprint(&block_run),
+            "{name}/{:?}: fault-wrapped PLB: live blocks must equal the per-cycle reference",
+            cfg.depth
+        );
     }
 }
 
@@ -201,7 +329,9 @@ fn block_path_matches_scalar_path_bit_for_bit() {
 fn drive_batch_lanes_match_individual_drives() {
     let cfg = SimConfig::baseline_8wide();
     let groups = LatchGroups::new(&cfg.depth);
-    let bytes = record(&cfg, "gzip");
+    let mut live = recording(&cfg, "gzip");
+    let (_, solo_block) = passive_run(&cfg, &mut live, false);
+    let bytes = recorded(live);
 
     // Two lanes sharing one decode: each lane re-evaluates DCG through a
     // MetricsSink (the public block-aware sink), and both sit in one
@@ -219,14 +349,14 @@ fn drive_batch_lanes_match_individual_drives() {
     let batch0 = lane0.into_report();
     let batch1 = lane1.into_report();
 
-    // Reference: drive each lane alone, scalar and blocked.
-    let (_, solo_block) = passive_run(&cfg, &mut replay(&bytes));
-    let (_, solo_scalar) = passive_run(&cfg, &mut ScalarOnly(replay(&bytes)));
+    // Reference: each lane alone, live per cycle.
+    let mut cpu = Processor::new(cfg.clone(), stream("gzip"));
+    let (_, solo_per_cycle) = passive_run(&cfg, &mut cpu, true);
 
     assert_eq!(batch0, batch1, "lockstep lanes must agree with each other");
     assert_eq!(batch0, solo_block, "batched lane must equal solo block run");
     assert_eq!(
-        batch0, solo_scalar,
-        "batched lane must equal solo scalar run"
+        batch0, solo_per_cycle,
+        "batched lane must equal the per-cycle reference"
     );
 }

@@ -2,11 +2,10 @@
 //! (optionally) both PLB variants.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcg_core::{
-    run_active, run_cached_or_live, run_passive_with_sinks, Dcg, MetricsReport, MetricsSink,
-    NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    run_active, run_cached_or_live, run_passive_with_sinks, run_sharded_with, Dcg, MetricsReport,
+    MetricsSink, NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
 use dcg_sim::{LatchGroups, SimConfig, SimStats};
@@ -245,52 +244,23 @@ impl Suite {
     /// instead of re-simulating the pipeline.
     pub fn run(cfg: &ExperimentConfig, with_plb: bool) -> Suite {
         let ((runs, failures), wall_ns) = dcg_testkit::bench::time(|| {
-            let n = cfg.benchmarks.len();
-            let workers = suite_workers().min(n.max(1));
             let cache = TraceCache::from_env();
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Result<BenchmarkRun, SuiteFailure>>> =
-                (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    (0..workers)
-                        .map(|_| {
-                            let next = &next;
-                            let cache = cache.as_ref();
-                            scope.spawn(move || {
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= n {
-                                        break;
-                                    }
-                                    // One panicking benchmark must not kill the
-                                    // suite: capture the payload and keep
-                                    // draining the queue.
-                                    let profile = cfg.benchmarks[i];
-                                    let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                                        Self::run_one(cfg, profile, with_plb, cache)
-                                    }))
-                                    .map_err(|payload| SuiteFailure {
-                                        name: profile.name.to_string(),
-                                        message: panic_message(payload),
-                                    });
-                                    done.push((i, run));
-                                }
-                                done
-                            })
-                        })
-                        .collect();
-                for h in handles {
-                    for (i, run) in h.join().expect("benchmark worker panicked") {
-                        slots[i] = Some(run);
-                    }
-                }
+            let outcomes = run_sharded_with(suite_workers(), cfg.benchmarks.len(), |i| {
+                // One panicking benchmark must not kill the suite: capture
+                // the payload and let the pool keep draining the queue.
+                let profile = cfg.benchmarks[i];
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    Self::run_one(cfg, profile, with_plb, cache.as_ref())
+                }))
+                .map_err(|payload| SuiteFailure {
+                    name: profile.name.to_string(),
+                    message: panic_message(payload),
+                })
             });
-            let mut runs = Vec::with_capacity(n);
+            let mut runs = Vec::with_capacity(outcomes.len());
             let mut failures = Vec::new();
-            for s in slots {
-                match s.expect("every benchmark index was claimed by a worker") {
+            for outcome in outcomes {
+                match outcome {
                     Ok(run) => runs.push(run),
                     Err(failure) => failures.push(failure),
                 }

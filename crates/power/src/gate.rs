@@ -27,7 +27,7 @@ use dcg_sim::{LatchGroups, SimConfig, BLOCK_CYCLES};
 /// assert_eq!(gate.fu_powered_count(FuClass::IntAlu), 1);
 /// gate.validate(&cfg, &groups).expect("still well-formed");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct GateState {
     /// Powered (non-gated) execution-unit instances per class, as
     /// bitmasks indexed by [`FuClass::index`].
@@ -45,6 +45,26 @@ pub struct GateState {
     /// Extra control-state bits the gating policy clocks every cycle
     /// (DCG's extended latches; 0 for the baseline).
     pub control_bits: u32,
+}
+
+// By hand, so that `clone_from` reuses the latch vector: policies copy a
+// precomputed state into a reused one every cycle.
+impl Clone for GateState {
+    fn clone(&self) -> GateState {
+        GateState {
+            latch_slots: self.latch_slots.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &GateState) {
+        self.fu_powered = source.fu_powered;
+        self.latch_slots.clone_from(&source.latch_slots);
+        self.dcache_ports_powered = source.dcache_ports_powered;
+        self.result_buses_powered = source.result_buses_powered;
+        self.issue_queue_scale = source.issue_queue_scale;
+        self.control_bits = source.control_bits;
+    }
 }
 
 impl GateState {

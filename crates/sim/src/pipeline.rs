@@ -231,10 +231,17 @@ impl<S: InstStream> Processor<S> {
 
     /// Replace the dynamic resource constraints (PLB mode switches).
     ///
+    /// Setting the constraints already in force changes nothing, so the
+    /// cached load-port cycle survives the re-application the drive loop
+    /// makes at every block.
+    ///
     /// # Panics
     ///
     /// Panics if the constraints are invalid for this configuration.
     pub fn set_constraints(&mut self, constraints: ResourceConstraints) {
+        if constraints == self.constraints {
+            return;
+        }
         if let Err(e) = constraints.validate(&self.cfg) {
             panic!("invalid resource constraints: {e}");
         }

@@ -481,6 +481,8 @@ pub struct ActivityTraceWriter<W: Write> {
     bytes: u64,
     section_len: u64,
     stage: Box<ActivityBlock>,
+    /// Reused lane for staging a block lane by lane.
+    lane: CycleActivity,
     block: Vec<u8>,
     block_committed: u64,
     checksum: Checksum,
@@ -502,32 +504,41 @@ impl<W: Write> ActivityTraceWriter<W> {
             bytes: bytes as u64,
             section_len: 0,
             stage: Box::new(ActivityBlock::new(header.groups as usize)),
+            lane: CycleActivity::default(),
             block: Vec::with_capacity(16 * 1024),
             block_committed: 0,
             checksum: Checksum::new(),
         })
     }
 
-    /// Encode and emit the staged block (if any) behind its subheader,
-    /// folding the subheader into the trailer checksum.
+    /// Encode and emit the staged block (if any).
     fn flush_block(&mut self) -> Result<(), TraceError> {
         if self.stage.is_empty() {
             return Ok(());
         }
+        self.emit(None, self.block_committed)?;
+        self.stage.clear(0);
+        self.block_committed = 0;
+        Ok(())
+    }
+
+    /// Encode `block` (the staged block when `None`), which commits
+    /// `committed` instructions, and emit it behind its subheader,
+    /// folding the subheader into the trailer checksum.
+    fn emit(&mut self, block: Option<&ActivityBlock>, committed: u64) -> Result<(), TraceError> {
+        let b = block.unwrap_or(&self.stage);
         self.block.clear();
-        encode_block(&self.stage, &mut self.block);
+        encode_block(b, &mut self.block);
         let mut sub = [0u8; ACTIVITY_BLOCK_HEADER_LEN];
         sub[0..4].copy_from_slice(&(self.block.len() as u32).to_le_bytes());
-        sub[4..8].copy_from_slice(&(self.stage.len() as u32).to_le_bytes());
-        sub[8..16].copy_from_slice(&self.block_committed.to_le_bytes());
+        sub[4..8].copy_from_slice(&(b.len() as u32).to_le_bytes());
+        sub[8..16].copy_from_slice(&committed.to_le_bytes());
         sub[16..24].copy_from_slice(&record_checksum(&self.block).to_le_bytes());
         self.sink.write_all(&sub)?;
         self.sink.write_all(&self.block)?;
         self.checksum.update(&sub);
         self.section_len += (ACTIVITY_BLOCK_HEADER_LEN + self.block.len()) as u64;
         self.bytes += (ACTIVITY_BLOCK_HEADER_LEN + self.block.len()) as u64;
-        self.stage.clear(0);
-        self.block_committed = 0;
         Ok(())
     }
 
@@ -554,6 +565,45 @@ impl<W: Write> ActivityTraceWriter<W> {
         if self.stage.len() == BLOCK_CYCLES {
             self.flush_block()?;
         }
+        Ok(())
+    }
+
+    /// Append every cycle of `block`, in order: the same bytes as one
+    /// [`write_cycle`](ActivityTraceWriter::write_cycle) per lane.
+    ///
+    /// A full block arriving with nothing staged is encoded straight from
+    /// its columns, without the staging copy; any other block is staged
+    /// lane by lane.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_cycle`](ActivityTraceWriter::write_cycle). A bad lane
+    /// staged lane by lane fails after the lanes before it are written;
+    /// a directly encoded block is checked whole before any byte is.
+    pub fn write_block(&mut self, block: &ActivityBlock) -> Result<(), TraceError> {
+        if !self.stage.is_empty() || block.len() < BLOCK_CYCLES {
+            let mut lane = std::mem::take(&mut self.lane);
+            let written = (0..block.len()).try_for_each(|i| {
+                block.extract(i, &mut lane);
+                self.write_cycle(&lane)
+            });
+            self.lane = lane;
+            return written;
+        }
+        if block.groups != self.groups {
+            return Err(TraceError::BadActivity("latch group count mismatch"));
+        }
+        let mut start = 0;
+        for &end in &block.grant_end {
+            if (end - start) as usize > MAX_GRANTS {
+                return Err(TraceError::BadActivity("too many grants in one cycle"));
+            }
+            start = end;
+        }
+        let committed: u64 = block.committed.iter().map(|&c| u64::from(c)).sum();
+        self.emit(Some(block), committed)?;
+        self.cycles += BLOCK_CYCLES as u64;
+        self.committed += committed;
         Ok(())
     }
 
@@ -1311,7 +1361,7 @@ impl ActivityTraceReader {
     /// [`from_data`] without touching a payload byte. Only the (at most
     /// two) blocks containing the warm-up and stop boundaries are
     /// decoded, payload checksum included, to locate the exact cycle the
-    /// scalar loop would start and stop at. An IPC-style query over a
+    /// drive loop would start and stop at. An IPC-style query over a
     /// multi-MB trace therefore costs a subheader walk plus two block
     /// decodes.
     ///
@@ -1607,6 +1657,34 @@ mod tests {
             w.write_cycle(&short),
             Err(TraceError::BadActivity(_))
         ));
+    }
+
+    #[test]
+    fn bad_blocks_are_rejected_before_any_byte() {
+        let mut w = ActivityTraceWriter::new(Vec::new(), &header(8)).expect("header");
+        let mut block = ActivityBlock::new(4);
+        for c in 1..=BLOCK_CYCLES as u64 {
+            block.push(&sample(c, 4));
+        }
+        assert!(matches!(
+            w.write_block(&block),
+            Err(TraceError::BadActivity("latch group count mismatch"))
+        ));
+        let mut block = ActivityBlock::new(8);
+        let mut crowded = sample(1, 8);
+        crowded.grants = vec![crowded.grants[0]; MAX_GRANTS + 1];
+        block.push(&crowded);
+        for c in 2..=BLOCK_CYCLES as u64 {
+            block.push(&sample(c, 8));
+        }
+        assert!(matches!(
+            w.write_block(&block),
+            Err(TraceError::BadActivity("too many grants in one cycle"))
+        ));
+        assert_eq!(
+            (w.cycles(), w.bytes()),
+            (0, header(8).write_to(&mut Vec::new()).unwrap() as u64)
+        );
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn mapped_decode_equals_owned_decode() {
 #[test]
 fn measured_window_matches_scalar_drive_reference() {
     // The subheader-index window measurement must equal, bit for bit,
-    // what the scalar drive loop observes: same measured cycle count,
+    // what the drive loop observes: same measured cycle count,
     // same measured committed total, for ANY (warmup, measure) window —
     // including zero-length ones and windows past the end of the trace.
     prop::check(
@@ -182,8 +182,8 @@ fn measured_window_matches_scalar_drive_reference() {
             let measure = measure_choice % (total + 2);
             let target = warm + measure;
 
-            // Reference: the scalar drive loop's top-of-iteration checks,
-            // verbatim.
+            // Reference: the drive loop's per-cycle boundary checks, one
+            // cycle at a time.
             let mut r = ActivityTraceReader::new(&buf[..]).expect("reader");
             let mut act = dcg_sim::CycleActivity::default();
             let mut cum = 0u64;

@@ -1,9 +1,10 @@
 //! Property tests: the activity-trace encoding is exact for arbitrary
-//! per-cycle records and fails *cleanly* (never panics) on corrupted or
-//! truncated input.
+//! per-cycle records, writes the same bytes whole-block or cycle by
+//! cycle, and fails *cleanly* (never panics) on corrupted or truncated
+//! input.
 
 use dcg_isa::FuClass;
-use dcg_sim::{CycleActivity, FuGrant};
+use dcg_sim::{ActivityBlock, CycleActivity, FuGrant, BLOCK_CYCLES};
 use dcg_testkit::prop::{self, Gen};
 use dcg_trace::{ActivityHeader, ActivityTraceReader, ActivityTraceWriter, ACTIVITY_TRAILER_LEN};
 
@@ -162,6 +163,55 @@ fn activity_truncated_streams_error_cleanly() {
                 }
             }
             assert!(decoded <= cycles.len());
+        },
+    );
+}
+
+#[test]
+fn write_block_bytes_equal_write_cycle_bytes() {
+    // A stream written through any mix of whole blocks (full or short)
+    // and single cycles is the same file as the all-`write_cycle` image.
+    // Chunks: kind 0 writes one cycle, kind 1 a full block, kind 2 a
+    // short one; the stream cycles through a few distinct records.
+    prop::check(
+        "write_block_bytes_equal_write_cycle_bytes",
+        prop::tuple((
+            prop::vec(arb_activity(), 1..=6usize),
+            prop::vec(
+                prop::tuple((0u8..=2, 1usize..=BLOCK_CYCLES - 1)),
+                0..=8usize,
+            ),
+        )),
+        |(records, chunks)| {
+            let lens: Vec<(bool, usize)> = chunks
+                .iter()
+                .map(|&(kind, short)| match kind {
+                    0 => (false, 1),
+                    1 => (true, BLOCK_CYCLES),
+                    _ => (true, short),
+                })
+                .collect();
+            let total: usize = lens.iter().map(|&(_, n)| n).sum();
+            let cycles: Vec<CycleActivity> = records.iter().cycle().take(total).cloned().collect();
+
+            let mut w = ActivityTraceWriter::new(Vec::new(), &act_header()).expect("header");
+            let mut block = ActivityBlock::new(ACT_GROUPS);
+            let mut next = cycles.iter();
+            for (as_block, n) in lens {
+                if as_block {
+                    block.clear(0);
+                    for a in next.by_ref().take(n) {
+                        block.push_untimed(a);
+                    }
+                    w.write_block(&block).expect("write block");
+                } else {
+                    w.write_cycle(next.next().expect("in stream"))
+                        .expect("write cycle");
+                }
+            }
+            assert_eq!(w.cycles(), total as u64);
+            let mixed = w.finish().expect("finish");
+            assert_eq!(mixed, encode_activities(&cycles));
         },
     );
 }
