@@ -389,7 +389,7 @@ pub fn run_oracle_source(
 ) -> Result<PolicyOutcome, DcgError> {
     let groups = LatchGroups::new(&config.depth);
     let model = PowerModel::new(config, &groups);
-    let mut sink = OracleSink::new(&model, &groups);
+    let mut sink = OracleSink::new(&model, config, &groups);
     drive(source, &mut [&mut sink], length)?;
     Ok(sink.into_outcome())
 }

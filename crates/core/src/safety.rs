@@ -370,6 +370,8 @@ fn any_uncovered(act: &ActivityColumns, gate: &GateColumns) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcg_sim::BLOCK_CYCLES;
+    use dcg_testkit::prop;
 
     fn setup() -> (SimConfig, LatchGroups) {
         let cfg = SimConfig::baseline_8wide();
@@ -502,5 +504,125 @@ mod tests {
         assert_eq!(report.detected[HazardClass::DcachePorts.index()], 5);
         assert_eq!(report.hazards.len(), 2);
         assert_eq!(report.hazards_dropped, 3);
+    }
+
+    /// One generated lane: an activity within the machine's resources
+    /// and a gate claiming an arbitrary subset of them, for cycle `cycle`.
+    /// Class `k` may go uncovered only when byte `k` of `exposure` falls
+    /// below `density` (out of 256); otherwise its usage is clipped to
+    /// what the gate powers.
+    fn lane(
+        ungated: &GateState,
+        cycle: u64,
+        (a, g, exposure): (u64, u64, u64),
+        density: u64,
+    ) -> (CycleActivity, GateState) {
+        let mut act = CycleActivity {
+            cycle,
+            latch_occupancy: vec![0; ungated.latch_slots.len()],
+            ..CycleActivity::default()
+        };
+        let mut gate = ungated.clone();
+        gate.control_bits = (g >> 56) as u32;
+        for class in HazardClass::ALL {
+            let k = class.index();
+            let (ad, gd) = ((a >> (8 * k)) as u32, (g >> (8 * k)) as u32);
+            let exposed = (exposure >> (8 * k)) & 0xFF < density;
+            let cover = |powered: u32| if exposed { !0 } else { powered };
+            match class {
+                HazardClass::DcachePorts => {
+                    gate.dcache_ports_powered &= gd;
+                    act.dcache_port_mask =
+                        ad & ungated.dcache_ports_powered & cover(gate.dcache_ports_powered);
+                }
+                HazardClass::ResultBuses => {
+                    let buses = ungated.result_buses_powered + 1;
+                    gate.result_buses_powered = gd % buses;
+                    act.result_bus_used = (ad % buses).min(cover(gate.result_buses_powered));
+                }
+                HazardClass::Latches => {
+                    let slots = gate.latch_slots.iter_mut();
+                    for (j, (slot, occ)) in slots.zip(&mut act.latch_occupancy).enumerate() {
+                        let shift = 2 * (j % 8) as u32;
+                        let claimed = (gd >> shift) & 3;
+                        *slot = claimed.checked_sub(1);
+                        *occ = (ad >> shift) & 3;
+                        if let Some(n) = *slot {
+                            *occ = (*occ).min(cover(n));
+                        }
+                    }
+                }
+                c => {
+                    let fu = c.fu().expect("per-instance class").index();
+                    gate.fu_powered[fu] &= gd;
+                    act.fu_active[fu] = ad & ungated.fu_powered[fu] & cover(gate.fu_powered[fu]);
+                }
+            }
+        }
+        (act, gate)
+    }
+
+    /// [`GatingSafetyChecker::screen_span`] over any split of consecutive
+    /// blocks gives exactly what [`GatingSafetyChecker::screen`] gives lane
+    /// by lane: the same hazard counts per span, the same repaired gates,
+    /// the same backoff windows and the same report. The generated lanes
+    /// leave every class uncovered now and then, and short backoff
+    /// windows open and expire inside spans, so both the span's fast
+    /// accept and its per-lane fallback are exercised.
+    #[test]
+    fn screen_span_matches_the_per_cycle_screen() {
+        let (cfg, groups) = setup();
+        let ungated = GateState::ungated(&cfg, &groups);
+        let draws = prop::tuple((prop::any_u64(), prop::any_u64(), prop::any_u64()));
+        prop::check(
+            "screen_span_matches_screen",
+            prop::tuple((
+                prop::vec(draws, 1usize..=3 * BLOCK_CYCLES),
+                prop::vec(0usize..=BLOCK_CYCLES, 0usize..=6),
+                0u64..=16,
+                0u64..=32,
+                0usize..=12,
+                0u64..1000,
+            )),
+            |(draws, cuts, density, backoff, capacity, start)| {
+                let safety = SafetyConfig {
+                    backoff_cycles: backoff,
+                    hazard_capacity: capacity,
+                };
+                let mut by_lane = GatingSafetyChecker::with_config(&cfg, &groups, safety);
+                let mut by_span = GatingSafetyChecker::with_config(&cfg, &groups, safety);
+                let mut block = ActivityBlock::new(groups.len());
+                let mut lanes = GateLanes::new(groups.len());
+                for (b, chunk) in draws.chunks(BLOCK_CYCLES).enumerate() {
+                    let first = start + (b * BLOCK_CYCLES) as u64;
+                    block.clear(first);
+                    let mut expected = Vec::with_capacity(chunk.len());
+                    for (i, &d) in chunk.iter().enumerate() {
+                        let (act, mut gate) = lane(&ungated, first + i as u64, d, density);
+                        block.push(&act);
+                        lanes.set(i, &gate);
+                        let detected = by_lane.screen(&mut gate, &act);
+                        expected.push((gate, detected));
+                    }
+                    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(chunk.len())).collect();
+                    bounds.extend([0, chunk.len()]);
+                    bounds.sort_unstable();
+                    for span in bounds.windows(2) {
+                        let (from, to) = (span[0], span[1]);
+                        let want: u32 = expected[from..to].iter().map(|(_, n)| n).sum();
+                        let got = by_span.screen_span(&mut lanes, &block, from, to);
+                        assert_eq!(got, want, "hazards in lanes {from}..{to} of block {b}");
+                    }
+                    for (i, (gate, _)) in expected.iter().enumerate() {
+                        assert_eq!(&lanes.gate(i), gate, "lane {i} of block {b}");
+                    }
+                    assert_eq!(
+                        by_span.backoff_until, by_lane.backoff_until,
+                        "backoff windows after block {b}"
+                    );
+                }
+                assert_eq!(by_span.into_report(), by_lane.into_report());
+            },
+        );
     }
 }

@@ -174,10 +174,15 @@ impl<'a> PolicySink<'a> {
     }
 }
 
-// The drive loop hands this sink spans only (it is crate-private), so the
-// per-cycle path lives in the policy's own `gate_into`/`observe`, which
-// the default `gate_lanes` shim calls.
+// The drive loop hands this sink spans only (it is crate-private), so
+// neither per-cycle method is ever called; the per-cycle path lives in the
+// policy's own `gate_into`/`observe`, which the default `gate_lanes` shim
+// calls.
 impl ActivitySink for PolicySink<'_> {
+    fn warmup_cycle(&mut self, _act: &CycleActivity) {
+        unreachable!("drive hands a policy sink whole spans");
+    }
+
     fn measure_cycle(&mut self, _act: &CycleActivity) {
         unreachable!("drive hands a policy sink whole spans");
     }
@@ -229,18 +234,22 @@ fn oracle_gate(act: &CycleActivity, groups: &LatchGroups, out: &mut GateState) {
 pub(crate) struct OracleSink<'a> {
     model: &'a PowerModel,
     groups: &'a LatchGroups,
-    /// Gate lanes rewritten every span; the fields the oracle
-    /// does not decide keep their ungated start values.
-    lanes: GateLanes,
+    /// Scratch gate rewritten every cycle; starts ungated, and the fields
+    /// the oracle does not decide keep that value.
+    gate: GateState,
     report: PowerReport,
 }
 
 impl<'a> OracleSink<'a> {
-    pub(crate) fn new(model: &'a PowerModel, groups: &'a LatchGroups) -> OracleSink<'a> {
+    pub(crate) fn new(
+        model: &'a PowerModel,
+        config: &SimConfig,
+        groups: &'a LatchGroups,
+    ) -> OracleSink<'a> {
         OracleSink {
             model,
             groups,
-            lanes: GateLanes::new(groups.len()),
+            gate: GateState::ungated(config, groups),
             report: PowerReport::new(),
         }
     }
@@ -255,38 +264,15 @@ impl<'a> OracleSink<'a> {
     }
 }
 
-// Driven by spans only, like `PolicySink`.
 impl ActivitySink for OracleSink<'_> {
-    fn measure_cycle(&mut self, _act: &CycleActivity) {
-        unreachable!("drive hands the oracle sink whole spans");
+    fn measure_cycle(&mut self, act: &CycleActivity) {
+        oracle_gate(act, self.groups, &mut self.gate);
+        self.report
+            .record(&self.model.cycle_energy(act, &self.gate), act.committed);
     }
 
-    // Nothing accumulates during warm-up.
+    // Nothing accumulates during warm-up, so skip the shim's extraction.
     fn warmup_span(&mut self, _block: &ActivityBlock, _from: usize, _to: usize) {}
-
-    fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        let lanes = &mut self.lanes;
-        for i in from..to {
-            for (col, used) in lanes.fu_powered.iter_mut().zip(&block.fu_active) {
-                col[i] = used[i];
-            }
-            lanes.dcache_ports_powered[i] = block.dcache_port_mask[i];
-            lanes.result_buses_powered[i] = block.result_bus_used[i];
-            for ((slot, spec), &occ) in lanes
-                .latch_slots_mut(i)
-                .iter_mut()
-                .zip(self.groups.specs())
-                .zip(block.latches(i))
-            {
-                *slot = spec.gated.then_some(occ);
-            }
-        }
-        self.model.fold_span(
-            &block.columns(from, to),
-            &self.lanes.columns(from, to),
-            &mut self.report,
-        );
-    }
 }
 
 /// Wattch `cc0`/`cc1`/`cc2` reference accounting (see

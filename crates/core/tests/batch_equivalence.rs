@@ -16,6 +16,15 @@
 //! live-block run recorded. The active runs cover PLB-orig, PLB-ext and
 //! a fault-wrapped PLB, live blocks against the live reference, which
 //! checks every constraint horizon.
+//!
+//! The runner's own policy sink is crate-private and cannot be wrapped:
+//! in the reference it still screens, audits and folds each one-lane span
+//! with the span code. Its two folds have independent references
+//! elsewhere: the safety screen in
+//! `safety::tests::screen_span_matches_the_per_cycle_screen` (dcg-core)
+//! and the energy fold in
+//! `model::tests::span_fold_equals_per_cycle_records_bit_for_bit`
+//! (dcg-power).
 
 use dcg_core::{
     drive, run_active, run_passive_with_sinks, run_stats_source, ActivitySink, CachedSource, Dcg,

@@ -58,12 +58,22 @@ impl Clone for GateState {
     }
 
     fn clone_from(&mut self, source: &GateState) {
-        self.fu_powered = source.fu_powered;
-        self.latch_slots.clone_from(&source.latch_slots);
-        self.dcache_ports_powered = source.dcache_ports_powered;
-        self.result_buses_powered = source.result_buses_powered;
-        self.issue_queue_scale = source.issue_queue_scale;
-        self.control_bits = source.control_bits;
+        // Destructured in full, so a new field fails to compile here
+        // instead of keeping a stale value.
+        let GateState {
+            fu_powered,
+            latch_slots,
+            dcache_ports_powered,
+            result_buses_powered,
+            issue_queue_scale,
+            control_bits,
+        } = source;
+        self.fu_powered = *fu_powered;
+        self.latch_slots.clone_from(latch_slots);
+        self.dcache_ports_powered = *dcache_ports_powered;
+        self.result_buses_powered = *result_buses_powered;
+        self.issue_queue_scale = *issue_queue_scale;
+        self.control_bits = *control_bits;
     }
 }
 
