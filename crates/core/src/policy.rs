@@ -84,6 +84,13 @@ pub trait GatingPolicy {
         true
     }
 
+    /// `true` if a passive run screens this policy's gates with the
+    /// [`crate::GatingSafetyChecker`]. A policy that powers every block
+    /// can never gate a used one, so it may skip the screen.
+    fn needs_screen(&self) -> bool {
+        true
+    }
+
     /// Display name.
     fn name(&self) -> &str;
 }
@@ -129,6 +136,10 @@ impl GatingPolicy for NoGating {
         }
     }
 
+    fn needs_screen(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         "baseline"
     }
@@ -145,6 +156,7 @@ mod tests {
         let groups = LatchGroups::new(&PipelineDepth::stages8());
         let mut p = NoGating::new(&cfg, &groups);
         assert!(p.is_passive());
+        assert!(!p.needs_screen());
         assert_eq!(p.name(), "baseline");
         let g = p.gate_for(1);
         assert_eq!(g, GateState::ungated(&cfg, &groups));

@@ -275,10 +275,12 @@ pub fn run_stats_source(
 /// implicitly sharing one timing simulation, since passive policies cannot
 /// perturb it). Returns one outcome per policy, in order.
 ///
-/// DCG-family policies are audited strictly, behind a
+/// Every policy that [needs the screen](GatingPolicy::needs_screen) (all
+/// but the ungated baseline) is audited strictly, behind a
 /// [`crate::GatingSafetyChecker`]: a gated-but-used block is recorded as
 /// a [`crate::Hazard`] and the class fails open to ungated (see each
-/// outcome's [`PolicyOutcome::safety`]).
+/// outcome's [`PolicyOutcome::safety`]). The baseline's safety report is
+/// the default, all zeros.
 ///
 /// # Panics
 ///
@@ -332,7 +334,10 @@ pub fn run_passive_with_sinks(
 
     let mut policy_sinks: Vec<PolicySink<'_>> = policies
         .iter_mut()
-        .map(|p| PolicySink::new(&mut **p, &model, config, &groups, true, false))
+        .map(|p| {
+            let screen = p.needs_screen();
+            PolicySink::new(&mut **p, &model, config, &groups, screen, false)
+        })
         .collect();
     let mut stats = StatsSink::new();
     {

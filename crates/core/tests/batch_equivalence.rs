@@ -121,6 +121,9 @@ impl GatingPolicy for PerCyclePolicy<'_> {
     fn is_passive(&self) -> bool {
         self.0.is_passive()
     }
+    fn needs_screen(&self) -> bool {
+        self.0.needs_screen()
+    }
     fn name(&self) -> &str {
         self.0.name()
     }

@@ -5,7 +5,7 @@
 //! on a Unix socket:
 //!
 //! * **Journaled queue** — every job transition (submitted → running →
-//!   done/failed/retrying) is appended to a write-ahead log
+//!   done/failed/quarantined/retrying) is appended to a write-ahead log
 //!   (`JOBS.dcgwal`), the same [`dcg_core::RecordLog`] the trace store
 //!   journal uses, before it takes effect. `kill -9` at any
 //!   point, then restart, resumes incomplete jobs and produces
@@ -42,6 +42,7 @@ mod client;
 mod jobs;
 mod protocol;
 mod server;
+mod table;
 mod wal;
 
 pub use client::{ClientError, DcgClient};
@@ -51,7 +52,7 @@ pub use protocol::{
     MAX_FRAME_LEN,
 };
 pub use server::{
-    ExperimentServer, JobState, ServerConfig, ServerCounters, SubmitOutcome, JOBS_DIR,
-    SERVER_QUEUE_ENV, SERVER_RETRIES_ENV,
+    ExperimentServer, ServerConfig, ServerCounters, JOBS_DIR, SERVER_QUEUE_ENV, SERVER_RETRIES_ENV,
 };
+pub use table::JobState;
 pub use wal::{JobWal, WalRecord, JOBS_WAL_FILE};

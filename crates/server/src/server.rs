@@ -5,39 +5,48 @@
 //! ## Job state machine
 //!
 //! ```text
-//!                 submit (WAL: SUBMIT)
+//!              submit (WAL: SUBMIT)
 //!                     │
 //!                     ▼
-//!   ┌────────────► queued ◄──────────────┐
-//!   │                 │                   │ backoff elapsed
-//!   │     worker picks up (WAL: START)    │
-//!   │                 ▼                backoff
-//!   │              running ────────────────┘
-//!   │                 │ \  retryable failure / deadline / panic,
-//!   │                 │  \ attempts left (WAL: FAIL terminal=0)
-//!   │   result rename │
-//!   │   (WAL: DONE)   │ terminal error or attempts exhausted
-//!   │                 │    (WAL: FAIL terminal=1)
-//!   │                 ▼         ▼
-//!   │               done    failed / quarantined
-//!   └── restart re-queues any job without a terminal record
+//!                  queued ◄──────────────────────┐
+//!                     │                          │ backoff elapsed
+//!      worker claims (WAL: START)                │ (timer, no record)
+//!                     ▼                          │
+//!                  running ──────────────────► backoff
+//!                     │    retryable failure, deadline or panic
+//!                     │    with attempts left (WAL: FAIL terminal=0)
+//!       ┌─────────────┼──────────────────────────┐
+//!       │ result      │ non-retryable failure    │ retryable failure
+//!       │ renamed     │ (WAL: FAIL terminal=1)   │ on the last attempt
+//!       │ (WAL: DONE) │                          │ (WAL: QUARANTINE)
+//!       ▼             ▼                          ▼
+//!     done          failed                  quarantined
+//! ```
+//!
+//! Every arrow but the timer's is one record, and `JobTable::apply` is
+//! the one function that takes it, live and on restart. A restart then
+//! reconciles the table with `jobs/` as its own step:
+//!
+//! ```text
+//!   done, result file missing             → queued (re-run)
+//!   unfinished, result file present       → WAL: DONE, done (no re-run)
+//!   running or backoff                    → queued, in first-submit order
 //! ```
 //!
 //! ## Crash-resume
 //!
 //! Every transition is journaled through [`JobWal`] *before* it takes
-//! effect, and result documents are committed with the temp-file +
-//! rename discipline the trace store uses. On restart, jobs with a
-//! `SUBMIT` but no terminal record are re-queued and re-run; because
-//! every job body is a pure function of its spec, the resumed run
-//! produces **byte-identical** result documents. The deterministic
+//! effect, except `START`, which is journaled right after the claim, out
+//! of the lock (a lost `START` costs only its attempt count). Result
+//! documents are committed with the temp-file + rename discipline the
+//! trace store uses. Every job body is a pure function of its spec, so a
+//! re-run job produces **byte-identical** result documents. The deterministic
 //! abort hook ([`dcg_core::crash_point`], driven by `DCG_TEST_CRASH`)
 //! makes this a CI invariant rather than a hope:
 //! `server.before-journal:N` aborts before the Nth submit is journaled,
 //! `server.before-commit:N` aborts with the Nth result computed but not
 //! yet renamed into place, `server.after-commit:N` aborts between the
-//! rename and its `DONE` record (restart detects the orphaned result
-//! and completes the commit without re-running).
+//! rename and its `DONE` record.
 //!
 //! ## Degradation
 //!
@@ -55,7 +64,10 @@
 //! `Result` request for an unfinished job waits on the `settled`
 //! condition variable (signalled by commits, failed attempts and
 //! shutdown) for up to one second before answering `NotReady`, so a
-//! client needs no poll interval.
+//! client needs no poll interval. An idle worker waits on the `work`
+//! condition variable (signalled by submits, settled attempts and
+//! shutdown) until the earliest backoff due time, or with no timeout when
+//! no job is in backoff.
 //!
 //! ## One trace store
 //!
@@ -63,7 +75,6 @@
 //! Every replay job runs against it, and the health document reports
 //! its counters.
 
-use std::collections::{HashMap, VecDeque};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -77,6 +88,7 @@ use dcg_testkit::json::Json;
 
 use crate::jobs::{run_job_in, JobClass, JobError, JobSpec};
 use crate::protocol::{err_code, read_frame, write_frame, ProtocolError, Reply, Request};
+use crate::table::{JobState, JobTable};
 use crate::wal::{JobWal, WalRecord};
 
 /// Environment variable bounding the job queue (`dcg-server` and
@@ -110,7 +122,8 @@ pub struct ServerConfig {
     /// Jobs admitted but not yet terminal before `submit` answers
     /// `Busy`.
     pub queue_capacity: usize,
-    /// Execution attempts before a retryable job is quarantined.
+    /// Execution attempts before a retryable job is quarantined. Read
+    /// only when a live attempt fails, never on replay.
     pub max_attempts: u32,
     /// First retry delay; doubles per attempt.
     pub backoff_base: Duration,
@@ -152,72 +165,6 @@ impl ServerConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Job table
-// ---------------------------------------------------------------------------
-
-/// Public view of a job's lifecycle state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
-    /// Waiting for a worker.
-    Queued,
-    /// A worker is executing an attempt.
-    Running,
-    /// A retryable failure; re-queued once the backoff elapses.
-    Backoff,
-    /// Result document committed.
-    Done,
-    /// Terminal (non-retryable) failure.
-    Failed(String),
-    /// Retryable failures exhausted the attempt budget.
-    Quarantined(String),
-}
-
-impl JobState {
-    /// The wire label (`queued`, `running`, ...).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Backoff => "backoff",
-            JobState::Done => "done",
-            JobState::Failed(_) => "failed",
-            JobState::Quarantined(_) => "quarantined",
-        }
-    }
-
-    /// Whether the job can make no further progress (done, failed or
-    /// quarantined).
-    #[must_use]
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Failed(_) | JobState::Quarantined(_)
-        )
-    }
-}
-
-#[derive(Debug)]
-struct Job {
-    spec: JobSpec,
-    state: JobState,
-    attempts: u32,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    jobs: HashMap<u64, Job>,
-    /// Ids ready to run, FIFO.
-    ready: VecDeque<u64>,
-    /// Ids waiting out a backoff, with their due time (kept sorted by
-    /// due time on insert).
-    delayed: Vec<(Instant, u64)>,
-    /// Jobs admitted and not yet terminal (the bounded-queue measure).
-    open: usize,
-    running: usize,
-}
-
 /// Monotonic counters exposed through the health document.
 #[derive(Debug, Default)]
 pub struct ServerCounters {
@@ -243,25 +190,6 @@ pub struct ServerCounters {
 // The server
 // ---------------------------------------------------------------------------
 
-/// Outcome of a submit call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// Accepted (or already known when `deduped`).
-    Accepted {
-        /// The job id.
-        id: u64,
-        /// Whether the spec deduplicated against an existing job.
-        deduped: bool,
-    },
-    /// Bounded queue full; nothing was accepted.
-    Busy {
-        /// Suggested retry delay, milliseconds.
-        retry_after_ms: u64,
-    },
-    /// The WAL could not journal the submit durably.
-    JournalError(String),
-}
-
 /// The experiment daemon. Construct with [`ExperimentServer::open`]
 /// (which replays the WAL), then either [`serve`](Self::serve) on a
 /// Unix socket or [`drain`](Self::drain) to run the recovered backlog
@@ -273,7 +201,7 @@ pub struct ExperimentServer {
     /// The one trace store over `state_dir/traces`, shared by every
     /// replay job and read by the health document.
     cache: TraceCache,
-    inner: Mutex<Inner>,
+    jobs: Mutex<JobTable>,
     /// Wakes workers: a job became ready, or shutdown began.
     work: Condvar,
     /// Wakes `Result` waiters: a job settled or failed an attempt, or
@@ -286,11 +214,10 @@ pub struct ExperimentServer {
 }
 
 impl ExperimentServer {
-    /// Open the server state: create directories, replay the job WAL,
-    /// rebuild the job table and re-queue every job without a terminal
-    /// record. Jobs whose result document already exists but whose
-    /// `DONE` record was lost (an `after-commit` crash) are completed
-    /// idempotently — the `DONE` is journaled now, without re-running.
+    /// Open the server state: create directories, apply the job WAL to a
+    /// fresh job table and reconcile it with `jobs/` (see the module doc).
+    /// A job whose result document exists but whose `DONE` record was
+    /// lost (an `after-commit` crash) gets its `DONE` journaled now.
     ///
     /// # Errors
     ///
@@ -298,95 +225,25 @@ impl ExperimentServer {
     pub fn open(cfg: ServerConfig) -> std::io::Result<Arc<ExperimentServer>> {
         fs::create_dir_all(cfg.state_dir.join(JOBS_DIR))?;
         let (wal, records) = JobWal::open(&cfg.state_dir)?;
-
-        // Fold the record stream into final per-job states.
-        let mut jobs: HashMap<u64, Job> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
-        for rec in records {
-            match rec {
-                WalRecord::Submit { id, spec } => {
-                    jobs.entry(id).or_insert_with(|| {
-                        order.push(id);
-                        Job {
-                            spec,
-                            state: JobState::Queued,
-                            attempts: 0,
-                        }
-                    });
-                }
-                WalRecord::Start { id, attempt } => {
-                    if let Some(j) = jobs.get_mut(&id) {
-                        j.attempts = j.attempts.max(attempt);
-                        j.state = JobState::Running;
-                    }
-                }
-                WalRecord::Done { id } => {
-                    if let Some(j) = jobs.get_mut(&id) {
-                        j.state = JobState::Done;
-                    }
-                }
-                WalRecord::Fail {
-                    id,
-                    attempt,
-                    terminal,
-                    message,
-                } => {
-                    if let Some(j) = jobs.get_mut(&id) {
-                        j.attempts = j.attempts.max(attempt);
-                        j.state = if terminal {
-                            if attempt >= cfg.max_attempts {
-                                JobState::Quarantined(message)
-                            } else {
-                                JobState::Failed(message)
-                            }
-                        } else {
-                            JobState::Queued
-                        };
-                    }
-                }
-            }
-        }
-
         let server = ExperimentServer {
             cache: TraceCache::new(cfg.state_dir.join("traces")),
             cfg,
             wal,
-            inner: Mutex::new(Inner::default()),
+            jobs: Mutex::default(),
             work: Condvar::new(),
             settled: Condvar::new(),
             shutdown: AtomicBool::new(false),
             counters: ServerCounters::default(),
         };
-
         {
-            let mut inner = server.inner.lock().expect("server lock");
-            for id in order {
-                let mut job = jobs.remove(&id).expect("folded job");
-                match &job.state {
-                    JobState::Done => {
-                        if !server.result_path(id).is_file() {
-                            // DONE journaled but the result vanished
-                            // (manual deletion): re-run.
-                            job.state = JobState::Queued;
-                        }
-                    }
-                    JobState::Queued | JobState::Running | JobState::Backoff => {
-                        if server.result_path(id).is_file() {
-                            // after-commit crash: the rename happened
-                            // but DONE was lost. Complete the commit.
-                            server.wal.append(&WalRecord::Done { id })?;
-                            job.state = JobState::Done;
-                        } else {
-                            job.state = JobState::Queued;
-                        }
-                    }
-                    JobState::Failed(_) | JobState::Quarantined(_) => {}
-                }
-                if job.state == JobState::Queued {
-                    inner.ready.push_back(id);
-                    inner.open += 1;
-                }
-                inner.jobs.insert(id, job);
+            let mut jobs = server.jobs.lock().expect("server lock");
+            for rec in &records {
+                jobs.apply(rec);
+            }
+            for id in jobs.reconcile(|id| server.result_path(id).is_file()) {
+                let done = WalRecord::Done { id };
+                server.wal.append(&done)?;
+                jobs.apply(&done);
             }
         }
         Ok(Arc::new(server))
@@ -402,69 +259,61 @@ impl ExperimentServer {
     }
 
     /// Submit a job: dedup by spec digest, enforce the queue bound,
-    /// journal, enqueue.
-    pub fn submit(&self, spec: JobSpec) -> SubmitOutcome {
+    /// journal, enqueue. Answers `Submitted`, `Busy` (nothing accepted) or
+    /// a `STORAGE` error when the WAL could not journal the submit.
+    pub fn submit(&self, spec: JobSpec) -> Reply {
         let id = spec.id();
-        let mut inner = self.inner.lock().expect("server lock");
-        if inner.jobs.contains_key(&id) {
+        let mut jobs = self.jobs.lock().expect("server lock");
+        if jobs.get(id).is_some() {
             self.counters.deduped.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Accepted { id, deduped: true };
+            return Reply::Submitted { id, deduped: true };
         }
-        if inner.open >= self.cfg.queue_capacity {
+        if jobs.open() >= self.cfg.queue_capacity {
             self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
             // Scale the hint with how deep the backlog is relative to
             // the worker pool.
-            let per_worker = inner.open / self.cfg.workers.max(1);
-            return SubmitOutcome::Busy {
+            let per_worker = jobs.open() / self.cfg.workers.max(1);
+            return Reply::Busy {
                 retry_after_ms: 100 * (per_worker as u64 + 1),
             };
         }
         crash_point("server.before-journal");
-        if let Err(e) = self.wal.append(&WalRecord::Submit {
-            id,
-            spec: spec.clone(),
-        }) {
+        let rec = WalRecord::Submit { id, spec };
+        if let Err(e) = self.wal.append(&rec) {
             // Never accept-then-drop: an unjournaled job is not a job.
-            return SubmitOutcome::JournalError(format!("job WAL append failed: {e}"));
+            return Reply::Err {
+                code: err_code::STORAGE,
+                message: format!("job WAL append failed: {e}"),
+            };
         }
-        inner.jobs.insert(
-            id,
-            Job {
-                spec,
-                state: JobState::Queued,
-                attempts: 0,
-            },
-        );
-        inner.ready.push_back(id);
-        inner.open += 1;
+        jobs.apply(&rec);
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
+        drop(jobs);
         self.work.notify_one();
-        SubmitOutcome::Accepted { id, deduped: false }
+        Reply::Submitted { id, deduped: false }
     }
 
     /// State and attempt count of a job, if known.
     #[must_use]
     pub fn status(&self, id: u64) -> Option<(JobState, u32)> {
-        let inner = self.inner.lock().expect("server lock");
-        inner.jobs.get(&id).map(|j| (j.state.clone(), j.attempts))
+        self.settled_status(id, Duration::ZERO)
     }
 
     /// [`status`](Self::status), except that a known job which is not yet
-    /// terminal is waited on for up to [`RESULT_WAIT`]; shutdown ends the
-    /// wait early.
-    fn settled_status(&self, id: u64) -> Option<(JobState, u32)> {
-        let deadline = Instant::now() + RESULT_WAIT;
-        let mut inner = self.inner.lock().expect("server lock");
+    /// terminal is waited on for up to `wait`; shutdown ends the wait
+    /// early.
+    fn settled_status(&self, id: u64, wait: Duration) -> Option<(JobState, u32)> {
+        let deadline = Instant::now() + wait;
+        let mut jobs = self.jobs.lock().expect("server lock");
         loop {
-            let job = inner.jobs.get(&id)?;
+            let job = jobs.get(id)?;
             let now = Instant::now();
             if job.state.is_terminal() || self.shutdown.load(Ordering::Relaxed) || now >= deadline {
                 return Some((job.state.clone(), job.attempts));
             }
-            inner = self
+            jobs = self
                 .settled
-                .wait_timeout(inner, deadline - now)
+                .wait_timeout(jobs, deadline - now)
                 .expect("server lock")
                 .0;
         }
@@ -483,26 +332,20 @@ impl ExperimentServer {
     /// counters and the trace cache health (including read-only skips).
     #[must_use]
     pub fn health_json(&self) -> String {
-        let inner = self.inner.lock().expect("server lock");
-        let mut by_state: Vec<(&'static str, u64)> = Vec::new();
-        for label in [
-            "queued",
-            "running",
-            "backoff",
-            "done",
-            "failed",
-            "quarantined",
-        ] {
-            let n = inner
-                .jobs
-                .values()
-                .filter(|j| j.state.label() == label)
-                .count() as u64;
-            by_state.push((label, n));
-        }
-        let open = inner.open as u64;
-        drop(inner);
+        let jobs = self.jobs.lock().expect("server lock");
+        let (counts, open) = (jobs.counts(), jobs.open() as u64);
+        drop(jobs);
         let c = &self.counters;
+        let counters = [
+            ("accepted", &c.accepted),
+            ("rejected_busy", &c.rejected_busy),
+            ("deduped", &c.deduped),
+            ("retries", &c.retries),
+            ("deadline_misses", &c.deadline_misses),
+            ("panics", &c.panics),
+            ("quarantined", &c.quarantined),
+            ("completed", &c.completed),
+        ];
         let ch = self.cache.health();
         let doc = Json::obj([
             ("open_jobs", Json::u64(open)),
@@ -510,34 +353,11 @@ impl ExperimentServer {
             ("workers", Json::u64(self.cfg.workers as u64)),
             (
                 "jobs",
-                Json::obj(
-                    by_state
-                        .into_iter()
-                        .map(|(k, v)| (k, Json::u64(v)))
-                        .collect::<Vec<_>>(),
-                ),
+                Json::obj(JobState::LABELS.into_iter().zip(counts.map(Json::u64))),
             ),
             (
                 "counters",
-                Json::obj([
-                    ("accepted", Json::u64(c.accepted.load(Ordering::Relaxed))),
-                    (
-                        "rejected_busy",
-                        Json::u64(c.rejected_busy.load(Ordering::Relaxed)),
-                    ),
-                    ("deduped", Json::u64(c.deduped.load(Ordering::Relaxed))),
-                    ("retries", Json::u64(c.retries.load(Ordering::Relaxed))),
-                    (
-                        "deadline_misses",
-                        Json::u64(c.deadline_misses.load(Ordering::Relaxed)),
-                    ),
-                    ("panics", Json::u64(c.panics.load(Ordering::Relaxed))),
-                    (
-                        "quarantined",
-                        Json::u64(c.quarantined.load(Ordering::Relaxed)),
-                    ),
-                    ("completed", Json::u64(c.completed.load(Ordering::Relaxed))),
-                ]),
+                Json::obj(counters.map(|(k, v)| (k, Json::u64(v.load(Ordering::Relaxed))))),
             ),
             (
                 "cache_health",
@@ -572,52 +392,30 @@ impl ExperimentServer {
     fn worker_loop(self: &Arc<Self>, drain: bool) {
         loop {
             let claimed = {
-                let mut inner = self.inner.lock().expect("server lock");
+                let mut jobs = self.jobs.lock().expect("server lock");
                 loop {
-                    // Promote delayed jobs whose backoff elapsed.
-                    let now = Instant::now();
-                    while let Some(&(due, id)) = inner.delayed.first() {
-                        if due > now {
-                            break;
-                        }
-                        inner.delayed.remove(0);
-                        if let Some(j) = inner.jobs.get_mut(&id) {
-                            j.state = JobState::Queued;
-                        }
-                        inner.ready.push_back(id);
+                    jobs.promote_due(Instant::now());
+                    if let Some(claim) = jobs.claim() {
+                        break Some(claim);
                     }
-                    if let Some(id) = inner.ready.pop_front() {
-                        inner.running += 1;
-                        let job = inner.jobs.get_mut(&id).expect("queued job exists");
-                        job.attempts += 1;
-                        job.state = JobState::Running;
-                        break Some((id, job.spec.clone(), job.attempts));
-                    }
-                    if self.shutdown.load(Ordering::Relaxed) {
+                    if self.shutdown.load(Ordering::Relaxed) || (drain && jobs.open() == 0) {
                         break None;
                     }
-                    if drain && inner.open == 0 {
-                        break None;
-                    }
-                    let wait = inner
-                        .delayed
-                        .first()
-                        .map(|&(due, _)| due.saturating_duration_since(Instant::now()))
-                        .unwrap_or(Duration::from_millis(100))
-                        .min(Duration::from_millis(100));
-                    let (guard, _) = self
-                        .work
-                        .wait_timeout(inner, wait.max(Duration::from_millis(1)))
-                        .expect("server lock");
-                    inner = guard;
+                    jobs = match jobs.next_due() {
+                        Some(due) => {
+                            let wait = due.saturating_duration_since(Instant::now());
+                            self.work.wait_timeout(jobs, wait).expect("server lock").0
+                        }
+                        None => self.work.wait(jobs).expect("server lock"),
+                    };
                 }
             };
-            let Some((id, spec, attempt)) = claimed else {
+            let Some((id, attempt, spec)) = claimed else {
                 self.work.notify_all();
                 return;
             };
-            // Journal the attempt. A WAL failure here is not fatal: the
-            // attempt simply is not recorded, and a crash re-runs it.
+            // Journal the claimed attempt. A WAL failure here is not fatal:
+            // the attempt simply is not recorded, and a crash re-runs it.
             if let Err(e) = self.wal.append(&WalRecord::Start { id, attempt }) {
                 eprintln!("warning: job WAL START append failed: {e}");
             }
@@ -671,13 +469,10 @@ impl ExperimentServer {
         match outcome {
             Ok(json) => match self.commit_result(id, &json) {
                 Ok(()) => {
-                    let mut inner = self.inner.lock().expect("server lock");
-                    if let Some(j) = inner.jobs.get_mut(&id) {
-                        j.state = JobState::Done;
-                    }
-                    inner.open = inner.open.saturating_sub(1);
-                    inner.running = inner.running.saturating_sub(1);
-                    drop(inner);
+                    self.jobs
+                        .lock()
+                        .expect("server lock")
+                        .apply(&WalRecord::Done { id });
                     self.counters.completed.fetch_add(1, Ordering::Relaxed);
                     self.work.notify_all();
                     self.settled.notify_all();
@@ -717,52 +512,50 @@ impl ExperimentServer {
         Ok(())
     }
 
+    /// Journal and apply a failed attempt: a retry, a terminal failure,
+    /// or a quarantine when a retryable failure used the last attempt.
     fn fail_attempt(&self, id: u64, attempt: u32, err: JobError) {
-        let exhausted = attempt >= self.cfg.max_attempts;
-        let terminal = !err.retryable || exhausted;
-        if let Err(e) = self.wal.append(&WalRecord::Fail {
-            id,
-            attempt,
-            terminal,
-            message: err.message.clone(),
-        }) {
+        let message = err.message.clone();
+        let retry = err.retryable && attempt < self.cfg.max_attempts;
+        let rec = if err.retryable && !retry {
+            self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
+            WalRecord::Quarantine {
+                id,
+                attempt,
+                message,
+            }
+        } else {
+            WalRecord::Fail {
+                id,
+                attempt,
+                terminal: !retry,
+                message,
+            }
+        };
+        if let Err(e) = self.wal.append(&rec) {
             eprintln!("warning: job WAL FAIL append failed: {e}");
         }
-        let mut inner = self.inner.lock().expect("server lock");
-        inner.running = inner.running.saturating_sub(1);
-        if terminal {
-            inner.open = inner.open.saturating_sub(1);
-            if let Some(j) = inner.jobs.get_mut(&id) {
-                j.state = if err.retryable {
-                    self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                    JobState::Quarantined(err.message.clone())
-                } else {
-                    JobState::Failed(err.message.clone())
-                };
-            }
-            eprintln!(
-                "job {id:016x} attempt {attempt} FAILED terminally: {}",
-                err.message
-            );
-        } else {
+        let mut jobs = self.jobs.lock().expect("server lock");
+        jobs.apply(&rec);
+        if retry {
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
             let backoff = self
                 .cfg
                 .backoff_base
                 .saturating_mul(1u32 << (attempt - 1).min(16))
                 .min(self.cfg.backoff_cap);
-            let due = Instant::now() + backoff;
-            if let Some(j) = inner.jobs.get_mut(&id) {
-                j.state = JobState::Backoff;
-            }
-            let pos = inner.delayed.partition_point(|&(d, _)| d <= due);
-            inner.delayed.insert(pos, (due, id));
+            jobs.defer(id, Instant::now() + backoff);
             eprintln!(
                 "job {id:016x} attempt {attempt} failed ({}); retrying in {backoff:?}",
                 err.message
             );
+        } else {
+            eprintln!(
+                "job {id:016x} attempt {attempt} FAILED terminally: {}",
+                err.message
+            );
         }
-        drop(inner);
+        drop(jobs);
         self.work.notify_all();
         self.settled.notify_all();
     }
@@ -858,14 +651,7 @@ impl ExperimentServer {
     pub fn answer(&self, req: Request) -> Reply {
         match req {
             Request::Ping => Reply::Pong,
-            Request::Submit(spec) => match self.submit(spec) {
-                SubmitOutcome::Accepted { id, deduped } => Reply::Submitted { id, deduped },
-                SubmitOutcome::Busy { retry_after_ms } => Reply::Busy { retry_after_ms },
-                SubmitOutcome::JournalError(message) => Reply::Err {
-                    code: err_code::STORAGE,
-                    message,
-                },
-            },
+            Request::Submit(spec) => self.submit(spec),
             Request::Status(id) => match self.status(id) {
                 Some((state, attempts)) => Reply::Status {
                     id,
@@ -877,7 +663,7 @@ impl ExperimentServer {
                     message: format!("no job {id:016x}"),
                 },
             },
-            Request::Result(id) => match self.settled_status(id) {
+            Request::Result(id) => match self.settled_status(id, RESULT_WAIT) {
                 Some((JobState::Done, _)) => match self.result(id) {
                     Some(json) => Reply::Result { id, json },
                     None => Reply::Err {
@@ -902,9 +688,9 @@ impl ExperimentServer {
             Request::Shutdown => {
                 // Set the flag under the lock, so a `Result` waiter cannot
                 // check it and then miss the wake-up.
-                let inner = self.inner.lock().expect("server lock");
+                let jobs = self.jobs.lock().expect("server lock");
                 self.shutdown.store(true, Ordering::Relaxed);
-                drop(inner);
+                drop(jobs);
                 self.work.notify_all();
                 self.settled.notify_all();
                 Reply::ShuttingDown
@@ -973,14 +759,14 @@ mod tests {
         // No workers running: admissions stay open.
         assert!(matches!(
             server.submit(spec("gzip", 1)),
-            SubmitOutcome::Accepted { deduped: false, .. }
+            Reply::Submitted { deduped: false, .. }
         ));
         assert!(matches!(
             server.submit(spec("gzip", 2)),
-            SubmitOutcome::Accepted { deduped: false, .. }
+            Reply::Submitted { deduped: false, .. }
         ));
         let busy = server.submit(spec("gzip", 3));
-        let SubmitOutcome::Busy { retry_after_ms } = busy else {
+        let Reply::Busy { retry_after_ms } = busy else {
             panic!("expected Busy, got {busy:?}");
         };
         assert!(retry_after_ms > 0);
@@ -989,7 +775,7 @@ mod tests {
         // Dedup does not consume capacity and still answers.
         assert!(matches!(
             server.submit(spec("gzip", 1)),
-            SubmitOutcome::Accepted { deduped: true, .. }
+            Reply::Submitted { deduped: true, .. }
         ));
         assert_eq!(server.counters.rejected_busy.load(Ordering::Relaxed), 1);
         // Saturation never costs an accepted job: drain commits both.
@@ -1070,8 +856,42 @@ mod tests {
             reopened.status(bad.id()).unwrap().0,
             JobState::Failed(_)
         ));
-        let inner = reopened.inner.lock().unwrap();
-        assert_eq!(inner.open, 0);
+        assert_eq!(reopened.jobs.lock().unwrap().open(), 0);
+    }
+
+    #[test]
+    fn non_retryable_failure_on_the_last_attempt_stays_failed_after_restart() {
+        let mut cfg = ServerConfig::new(scratch("last-attempt"));
+        cfg.workers = 1;
+        cfg.max_attempts = 1;
+        let server = ExperimentServer::open(cfg.clone()).unwrap();
+        let bad = JobSpec::Faults { seed: 1, count: 0 };
+        server.submit(bad.clone());
+        server.drain();
+        assert_eq!(server.status(bad.id()).unwrap().0.label(), "failed");
+        drop(server);
+        let reopened = ExperimentServer::open(cfg).unwrap();
+        assert_eq!(reopened.status(bad.id()).unwrap().0.label(), "failed");
+    }
+
+    #[test]
+    fn quarantine_survives_a_restart_with_a_larger_attempt_budget() {
+        let mut cfg = ServerConfig::new(scratch("quarantine-budget"));
+        cfg.workers = 1;
+        cfg.max_attempts = 2;
+        cfg.backoff_base = Duration::from_millis(1);
+        cfg.deadline_single = Duration::ZERO;
+        let server = ExperimentServer::open(cfg.clone()).unwrap();
+        let job = spec("gzip", 11);
+        server.submit(job.clone());
+        server.drain();
+        let (state, attempts) = server.status(job.id()).unwrap();
+        assert_eq!((state.label(), attempts), ("quarantined", 2));
+        drop(server);
+        cfg.max_attempts = 5;
+        let reopened = ExperimentServer::open(cfg).unwrap();
+        assert_eq!(reopened.status(job.id()).unwrap().0.label(), "quarantined");
+        assert!(reopened.health_json().contains("\"open_jobs\":0"));
     }
 
     #[test]

@@ -22,6 +22,7 @@ const REC_SUBMIT: u8 = 1;
 const REC_START: u8 = 2;
 const REC_DONE: u8 = 3;
 const REC_FAIL: u8 = 4;
+const REC_QUARANTINE: u8 = 5;
 
 /// One journaled job transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,9 +53,20 @@ pub enum WalRecord {
         id: u64,
         /// The attempt that failed.
         attempt: u32,
-        /// True when the failure is final (terminal error or attempt
-        /// budget exhausted → quarantine); false schedules a retry.
+        /// True when the failure is non-retryable: the job is failed for
+        /// good. False schedules a retry. (Logs written before the
+        /// `Quarantine` record existed also used `true` for an exhausted
+        /// retry budget; those jobs now read as failed.)
         terminal: bool,
+        /// Failure detail.
+        message: String,
+    },
+    /// A retryable failure used the last attempt: the job is quarantined.
+    Quarantine {
+        /// The job id.
+        id: u64,
+        /// The attempt that failed.
+        attempt: u32,
         /// Failure detail.
         message: String,
     },
@@ -91,6 +103,16 @@ impl LogRecord for WalRecord {
                 put_str(b, message);
                 REC_FAIL
             }
+            WalRecord::Quarantine {
+                id,
+                attempt,
+                message,
+            } => {
+                put_u64(b, *id);
+                put_u32(b, *attempt);
+                put_str(b, message);
+                REC_QUARANTINE
+            }
         }
     }
 
@@ -110,6 +132,11 @@ impl LogRecord for WalRecord {
                 id: c.u64()?,
                 attempt: c.u32()?,
                 terminal: c.u8()? != 0,
+                message: c.str()?,
+            },
+            REC_QUARANTINE => WalRecord::Quarantine {
+                id: c.u64()?,
+                attempt: c.u32()?,
                 message: c.str()?,
             },
             _ => return None,
