@@ -334,8 +334,8 @@ impl TraceCache {
         self.store.dir()
     }
 
-    /// The underlying storage engine (recovery stats, verification,
-    /// compaction).
+    /// The underlying storage engine (recovery, verification,
+    /// checkpoints).
     pub fn store(&self) -> &TraceStore {
         &self.store
     }
@@ -377,20 +377,6 @@ impl TraceCache {
     /// [`TraceStore::verify_all`]: crate::store::TraceStore::verify_all
     pub fn verify_all(&self) -> StoreScan {
         self.store.verify_all()
-    }
-
-    /// Run a compaction pass now: drop stale-schema entries, enforce the
-    /// byte budget, checkpoint.
-    pub fn compact_now(&self) -> RecoveryStats {
-        self.store.compact_now()
-    }
-
-    /// Run compaction on a background thread (the store is shared, so
-    /// concurrent lookups proceed; compaction only deletes dead-schema
-    /// or over-budget entries). Join the handle to observe what it did.
-    pub fn spawn_compaction(&self) -> std::thread::JoinHandle<RecoveryStats> {
-        let store = Arc::clone(&self.store);
-        std::thread::spawn(move || store.compact_now())
     }
 
     /// Content key for one `(config, workload, seed, length)` tuple.

@@ -98,8 +98,6 @@ pub struct Dcg {
     renamed_hist: Vec<u32>,
     /// Decode-stage count observed last cycle (rename-latch control).
     decode_ready: u32,
-    /// Cycle of the last `observe` call.
-    observed_cycle: u64,
 }
 
 impl Dcg {
@@ -124,7 +122,6 @@ impl Dcg {
             issued_hist: vec![0; HIST],
             renamed_hist: vec![0; HIST],
             decode_ready: 0,
-            observed_cycle: 0,
         }
     }
 
@@ -145,12 +142,6 @@ impl Dcg {
         let port_bits = config.mem_ports * 3;
         let bus_bits = config.result_buses * 2;
         (grant_bits + one_hot_bits + port_bits + bus_bits) as u32
-    }
-
-    /// Cycle of the most recent [`GatingPolicy::observe`] call (0 before
-    /// any observation).
-    pub fn last_observed_cycle(&self) -> u64 {
-        self.observed_cycle
     }
 
     fn hist(&self, hist: &[u32], cycle_wanted: u64, now: u64) -> u32 {
@@ -210,7 +201,6 @@ impl Dcg {
 
     fn observe_signals(&mut self, sig: &Signals<'_>) {
         let now = sig.cycle;
-        self.observed_cycle = now;
 
         // Execution-unit grants fix future instance activity (§3.1); load
         // grants on memory ports fix decoder activity three cycles out

@@ -97,6 +97,20 @@ impl From<StoreError> for DcgError {
     }
 }
 
+/// The message of a caught panic payload: its text when the panic
+/// carried a string, a fixed placeholder otherwise. It takes the box
+/// itself: a `&Box` would coerce to a `&dyn Any` of the box, whose
+/// downcasts all fail.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,5 +138,16 @@ mod tests {
         };
         assert!(c.to_string().contains("corrupt at cycle 3"));
         assert!(c.source().is_some());
+    }
+
+    #[test]
+    fn panic_message_reads_string_payloads() {
+        let message = |f: fn()| panic_message(std::panic::catch_unwind(f).expect_err("panics"));
+        assert_eq!(message(|| panic!("static text")), "static text");
+        assert_eq!(message(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            message(|| std::panic::panic_any(7u8)),
+            "non-string panic payload"
+        );
     }
 }

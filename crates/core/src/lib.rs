@@ -78,7 +78,7 @@ pub use cache::{
 };
 pub use dcg::{Dcg, DcgOptions};
 pub use durable::{crash_point, LogRecord, RecordLog, CRASH_ENV, LOG_HEADER_LEN};
-pub use error::DcgError;
+pub use error::{panic_message, DcgError};
 pub use faults::{FaultPlan, FaultPoint, FaultSpec, FaultWindow, FaultyPolicy, PanicSink};
 pub use metrics::{
     fu_class_label, ComponentMetrics, GateDisagreement, Histogram, MetricsConfig, MetricsReport,
@@ -92,9 +92,7 @@ pub use runner::{
     WattchStyles,
 };
 pub use safety::{GatingSafetyChecker, Hazard, HazardClass, SafetyConfig, SafetyReport};
-pub use shard::{
-    run_sharded, run_sharded_with, sweep_threads, worker_count_from_env_value, SWEEP_THREADS_ENV,
-};
+pub use shard::{run_sharded, SWEEP_THREADS_ENV};
 pub use sinks::{ActivitySink, MetricsSink};
 pub use source::{ActivitySource, CachedSource, ReplaySource};
 pub use store::{

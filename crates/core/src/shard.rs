@@ -27,8 +27,8 @@ fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a worker-count environment variable from its raw value:
-/// a positive integer is taken as-is; unset falls back silently to
+/// Resolve `DCG_SWEEP_THREADS` from its raw value: a positive integer
+/// is taken as-is; unset falls back silently to
 /// [`std::thread::available_parallelism`]; anything else (zero, garbage,
 /// non-unicode) falls back the same way but also returns a diagnostic
 /// naming the variable, so misconfiguration degrades loudly instead of
@@ -37,18 +37,14 @@ fn default_parallelism() -> usize {
 /// Factored over the raw `std::env::var` result (like
 /// `TraceCache::from_env_value`) so both outcomes are unit-testable
 /// without touching process environment.
-#[must_use]
-pub fn worker_count_from_env_value(
-    var: &str,
-    value: Result<String, VarError>,
-) -> (usize, Option<String>) {
+fn worker_count_from_env_value(value: Result<String, VarError>) -> (usize, Option<String>) {
     match value {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => (n, None),
             _ => (
                 default_parallelism(),
                 Some(format!(
-                    "warning: {var}={v:?} is not a positive integer; \
+                    "warning: {SWEEP_THREADS_ENV}={v:?} is not a positive integer; \
                      falling back to available parallelism"
                 )),
             ),
@@ -57,7 +53,7 @@ pub fn worker_count_from_env_value(
         Err(VarError::NotUnicode(_)) => (
             default_parallelism(),
             Some(format!(
-                "warning: {var} is not valid unicode; \
+                "warning: {SWEEP_THREADS_ENV} is not valid unicode; \
                  falling back to available parallelism"
             )),
         ),
@@ -67,11 +63,9 @@ pub fn worker_count_from_env_value(
 /// The sweep worker count: `DCG_SWEEP_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism (with one
 /// process-wide warning when the variable is set but unusable).
-#[must_use]
-pub fn sweep_threads() -> usize {
+fn sweep_threads() -> usize {
     static WARN: Once = Once::new();
-    let (n, warning) =
-        worker_count_from_env_value(SWEEP_THREADS_ENV, std::env::var(SWEEP_THREADS_ENV));
+    let (n, warning) = worker_count_from_env_value(std::env::var(SWEEP_THREADS_ENV));
     if let Some(msg) = warning {
         WARN.call_once(|| eprintln!("{msg}"));
     }
@@ -79,7 +73,8 @@ pub fn sweep_threads() -> usize {
 }
 
 /// Run `jobs` independent jobs — `f(i)` for `i in 0..jobs` — on up to
-/// [`sweep_threads`] scoped workers with atomic-counter work stealing,
+/// `DCG_SWEEP_THREADS` scoped workers (default: the available
+/// parallelism) with atomic-counter work stealing,
 /// returning the results **in index order** regardless of scheduling.
 /// With one worker (or one job) everything runs inline on the caller's
 /// thread, bit-for-bit the serial loop.
@@ -98,7 +93,7 @@ where
 
 /// [`run_sharded`] with an explicit worker count (tests pin 1/2/4 to
 /// prove byte identity without touching the environment).
-pub fn run_sharded_with<R, F>(threads: usize, jobs: usize, f: F) -> Vec<R>
+fn run_sharded_with<R, F>(threads: usize, jobs: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -154,23 +149,17 @@ mod tests {
     fn sweep_threads_env_values_resolve_with_named_diagnostics() {
         let ap = default_parallelism();
         // Positive integers are taken as-is, silently.
-        assert_eq!(
-            worker_count_from_env_value(SWEEP_THREADS_ENV, Ok("3".into())),
-            (3, None)
-        );
-        assert_eq!(
-            worker_count_from_env_value(SWEEP_THREADS_ENV, Ok(" 1 ".into())),
-            (1, None)
-        );
+        assert_eq!(worker_count_from_env_value(Ok("3".into())), (3, None));
+        assert_eq!(worker_count_from_env_value(Ok(" 1 ".into())), (1, None));
         // Unset falls back silently.
         assert_eq!(
-            worker_count_from_env_value(SWEEP_THREADS_ENV, Err(VarError::NotPresent)),
+            worker_count_from_env_value(Err(VarError::NotPresent)),
             (ap, None)
         );
         // Zero and garbage fall back to available parallelism (never a
         // silent serial run) and the diagnostic names the variable.
         for bad in ["0", "banana", "-2", ""] {
-            let (n, warning) = worker_count_from_env_value(SWEEP_THREADS_ENV, Ok(bad.into()));
+            let (n, warning) = worker_count_from_env_value(Ok(bad.into()));
             assert_eq!(n, ap, "{bad:?} must fall back to available parallelism");
             let msg = warning.unwrap_or_else(|| panic!("{bad:?} must warn"));
             assert!(

@@ -7,7 +7,7 @@
 //! creation and rename leaked `.tmp` files, and every lookup had to read
 //! and re-validate a full file header before knowing whether the entry
 //! even matched. This module replaces it with a small storage engine
-//! (one record log + recovery sweep + bounded compaction):
+//! (one record log + recovery sweep + bounded eviction):
 //!
 //! * **one writer:** the open takes an exclusive, non-blocking `flock(2)`
 //!   on the store directory itself (no lock file, so a read-only mount
@@ -29,9 +29,9 @@
 //!   valid entries are adopted, corrupt files are dropped, and stale
 //!   `.tmp` files are reaped;
 //! * a **bounded-capacity eviction policy** (`DCG_TRACE_CACHE_BUDGET`
-//!   bytes, oldest generation first) and a **compaction pass** —
-//!   runnable on a background thread — that drops entries recorded under
-//!   an activity schema/version the current binary no longer speaks.
+//!   bytes, oldest generation first, enforced at open and after each
+//!   insert); the open also drops entries recorded under an activity
+//!   schema/version the current binary no longer speaks.
 //!
 //! Lookups go through the in-memory index, so a hit knows the entry
 //! matches before touching the file. Every row is born verified — insert
@@ -131,7 +131,7 @@ impl EntryIdentity {
     }
 
     /// `true` when the entry was recorded under the schema/version this
-    /// binary speaks — compaction drops everything else.
+    /// binary speaks — the open-time sweep drops everything else.
     fn is_live_schema(&self) -> bool {
         self.schema == ACTIVITY_SCHEMA && self.version == ACTIVITY_VERSION
     }
@@ -175,7 +175,7 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// What one open-time recovery sweep (or compaction pass) did —
+/// What one open-time recovery sweep did —
 /// surfaced through [`crate::CacheHealth`] and the store fault
 /// campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1009,11 +1009,6 @@ impl TraceStore {
         }
     }
 
-    /// What the open-time recovery sweep did (forces the open).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.ensure_open()
-    }
-
     /// Deep integrity scan: verify every tracked entry's whole-payload
     /// checksum against its row, evicting failures. The fault
     /// campaign's recovery verdicts depend on it catching in-place
@@ -1046,33 +1041,6 @@ impl TraceStore {
     /// `true` when no entries are tracked.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Compaction pass: drop stale-schema entries, enforce the byte
-    /// budget, checkpoint. Cheap enough to run on a background thread
-    /// ([`crate::TraceCache::spawn_compaction`]); deleting only
-    /// dead-schema or over-budget entries keeps it invisible to
-    /// concurrent live-schema lookups.
-    pub fn compact_now(&self) -> RecoveryStats {
-        let mut guard = self.opened();
-        let st = guard.as_mut().expect("opened");
-        if st.readonly {
-            return RecoveryStats::default();
-        }
-        let mut stats = RecoveryStats {
-            dropped_stale_schema: self.drop_stale_schema(st),
-            ..RecoveryStats::default()
-        };
-        stats.evicted_over_budget = self.evict_to_budget(st);
-        if st.dirty {
-            if let Err(e) = self.checkpoint_locked(st) {
-                crate::cache::note_store_failure(&self.dir, e.what);
-                self.health.store_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        st.recovery.dropped_stale_schema += stats.dropped_stale_schema;
-        st.recovery.evicted_over_budget += stats.evicted_over_budget;
-        stats
     }
 }
 
@@ -1444,7 +1412,6 @@ mod tests {
             "the evicted row leaves the in-memory index"
         );
         store.checkpoint().expect("checkpoint no-ops cleanly");
-        assert_eq!(store.compact_now(), RecoveryStats::default());
         drop(store);
 
         assert_eq!(dir_snapshot(&dir), before, "no byte on disk changed");

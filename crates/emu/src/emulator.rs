@@ -73,11 +73,6 @@ impl Memory {
             self.write_u8(addr.wrapping_add(k), (value >> (8 * k)) as u8);
         }
     }
-
-    /// Number of pages touched by writes.
-    pub fn pages_touched(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// Why emulation stopped abnormally.

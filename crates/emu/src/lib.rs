@@ -9,9 +9,6 @@
 //! * [`assemble`] turns `.asm` text (labels, the register/op vocabulary of
 //!   `dcg-isa`, immediates) into a [`Program`] of static [`AsmInst`]s;
 //!   [`disassemble`] is its inverse and the pair is a fixed point.
-//! * [`Program::encode`] serialises to the three-word object format built
-//!   on [`dcg_isa::encode_word`], extended in the bits the base codec
-//!   masks out.
 //! * [`Emulator`] executes a [`Program`] in architectural order —
 //!   registers plus a flat little-endian memory — emitting one
 //!   [`CommitRecord`] per instruction. It is the *golden reference model*:
@@ -31,7 +28,4 @@ mod program;
 
 pub use asm::{assemble, disassemble, AsmError, DisasmError};
 pub use emulator::{CommitRecord, EmuError, Emulator, Memory};
-pub use program::{
-    decode_obj, link_reg, AsmInst, Funct, ObjError, Program, ShapeError, OBJ_FUNCT_SHIFT,
-    OBJ_IMM_FLAG_SHIFT, TEXT_BASE,
-};
+pub use program::{link_reg, AsmInst, Funct, Program, ShapeError, TEXT_BASE};

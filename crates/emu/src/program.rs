@@ -1,36 +1,15 @@
-//! Static program representation: operations, instructions and the object
-//! format.
+//! Static program representation: operations and instructions.
 //!
 //! The trace-like [`Inst`] the simulator consumes carries *resolved*
 //! behaviour (effective addresses, actual branch directions), so a static
 //! program needs its own instruction type: [`AsmInst`] keeps the operation
 //! ([`Funct`]), register operands and an immediate, and the emulator
 //! resolves them into dynamic [`Inst`]s at execution time.
-//!
-//! ## Object format
-//!
-//! One [`AsmInst`] at program counter `pc` encodes into the same three
-//! 64-bit words as [`encode_word`] over its *static template* (a
-//! well-formed [`Inst`] with placeholder dynamic facts), extended in the
-//! bits [`encode_word`] leaves free:
-//!
-//! * word 1 bits `40..46` — [`Funct`] index (the operation within the
-//!   class; `decode_word` masks these out, so the base layout is
-//!   untouched);
-//! * word 1 bit `48` — operand B is the immediate, not a register;
-//! * word 2 — the immediate: an ALU constant, a load/store displacement,
-//!   or a branch target PC (two's complement for signed values).
-//!
-//! [`decode_obj`] is the exact inverse for every instruction
-//! [`AsmInst::validate`] accepts (verified by a property test).
 
 use std::error::Error;
 use std::fmt;
 
-use dcg_isa::{
-    decode_word, encode_word, ArchReg, BranchInfo, BranchKind, DecodeWordError, Inst, MemRef,
-    OpClass, RegFileKind,
-};
+use dcg_isa::{ArchReg, BranchInfo, BranchKind, Inst, MemRef, OpClass, RegFileKind};
 
 /// Base address of the text segment: PCs are `TEXT_BASE + 4 * index`.
 pub const TEXT_BASE: u64 = 0x1000;
@@ -39,12 +18,6 @@ pub const TEXT_BASE: u64 = 0x1000;
 pub fn link_reg() -> ArchReg {
     ArchReg::int(30)
 }
-
-/// Bit position of the [`Funct`] index in object word 1.
-pub const OBJ_FUNCT_SHIFT: u32 = 40;
-
-/// Bit position of the immediate-operand flag in object word 1.
-pub const OBJ_IMM_FLAG_SHIFT: u32 = 48;
 
 /// The concrete operation of a static instruction — the "function code"
 /// within an [`OpClass`].
@@ -92,7 +65,7 @@ pub enum Funct {
 }
 
 impl Funct {
-    /// All operations in a fixed order (the object-format index order).
+    /// All operations in a fixed order.
     pub const ALL: [Funct; 30] = [
         Funct::Add,
         Funct::Sub,
@@ -125,24 +98,6 @@ impl Funct {
         Funct::Ret,
         Funct::Halt,
     ];
-
-    /// Number of operations.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Index in [`Funct::ALL`] (the object-format code).
-    #[inline]
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|f| *f == self)
-            .expect("every funct is in ALL")
-    }
-
-    /// Inverse of [`Funct::index`].
-    #[inline]
-    pub fn from_index(index: usize) -> Option<Funct> {
-        Self::ALL.get(index).copied()
-    }
 
     /// The operation class this operation executes on.
     pub fn op_class(self) -> OpClass {
@@ -245,8 +200,8 @@ impl fmt::Display for Funct {
 
 /// A static (not-yet-executed) instruction.
 ///
-/// Invariants are enforced by [`AsmInst::validate`]; the assembler and the
-/// object decoder only produce valid instances.
+/// Invariants are enforced by [`AsmInst::validate`]; the assembler only
+/// produces valid instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AsmInst {
     /// The operation.
@@ -267,7 +222,7 @@ pub struct AsmInst {
     pub size: u8,
 }
 
-/// Why an [`AsmInst`] (or an object word triple) is invalid.
+/// Why an [`AsmInst`] is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShapeError {
     /// A register operand belongs to the wrong register file.
@@ -409,8 +364,8 @@ impl AsmInst {
     /// The *static template*: a well-formed dynamic [`Inst`] carrying this
     /// instruction's class, operands and static facts, with placeholder
     /// dynamic behaviour (conditional branches not taken, `ret` target 0,
-    /// memory address = displacement). [`encode_word`] over this template
-    /// is the base layer of the object format.
+    /// memory address = displacement). The emulator builds every dynamic
+    /// instruction from it.
     pub fn to_static_inst(&self, pc: u64) -> Inst {
         let op = self.funct.op_class();
         match op {
@@ -452,83 +407,6 @@ impl AsmInst {
             }
         }
     }
-
-    /// Encode into the three-word object format at program counter `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instruction fails [`AsmInst::validate`] (the
-    /// assembler never produces such instructions).
-    pub fn encode_obj(&self, pc: u64) -> [u64; 3] {
-        if let Err(e) = self.validate() {
-            panic!("refusing to encode invalid instruction {self:?}: {e}");
-        }
-        let mut words = encode_word(&self.to_static_inst(pc));
-        words[1] |= (self.funct.index() as u64) << OBJ_FUNCT_SHIFT;
-        words[1] |= u64::from(self.uses_imm) << OBJ_IMM_FLAG_SHIFT;
-        words[2] = self.imm as u64;
-        words
-    }
-}
-
-/// Why three object words failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObjError {
-    /// The base [`decode_word`] layer rejected the words.
-    BadWord(DecodeWordError),
-    /// The funct field holds an out-of-range index.
-    BadFunct(u8),
-    /// The funct's class disagrees with the base word's class.
-    ClassMismatch {
-        /// Class from the funct field.
-        funct: OpClass,
-        /// Class from the base word.
-        word: OpClass,
-    },
-    /// The decoded instruction fails [`AsmInst::validate`].
-    BadShape(ShapeError),
-}
-
-impl fmt::Display for ObjError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ObjError::BadWord(e) => write!(f, "base word layer: {e}"),
-            ObjError::BadFunct(v) => write!(f, "invalid funct index {v}"),
-            ObjError::ClassMismatch { funct, word } => {
-                write!(f, "funct class {funct} disagrees with word class {word}")
-            }
-            ObjError::BadShape(e) => write!(f, "invalid operand shape: {e}"),
-        }
-    }
-}
-
-impl Error for ObjError {}
-
-/// Decode three object words into an instruction and its PC.
-///
-/// # Errors
-///
-/// Returns an [`ObjError`] naming the first inconsistency; never panics.
-pub fn decode_obj(words: &[u64; 3]) -> Result<(AsmInst, u64), ObjError> {
-    let base = decode_word(words).map_err(ObjError::BadWord)?;
-    let funct_idx = ((words[1] >> OBJ_FUNCT_SHIFT) & 0x3f) as u8;
-    let funct = Funct::from_index(usize::from(funct_idx)).ok_or(ObjError::BadFunct(funct_idx))?;
-    if funct.op_class() != base.op {
-        return Err(ObjError::ClassMismatch {
-            funct: funct.op_class(),
-            word: base.op,
-        });
-    }
-    let inst = AsmInst {
-        funct,
-        dest: base.dest,
-        srcs: base.srcs,
-        uses_imm: (words[1] >> OBJ_IMM_FLAG_SHIFT) & 1 == 1,
-        imm: words[2] as i64,
-        size: base.mem.map_or(1, |m| m.size),
-    };
-    inst.validate().map_err(ObjError::BadShape)?;
-    Ok((inst, words[0]))
 }
 
 /// An assembled program: instructions at consecutive PCs from
@@ -545,8 +423,7 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `insts` is empty or any instruction fails
-    /// [`AsmInst::validate`] (the assembler and object decoder uphold
-    /// both).
+    /// [`AsmInst::validate`] (the assembler upholds both).
     pub fn new(name: impl Into<String>, insts: Vec<AsmInst>) -> Program {
         assert!(
             !insts.is_empty(),
@@ -612,53 +489,6 @@ impl Program {
         }
         self.insts[index] = inst;
     }
-
-    /// Encode the whole program into object words.
-    pub fn encode(&self) -> Vec<[u64; 3]> {
-        self.insts
-            .iter()
-            .enumerate()
-            .map(|(k, i)| i.encode_obj(self.pc_of(k)))
-            .collect()
-    }
-
-    /// Decode a program from object words.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first undecodable instruction with its
-    /// [`ObjError`]; also rejects empty input and PCs that do not form the
-    /// contiguous text segment the encoder produces.
-    pub fn decode(
-        name: impl Into<String>,
-        words: &[[u64; 3]],
-    ) -> Result<Program, (usize, ObjError)> {
-        if words.is_empty() {
-            return Err((
-                0,
-                ObjError::BadShape(ShapeError::Operands(
-                    "a program needs at least one instruction",
-                )),
-            ));
-        }
-        let mut insts = Vec::with_capacity(words.len());
-        for (k, w) in words.iter().enumerate() {
-            let (inst, pc) = decode_obj(w).map_err(|e| (k, e))?;
-            if pc != TEXT_BASE + 4 * k as u64 {
-                return Err((
-                    k,
-                    ObjError::BadShape(ShapeError::Operands(
-                        "instruction PC breaks the contiguous text segment",
-                    )),
-                ));
-            }
-            insts.push(inst);
-        }
-        Ok(Program {
-            name: name.into(),
-            insts,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -677,65 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn funct_index_roundtrip() {
+    fn only_branch_functs_have_a_branch_kind() {
         for f in Funct::ALL {
-            assert_eq!(Funct::from_index(f.index()), Some(f));
             assert_eq!(f.branch_kind().is_some(), f.op_class() == OpClass::Branch);
-        }
-        assert_eq!(Funct::from_index(Funct::COUNT), None);
-    }
-
-    #[test]
-    fn encode_decode_obj_roundtrip_examples() {
-        let cases = [
-            add(1, 2, -12345),
-            AsmInst {
-                funct: Funct::Load,
-                dest: Some(ArchReg::fp(3)),
-                srcs: [Some(ArchReg::int(4)), None],
-                uses_imm: false,
-                imm: -16,
-                size: 8,
-            },
-            AsmInst {
-                funct: Funct::Store,
-                dest: None,
-                srcs: [Some(ArchReg::int(4)), Some(ArchReg::int(5))],
-                uses_imm: false,
-                imm: 32,
-                size: 2,
-            },
-            AsmInst {
-                funct: Funct::Blt,
-                dest: None,
-                srcs: [Some(ArchReg::int(1)), Some(ArchReg::int(2))],
-                uses_imm: false,
-                imm: TEXT_BASE as i64 + 8,
-                size: 1,
-            },
-            AsmInst {
-                funct: Funct::Ret,
-                dest: None,
-                srcs: [Some(link_reg()), None],
-                uses_imm: false,
-                imm: 0,
-                size: 1,
-            },
-            AsmInst {
-                funct: Funct::Halt,
-                dest: None,
-                srcs: [None, None],
-                uses_imm: false,
-                imm: 0,
-                size: 1,
-            },
-        ];
-        for (k, inst) in cases.into_iter().enumerate() {
-            let pc = TEXT_BASE + 4 * k as u64;
-            let words = inst.encode_obj(pc);
-            assert_eq!(decode_obj(&words), Ok((inst, pc)), "case {k}");
-            // The base layer alone still decodes to a well-formed Inst.
-            assert!(decode_word(&words).expect("base decode").is_well_formed());
         }
     }
 
@@ -774,27 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_obj_rejects_corruption_cleanly() {
-        let good = add(1, 2, 7).encode_obj(TEXT_BASE);
-        // Funct index out of range.
-        let mut bad = good;
-        bad[1] |= 0x3fu64 << OBJ_FUNCT_SHIFT;
-        assert!(matches!(decode_obj(&bad), Err(ObjError::BadFunct(_))));
-        // Funct/class disagreement: claim Load funct on an IntAlu word.
-        let mut mismatch = good;
-        mismatch[1] &= !(0x3fu64 << OBJ_FUNCT_SHIFT);
-        mismatch[1] |= (Funct::Load.index() as u64) << OBJ_FUNCT_SHIFT;
-        assert!(matches!(
-            decode_obj(&mismatch),
-            Err(ObjError::ClassMismatch { .. })
-        ));
-        // Base-layer corruption still surfaces as BadWord.
-        let mut word = good;
-        word[1] |= 0xf; // invalid op class
-        assert!(matches!(decode_obj(&word), Err(ObjError::BadWord(_))));
-    }
-
-    #[test]
     fn program_pc_mapping() {
         let p = Program::new("t", vec![add(1, 2, 0), add(3, 4, 1)]);
         assert_eq!(p.len(), 2);
@@ -803,16 +556,5 @@ mod tests {
         assert_eq!(p.index_of_pc(TEXT_BASE + 2), None);
         assert_eq!(p.index_of_pc(TEXT_BASE + 8), None);
         assert_eq!(p.index_of_pc(TEXT_BASE - 4), None);
-        let enc = p.encode();
-        assert_eq!(Program::decode("t", &enc), Ok(p));
-    }
-
-    #[test]
-    fn program_decode_rejects_gapped_text() {
-        let p = Program::new("t", vec![add(1, 2, 0), add(3, 4, 1)]);
-        let mut enc = p.encode();
-        enc[1][0] += 4; // break contiguity
-        assert!(Program::decode("t", &enc).is_err());
-        assert!(Program::decode("t", &[]).is_err());
     }
 }

@@ -1,11 +1,10 @@
-//! Property tests: the assembler, object codec and disassembler are exact
-//! inverses for every well-formed program the generators can produce, and
+//! Property tests: the assembler and disassembler are exact inverses for
+//! every well-formed program the generators can produce, every valid
+//! instruction's static template is a well-formed dynamic instruction, and
 //! malformed source always fails with a named error — never a panic.
 
-use dcg_emu::{
-    assemble, decode_obj, disassemble, link_reg, AsmError, AsmInst, Funct, Program, TEXT_BASE,
-};
-use dcg_isa::{decode_word, ArchReg};
+use dcg_emu::{assemble, disassemble, link_reg, AsmError, AsmInst, Funct, Program, TEXT_BASE};
+use dcg_isa::ArchReg;
 use dcg_testkit::prop::{self, Gen};
 
 fn arb_int_reg() -> Gen<ArchReg> {
@@ -194,16 +193,15 @@ fn arb_program() -> Gen<Program> {
 }
 
 #[test]
-fn object_roundtrip_is_exact() {
-    prop::check("object_roundtrip_is_exact", arb_program(), |p| {
-        let words = p.encode();
-        assert_eq!(words.len(), p.len());
-        for (k, w) in words.iter().enumerate() {
-            // The base layer alone must still be a well-formed Inst.
-            assert!(decode_word(w).expect("base decode").is_well_formed());
-            assert_eq!(decode_obj(w), Ok((p.insts()[k], p.pc_of(k))));
+fn static_templates_are_well_formed() {
+    // The emulator builds every dynamic instruction from this template.
+    prop::check("static_templates_are_well_formed", arb_program(), |p| {
+        for (k, inst) in p.insts().iter().enumerate() {
+            let template = inst.to_static_inst(p.pc_of(k));
+            assert!(template.is_well_formed(), "{inst:?} -> {template:?}");
+            assert_eq!(template.pc, p.pc_of(k));
+            assert_eq!(template.op, inst.funct.op_class());
         }
-        assert_eq!(Program::decode("prop", &words), Ok(p));
     });
 }
 
@@ -249,19 +247,6 @@ fn malformed_source_yields_named_errors() {
             }
             // Errors render without panicking.
             let _ = err.to_string();
-        },
-    );
-}
-
-#[test]
-fn corrupted_object_words_never_panic() {
-    prop::check(
-        "corrupted_object_words_never_panic",
-        prop::any_u64_array::<3>(),
-        |words| {
-            if let Ok((inst, _pc)) = decode_obj(&words) {
-                assert!(inst.validate().is_ok());
-            }
         },
     );
 }

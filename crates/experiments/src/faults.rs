@@ -27,9 +27,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use dcg_core::{
-    run_passive, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan, FaultPoint, FaultSpec,
-    FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength, TraceCache, JOURNAL_FILE,
-    LOG_HEADER_LEN,
+    panic_message, run_passive, run_passive_with_sinks, ActivitySink, Dcg, FaultPlan, FaultPoint,
+    FaultSpec, FaultyPolicy, PanicSink, PolicyOutcome, ReplaySource, RunLength, TraceCache,
+    JOURNAL_FILE, LOG_HEADER_LEN,
 };
 use dcg_power::Component;
 use dcg_sim::{LatchGroups, Processor, SimConfig};
@@ -493,7 +493,7 @@ impl Context {
         }));
         match result {
             Err(payload) => {
-                let msg = panic_text(payload);
+                let msg = panic_message(payload);
                 if msg.contains("injected sink fault") {
                     (FaultClass::Detected, format!("panic caught: {msg}"))
                 } else {
@@ -662,17 +662,6 @@ impl Context {
             &reopened,
             &format!("{orphans} orphan tmp files reaped exactly once"),
         )
-    }
-}
-
-/// Extract a human-readable message from a captured panic payload.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

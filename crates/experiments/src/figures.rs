@@ -5,10 +5,9 @@
 //! EXPERIMENTS.md can record paper-vs-measured side by side.
 
 use dcg_power::Component;
-use dcg_sim::SimConfig;
 use dcg_workloads::SuiteKind;
 
-use crate::suite::{BenchmarkRun, ExperimentConfig, Suite};
+use crate::suite::{BenchmarkRun, Suite};
 use crate::table::FigureTable;
 use dcg_core::PlbVariant;
 
@@ -184,16 +183,11 @@ pub fn fig16(suite: &Suite) -> FigureTable {
 }
 
 /// Figure 17: DCG total power savings on the 8-stage vs the 20-stage
-/// pipeline. Runs its own two DCG-only suites.
-pub fn fig17(cfg: &ExperimentConfig) -> FigureTable {
-    let suite8 = Suite::run(cfg, false);
-    let mut cfg20 = cfg.clone();
-    cfg20.sim = SimConfig {
-        depth: dcg_sim::PipelineDepth::stages20(),
-        ..cfg.sim.clone()
-    };
-    let suite20 = Suite::run(&cfg20, false);
-
+/// pipeline, from one suite of each (the second run on
+/// [`ExperimentConfig::deep_pipeline`]; neither needs PLB runs).
+///
+/// [`ExperimentConfig::deep_pipeline`]: crate::ExperimentConfig::deep_pipeline
+pub fn fig17(suite8: &Suite, suite20: &Suite) -> FigureTable {
     let mut t = FigureTable::new(
         "figure-17",
         "DCG total power savings: 8-stage vs 20-stage pipeline (%)",
@@ -218,6 +212,7 @@ pub fn fig17(cfg: &ExperimentConfig) -> FigureTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::ExperimentConfig;
 
     fn quick_suite() -> Suite {
         Suite::run(&ExperimentConfig::quick(), true)
@@ -262,7 +257,11 @@ mod tests {
 
     #[test]
     fn fig17_two_depths() {
-        let t = fig17(&ExperimentConfig::quick());
+        let cfg = ExperimentConfig::quick();
+        let t = fig17(
+            &Suite::run(&cfg, false),
+            &Suite::run(&cfg.deep_pipeline(), false),
+        );
         assert_eq!(t.columns, vec!["8-stage", "20-stage"]);
         let avg8 = t.value("average", "8-stage").unwrap();
         let avg20 = t.value("average", "20-stage").unwrap();

@@ -56,10 +56,7 @@ pub use studies::{
     ablation_prefetch, ablation_store_policy, oracle_comparison, plb_tuning_sensitivity,
     seed_sensitivity, wattch_styles, width_scaling, STUDIES,
 };
-pub use suite::{
-    suite_workers, suite_workers_from_env_value, BenchmarkRun, ExperimentConfig, Suite,
-    SuiteFailure, SUITE_WORKERS_ENV,
-};
+pub use suite::{BenchmarkRun, ExperimentConfig, Suite, SuiteFailure};
 pub use summary::summary;
 pub use svg::{render_svg, render_utilization_svg, write_svg, write_utilization_svg};
 pub use table::FigureTable;

@@ -4,11 +4,11 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use dcg_core::{
-    run_active, run_cached_or_live, run_passive_with_sinks, run_sharded_with, Dcg, MetricsReport,
-    MetricsSink, NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    panic_message, run_active, run_cached_or_live, run_passive_with_sinks, run_sharded, Dcg,
+    MetricsReport, MetricsSink, NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
-use dcg_sim::{LatchGroups, SimConfig, SimStats};
+use dcg_sim::{LatchGroups, PipelineDepth, SimConfig, SimStats};
 use dcg_workloads::{BenchmarkProfile, Spec2000, SuiteKind, SyntheticWorkload};
 
 /// Experiment-wide parameters.
@@ -48,6 +48,15 @@ impl ExperimentConfig {
                 .map(|n| Spec2000::by_name(n).expect("known benchmark"))
                 .collect(),
         }
+    }
+
+    /// This configuration on the §5.6 20-stage pipeline (Figure 17 and
+    /// the summary's `dcg-20stage` row).
+    #[must_use]
+    pub fn deep_pipeline(&self) -> ExperimentConfig {
+        let mut cfg = self.clone();
+        cfg.sim.depth = PipelineDepth::stages20();
+        cfg
     }
 }
 
@@ -185,37 +194,6 @@ pub struct SuiteFailure {
     pub message: String,
 }
 
-/// Environment variable overriding [`Suite::run`]'s worker-pool size
-/// (positive integer; unset, zero or invalid falls back to
-/// [`std::thread::available_parallelism`], the latter two with one named
-/// warning). Results are bit-identical for any value — the knob exists
-/// so bench timings are reproducible on shared machines.
-pub const SUITE_WORKERS_ENV: &str = "DCG_WORKERS";
-
-/// Resolve a raw `DCG_WORKERS` value to a pool size plus an optional
-/// diagnostic — [`dcg_core::worker_count_from_env_value`] bound to this
-/// crate's variable so the fallback is unit-testable here without
-/// touching process environment.
-#[must_use]
-pub fn suite_workers_from_env_value(
-    value: Result<String, std::env::VarError>,
-) -> (usize, Option<String>) {
-    dcg_core::worker_count_from_env_value(SUITE_WORKERS_ENV, value)
-}
-
-/// The suite worker-pool size: `DCG_WORKERS` when set to a positive
-/// integer, otherwise the machine's available parallelism (with one
-/// process-wide warning when the variable is set but unusable).
-#[must_use]
-pub fn suite_workers() -> usize {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    let (n, warning) = suite_workers_from_env_value(std::env::var(SUITE_WORKERS_ENV));
-    if let Some(msg) = warning {
-        WARN.call_once(|| eprintln!("{msg}"));
-    }
-    n
-}
-
 /// The full set of per-benchmark runs for one experiment configuration.
 #[derive(Debug)]
 pub struct Suite {
@@ -230,13 +208,12 @@ pub struct Suite {
 impl Suite {
     /// Run the suite. `with_plb` also runs both PLB variants (three
     /// simulations per benchmark instead of one). Benchmarks are
-    /// dispatched to a worker pool sized by the `DCG_WORKERS`
-    /// environment variable when set to a positive integer, otherwise by
-    /// [`std::thread::available_parallelism`] (never one thread per
-    /// benchmark); results are returned in configuration order and are
-    /// bit-identical to a serial run (every simulation is deterministic),
-    /// so pinning `DCG_WORKERS=1` on a shared machine changes timing
-    /// only, never results.
+    /// dispatched to the sweep pool ([`dcg_core::run_sharded`], sized by
+    /// `DCG_SWEEP_THREADS`, never one thread per benchmark); results are
+    /// returned in configuration order and are bit-identical to a serial
+    /// run (every simulation is deterministic), so pinning
+    /// `DCG_SWEEP_THREADS=1` on a shared machine changes timing only,
+    /// never results.
     ///
     /// The passive baseline/DCG portion goes through the activity-trace
     /// cache when one is enabled (see [`TraceCache::from_env`]), so
@@ -245,7 +222,7 @@ impl Suite {
     pub fn run(cfg: &ExperimentConfig, with_plb: bool) -> Suite {
         let ((runs, failures), wall_ns) = dcg_testkit::bench::time(|| {
             let cache = TraceCache::from_env();
-            let outcomes = run_sharded_with(suite_workers(), cfg.benchmarks.len(), |i| {
+            let outcomes = run_sharded(cfg.benchmarks.len(), |i| {
                 // One panicking benchmark must not kill the suite: capture
                 // the payload and let the pool keep draining the queue.
                 let profile = cfg.benchmarks[i];
@@ -374,17 +351,6 @@ impl Suite {
     }
 }
 
-/// Extract a human-readable message from a captured panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,27 +439,6 @@ mod tests {
         assert!(suite
             .mean_of(SuiteKind::Int, |r| r.dcg_total_saving())
             .is_some());
-    }
-
-    #[test]
-    fn suite_workers_env_values_resolve_with_named_diagnostics() {
-        let ap = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        assert_eq!(suite_workers_from_env_value(Ok("4".into())), (4, None));
-        assert_eq!(
-            suite_workers_from_env_value(Err(std::env::VarError::NotPresent)),
-            (ap, None)
-        );
-        for bad in ["0", "all-of-them"] {
-            let (n, warning) = suite_workers_from_env_value(Ok(bad.into()));
-            assert_eq!(n, ap, "{bad:?} must fall back to available parallelism");
-            let msg = warning.unwrap_or_else(|| panic!("{bad:?} must warn"));
-            assert!(
-                msg.contains(SUITE_WORKERS_ENV) && msg.contains(bad),
-                "diagnostic must name the variable and value: {msg}"
-            );
-        }
     }
 
     #[test]

@@ -1,24 +1,17 @@
 //! The headline paper-vs-measured summary (the table README.md quotes).
 
 use dcg_core::PlbVariant;
-use dcg_sim::SimConfig;
 use dcg_workloads::SuiteKind;
 
-use crate::suite::{ExperimentConfig, Suite};
+use crate::suite::Suite;
 use crate::table::FigureTable;
 
-/// Run the full comparison and produce the headline summary rows with the
-/// paper's numbers alongside the measured ones.
-pub fn summary(cfg: &ExperimentConfig) -> FigureTable {
-    let suite = Suite::run(cfg, true);
-
-    let mut cfg20 = cfg.clone();
-    cfg20.sim = SimConfig {
-        depth: dcg_sim::PipelineDepth::stages20(),
-        ..cfg.sim.clone()
-    };
-    let suite20 = Suite::run(&cfg20, false);
-
+/// The headline summary rows, the paper's numbers alongside the measured
+/// ones: `suite` is the 8-stage suite with PLB runs, `suite20` the same
+/// benchmarks on [`ExperimentConfig::deep_pipeline`].
+///
+/// [`ExperimentConfig::deep_pipeline`]: crate::ExperimentConfig::deep_pipeline
+pub fn summary(suite: &Suite, suite20: &Suite) -> FigureTable {
     // An empty mean (no runs of that kind) renders as NaN → JSON null:
     // explicit "no data" rather than a silent 0.0.
     let pct = |m: Option<f64>| m.map(|x| 100.0 * x).unwrap_or(f64::NAN);
@@ -80,12 +73,16 @@ pub fn summary(cfg: &ExperimentConfig) -> FigureTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::ExperimentConfig;
 
     #[test]
     fn summary_has_expected_shape() {
         let mut cfg = ExperimentConfig::quick();
         cfg.benchmarks.truncate(2);
-        let t = summary(&cfg);
+        let t = summary(
+            &Suite::run(&cfg, true),
+            &Suite::run(&cfg.deep_pipeline(), false),
+        );
         assert_eq!(t.columns, vec!["paper", "measured"]);
         let dcg = t.value("dcg-int", "measured").unwrap();
         let plb = t.value("plb-orig-int", "measured").unwrap();

@@ -18,14 +18,6 @@ pub enum BranchKind {
 }
 
 impl BranchKind {
-    /// All branch kinds in a fixed order.
-    pub const ALL: [BranchKind; 4] = [
-        BranchKind::Conditional,
-        BranchKind::Jump,
-        BranchKind::Call,
-        BranchKind::Return,
-    ];
-
     /// `true` if the direction of this kind is always "taken".
     #[inline]
     pub fn is_unconditional(self) -> bool {
@@ -215,8 +207,8 @@ impl Inst {
         self.srcs.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Check internal consistency; used by the encoder and by debug
-    /// assertions in the simulator front end.
+    /// Check internal consistency; used by the workload generators' and
+    /// the simulator front end's debug assertions.
     ///
     /// Consistency rules:
     /// * memory classes carry `mem`, non-memory classes do not;

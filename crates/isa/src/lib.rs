@@ -16,8 +16,8 @@
 //! * its **memory behaviour** (effective address, load vs. store),
 //! * its **control behaviour** (branch target and actual direction).
 //!
-//! A compact 64-bit binary encoding ([`encode_word`]/[`decode_word`]) is
-//! provided so traces can be stored and replayed exactly.
+//! Nothing records instructions: the simulator's per-cycle activity, not
+//! the instruction stream, is what the trace store keeps and replays.
 //!
 //! # Example
 //!
@@ -35,12 +35,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod encode;
 mod inst;
 mod op;
 mod reg;
 
-pub use encode::{decode_word, encode_word, DecodeWordError};
 pub use inst::{BranchInfo, BranchKind, Inst, MemRef};
 pub use op::{FuClass, OpClass};
 pub use reg::{ArchReg, RegFileKind, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};

@@ -82,14 +82,6 @@ impl ArchReg {
         ArchReg(NUM_INT_REGS + n)
     }
 
-    /// Construct from a dense index (`0..NUM_ARCH_REGS`).
-    ///
-    /// Returns `None` if `index` is out of range.
-    #[inline]
-    pub fn from_dense(index: u8) -> Option<ArchReg> {
-        (index < NUM_ARCH_REGS).then_some(ArchReg(index))
-    }
-
     /// Dense index in `0..NUM_ARCH_REGS`, suitable for flat map tables.
     #[inline]
     pub fn dense(self) -> usize {
@@ -138,12 +130,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_roundtrip() {
-        for i in 0..NUM_ARCH_REGS {
-            let r = ArchReg::from_dense(i).expect("in range");
-            assert_eq!(r.dense(), usize::from(i));
+    fn dense_indices_cover_both_files_once() {
+        for n in 0..32 {
+            assert_eq!(ArchReg::int(n).dense(), usize::from(n));
+            assert_eq!(ArchReg::fp(n).dense(), usize::from(NUM_INT_REGS + n));
         }
-        assert_eq!(ArchReg::from_dense(NUM_ARCH_REGS), None);
+        assert_eq!(ArchReg::FP_ZERO.dense(), usize::from(NUM_ARCH_REGS) - 1);
     }
 
     #[test]

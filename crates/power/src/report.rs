@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::model::{Component, EnergyBreakdown};
-use crate::tech::TechParams;
 
 /// Accumulated energy over a simulation run.
 ///
@@ -86,15 +85,6 @@ impl PowerReport {
             0.0
         } else {
             self.component_pj(c) / t
-        }
-    }
-
-    /// Average power in watts for technology `tech`.
-    pub fn avg_watts(&self, tech: &TechParams) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            tech.watts(self.total_pj() / self.cycles as f64)
         }
     }
 

@@ -17,7 +17,8 @@
 //!   ablation-iq-gating ablation-leakage ablation-prefetch ablation-predictor
 //!
 //! server mode (see DESIGN.md §16):
-//!   repro serve  [--state DIR] [--socket PATH] [--drain]
+//!   repro serve  [--state DIR] [--socket PATH] [--workers N] [--queue N]
+//!                [--retries N] [--drain]
 //!   repro submit [--socket PATH] [--quick] [--no-wait] <job>...
 //!     jobs: simulate:<bench>[:seed]  replay:<bench>[:seed]
 //!           metrics[:seed]           faults[:count[:seed]]
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dcg_server::{DcgClient, ExperimentServer, JobSpec, ServerConfig};
+use dcg_server::{run_daemon, DcgClient, JobSpec};
 
 use dcg_experiments::{
     alu_sweep, fault_campaign_json, fault_seed_from_env, fig10, fig11, fig12, fig13, fig14, fig15,
@@ -46,7 +47,7 @@ usage: repro [--quick] [--seeds N] [--chart] [--svg] [--json] [--out DIR] <fig10
        studies: oracle-comparison wattch-styles width-scaling seed-sensitivity
                 plb-tuning-sensitivity ablation-fu-policy ablation-store-policy
                 ablation-iq-gating ablation-leakage ablation-prefetch ablation-predictor
-       repro serve [--state DIR] [--socket PATH] [--drain]
+       repro serve [--state DIR] [--socket PATH] [--workers N] [--queue N] [--retries N] [--drain]
        repro submit [--socket PATH] [--quick] [--no-wait] <job>...";
 
 /// Faults injected by `repro faults` (one full round over every
@@ -58,7 +59,7 @@ fn main() -> ExitCode {
     {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match args.first().map(String::as_str) {
-            Some("serve") => return cmd_serve(&args[1..]),
+            Some("serve") => return run_daemon("repro serve", &args[1..]),
             Some("submit") => return cmd_submit(&args[1..]),
             _ => {}
         }
@@ -143,43 +144,55 @@ fn main() -> ExitCode {
         ExperimentConfig::standard()
     };
 
-    // Figures 10-16 and the utilization table share one suite run.
-    let needs_suite = wanted.iter().any(|w| {
-        matches!(
-            w.as_str(),
-            "fig10"
-                | "fig11"
-                | "fig12"
-                | "fig13"
-                | "fig14"
-                | "fig15"
-                | "fig16"
-                | "utilization"
-                | "metrics"
-        )
-    });
-    let needs_plb = wanted.iter().any(|w| {
-        matches!(
-            w.as_str(),
-            "fig10" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16"
-        )
-    });
-    let suites: Vec<Suite> = if needs_suite {
-        (0..seeds)
-            .map(|k| {
-                let mut c = cfg.clone();
-                c.seed = cfg.seed + k;
-                eprintln!(
-                    "running suite (seed {}): {} benchmarks{}...",
-                    c.seed,
-                    c.benchmarks.len(),
-                    if needs_plb { " (with PLB runs)" } else { "" }
-                );
-                Suite::run(&c, needs_plb)
-            })
-            .collect()
+    // Every experiment that reads a suite shares one run per depth:
+    // figures 10-16, utilization and metrics read one 8-stage suite per
+    // seed, figure 17 and the summary the base seed's, and those two also
+    // the one 20-stage suite.
+    let wants = |ids: &[&str]| wanted.iter().any(|w| ids.contains(&w.as_str()));
+    let per_seed = wants(&[
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15",
+        "fig16",
+        "utilization",
+        "metrics",
+    ]);
+    let needs_deep = wants(&["fig17", "summary"]);
+    let needs_plb = wants(&[
+        "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "summary",
+    ]);
+    let suite_count = if per_seed {
+        seeds
     } else {
-        Vec::new()
+        u64::from(needs_deep)
+    };
+    let suites: Vec<Suite> = (0..suite_count)
+        .map(|k| {
+            let mut c = cfg.clone();
+            c.seed = cfg.seed + k;
+            eprintln!(
+                "running suite (seed {}): {} benchmarks{}...",
+                c.seed,
+                c.benchmarks.len(),
+                if needs_plb { " (with PLB runs)" } else { "" }
+            );
+            Suite::run(&c, needs_plb)
+        })
+        .collect();
+    let suite20 = needs_deep.then(|| {
+        eprintln!(
+            "running 20-stage suite: {} benchmarks...",
+            cfg.benchmarks.len()
+        );
+        Suite::run(&cfg.deep_pipeline(), false)
+    });
+    let deep = || {
+        suite20
+            .as_ref()
+            .expect("fig17 and summary run the 20-stage suite")
     };
     let averaged = |f: &dyn Fn(&Suite) -> FigureTable| -> FigureTable {
         let tables: Vec<FigureTable> = suites.iter().map(f).collect();
@@ -314,12 +327,12 @@ fn main() -> ExitCode {
             "fig14" => averaged(&fig14),
             "fig15" => averaged(&fig15),
             "fig16" => averaged(&fig16),
-            "fig17" => fig17(&cfg),
+            "fig17" => fig17(&suites[0], deep()),
             "alu-sweep" => alu_sweep(&cfg),
             "utilization" => averaged(&|s: &Suite| utilization(s, &cfg.sim)),
             "workload-stats" => workload_stats(&cfg, 200_000),
             "phase-analysis" => phase_analysis(&cfg),
-            "summary" => summary(&cfg),
+            "summary" => summary(&suites[0], deep()),
             other => match STUDIES.iter().find(|(id, _)| *id == other) {
                 Some((_, study)) => study(&cfg),
                 None => {
@@ -369,62 +382,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// `repro serve`: run the experiment daemon (thin wrapper over the
-/// `dcg-server` binary's core, sharing its state layout and env knobs).
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut state = PathBuf::from("results/server");
-    let mut socket: Option<PathBuf> = None;
-    let mut drain = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--state" => match it.next() {
-                Some(d) => state = PathBuf::from(d),
-                None => return serve_usage("--state requires a directory"),
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(PathBuf::from(p)),
-                None => return serve_usage("--socket requires a path"),
-            },
-            "--drain" => drain = true,
-            other => return serve_usage(&format!("unknown argument {other}")),
-        }
-    }
-    let server = match ExperimentServer::open(ServerConfig::new(state.clone())) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "repro serve: could not open state at {}: {e}",
-                state.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    if drain {
-        server.drain();
-        eprintln!("repro serve: backlog drained");
-        return ExitCode::SUCCESS;
-    }
-    let socket = socket.unwrap_or_else(|| state.join("dcg.sock"));
-    let _ = std::fs::remove_file(&socket);
-    let listener = match std::os::unix::net::UnixListener::bind(&socket) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("repro serve: could not bind {}: {e}", socket.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("repro serve: listening on {}", socket.display());
-    server.serve(listener);
-    let _ = std::fs::remove_file(&socket);
-    ExitCode::SUCCESS
-}
-
-fn serve_usage(msg: &str) -> ExitCode {
-    eprintln!("{msg}\nusage: repro serve [--state DIR] [--socket PATH] [--drain]");
-    ExitCode::from(2)
 }
 
 /// `repro submit`: submit jobs to a running daemon and (by default)

@@ -30,15 +30,16 @@
 //!   wakes it), and a `Result` request for a running job waits, up to
 //!   a second, for the job to settle instead of making the client poll.
 //!
-//! The `dcg-server` binary runs the daemon; the `repro` binary gains
-//! `serve` and `submit` subcommands speaking the same protocol through
-//! [`DcgClient`]. See `DESIGN.md` §16 for the architecture and the
+//! The `dcg-server` binary and `repro serve` run the daemon through one
+//! entry, [`run_daemon`], with the same flags; `repro submit` speaks the
+//! protocol through [`DcgClient`]. See `DESIGN.md` §16 for the architecture and the
 //! crash matrix.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 mod client;
+mod daemon;
 mod jobs;
 mod protocol;
 mod server;
@@ -46,13 +47,12 @@ mod table;
 mod wal;
 
 pub use client::{ClientError, DcgClient};
+pub use daemon::run_daemon;
 pub use jobs::{run_job, JobClass, JobError, JobSpec};
 pub use protocol::{
     err_code, err_str, read_frame, write_frame, ProtocolError, Reply, Request, FRAME_MAGIC,
     MAX_FRAME_LEN,
 };
-pub use server::{
-    ExperimentServer, ServerConfig, ServerCounters, JOBS_DIR, SERVER_QUEUE_ENV, SERVER_RETRIES_ENV,
-};
+pub use server::{ExperimentServer, ServerConfig, ServerCounters, JOBS_DIR};
 pub use table::JobState;
 pub use wal::{JobWal, WalRecord, JOBS_WAL_FILE};

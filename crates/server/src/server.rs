@@ -83,20 +83,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dcg_core::{crash_point, TraceCache};
+use dcg_core::{crash_point, panic_message, TraceCache};
 use dcg_testkit::json::Json;
 
 use crate::jobs::{run_job_in, JobClass, JobError, JobSpec};
 use crate::protocol::{err_code, read_frame, write_frame, ProtocolError, Reply, Request};
 use crate::table::{JobState, JobTable};
 use crate::wal::{JobWal, WalRecord};
-
-/// Environment variable bounding the job queue (`dcg-server` and
-/// `repro serve` read it; the library takes [`ServerConfig`] directly).
-pub const SERVER_QUEUE_ENV: &str = "DCG_SERVER_QUEUE";
-
-/// Environment variable bounding execution attempts per job.
-pub const SERVER_RETRIES_ENV: &str = "DCG_SERVER_RETRIES";
 
 /// Subdirectory of the state directory holding committed result
 /// documents (`job-<id>.json`).
@@ -110,8 +103,9 @@ const RESULT_WAIT: Duration = Duration::from_secs(1);
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Server tuning. Env knobs are read by the binaries only; the library
-/// is configured programmatically.
+/// Server tuning. The daemon's flags set the state directory, worker
+/// count, queue bound and attempt budget ([`crate::run_daemon`]); the
+/// rest keep their defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// State directory: job WAL, result documents, replay trace store
@@ -448,7 +442,7 @@ impl ExperimentServer {
             Ok(Err(panic)) => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
                 Err(JobError {
-                    message: format!("job body panicked: {}", panic_message(&panic)),
+                    message: format!("job body panicked: {}", panic_message(panic)),
                     retryable: true,
                 })
             }
@@ -696,17 +690,6 @@ impl ExperimentServer {
                 Reply::ShuttingDown
             }
         }
-    }
-}
-
-/// Best-effort panic payload extraction (mirrors the suite's handling).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -134,3 +134,39 @@ fn every_study_runs_quick_and_is_listed_in_help() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_takes_the_daemon_flags() {
+    // `repro serve` and `dcg-server` share one entry and one flag set.
+    let dir = std::env::temp_dir().join(format!("dcg_cli_serve_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = repro()
+        .args(["serve", "--state"])
+        .arg(&dir)
+        .args([
+            "--workers",
+            "1",
+            "--queue",
+            "4",
+            "--retries",
+            "2",
+            "--drain",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("backlog drained"));
+
+    let out = repro()
+        .args(["serve", "--queue", "0"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--queue requires a positive integer"));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -13,7 +13,7 @@ use std::process::{Child, Command};
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
-use dcg_core::{EntryIdentity, TraceStore, CRASH_ENV, TRACE_CACHE_ENV};
+use dcg_core::{EntryIdentity, TraceStore, CRASH_ENV, SWEEP_THREADS_ENV, TRACE_CACHE_ENV};
 use dcg_testkit::prop;
 
 /// Case cap of the crash-kill property (each case runs up to four
@@ -41,7 +41,7 @@ fn repro_metrics(store: &Path, out: &Path) -> Command {
         .arg(out)
         .arg("metrics")
         .env(TRACE_CACHE_ENV, store)
-        .env("DCG_WORKERS", "1")
+        .env(SWEEP_THREADS_ENV, "1")
         .env_remove(CRASH_ENV);
     cmd
 }

@@ -92,11 +92,6 @@ impl OpMix {
         self.fraction(OpClass::Branch)
     }
 
-    /// Fraction of instructions that access memory.
-    pub fn mem_fraction(&self) -> f64 {
-        self.fraction(OpClass::Load) + self.fraction(OpClass::Store)
-    }
-
     /// Fraction of instructions that are floating point.
     pub fn fp_fraction(&self) -> f64 {
         OpClass::ALL

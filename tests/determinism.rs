@@ -1,9 +1,8 @@
-//! Reproducibility: identical inputs give identical simulations, traces
-//! survive the encode/replay round trip, and passive gating policies never
-//! perturb timing.
+//! Reproducibility: identical inputs give identical simulations, a
+//! recorded instruction stream replays identically, and passive gating
+//! policies never perturb timing.
 
 use dcg_repro::core::{run_passive, Dcg, NoGating, RunLength};
-use dcg_repro::isa::{decode_word, encode_word};
 use dcg_repro::sim::{LatchGroups, Processor, SimConfig};
 use dcg_repro::workloads::{InstStream, ReplayStream, Spec2000, SyntheticWorkload};
 
@@ -28,24 +27,17 @@ fn identical_runs_produce_identical_statistics() {
 }
 
 #[test]
-fn encoded_trace_replays_identically() {
-    // Record a workload prefix through the binary trace encoding, then
-    // replay it: the simulator must behave identically on the replay.
+fn recorded_trace_replays_identically() {
+    // Record a workload prefix, then replay it: the simulator must behave
+    // identically on the replay.
     let profile = Spec2000::by_name("gzip").unwrap();
     let mut gen = SyntheticWorkload::new(profile, 9);
     let trace: Vec<_> = (0..60_000).map(|_| gen.next_inst()).collect();
 
-    // Round-trip every instruction through the 3-word encoding.
-    let decoded: Vec<_> = trace
-        .iter()
-        .map(|i| decode_word(&encode_word(i)).expect("roundtrip"))
-        .collect();
-    assert_eq!(trace, decoded);
-
     let cfg = SimConfig::baseline_8wide();
     let mut direct = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, 9));
     direct.run_until_commits(40_000, |_| {});
-    let mut replayed = Processor::new(cfg, ReplayStream::new("replay", decoded));
+    let mut replayed = Processor::new(cfg, ReplayStream::new("replay", trace));
     replayed.run_until_commits(40_000, |_| {});
     assert_eq!(direct.cycle(), replayed.cycle());
     assert_eq!(direct.stats().issued, replayed.stats().issued);
