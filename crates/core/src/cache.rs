@@ -606,7 +606,7 @@ pub fn run_cached_or_live<S: InstStream, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActivitySource, Dcg, MetricsReport, MetricsSink, NoGating};
+    use crate::{run_passive_metered, ActivitySource, Dcg, MetricsReport, NoGating};
     use dcg_power::Component;
     use dcg_workloads::Spec2000;
     use std::fs;
@@ -646,9 +646,9 @@ mod tests {
             .collect()
     }
 
-    /// Baseline + DCG + a metrics sink over `source`, built fresh per
+    /// Baseline + DCG with DCG metered over `source`, built fresh per
     /// call, as the suite's passive pass does. The metrics report
-    /// accumulates over every cycle it sees, so a sink that saw part of
+    /// accumulates over every cycle it sees, so a fold that saw part of
     /// a failed replay would not match a clean run.
     fn passive(
         cfg: &SimConfig,
@@ -657,11 +657,8 @@ mod tests {
         let groups = LatchGroups::new(&cfg.depth);
         let mut base = NoGating::new(cfg, &groups);
         let mut dcg = Dcg::new(cfg, &groups);
-        let mut probe = Dcg::new(cfg, &groups);
-        let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
         let policies: &mut [&mut dyn GatingPolicy] = &mut [&mut base, &mut dcg];
-        let run = run_passive_with_sinks(cfg, source, short(), policies, &mut [&mut metrics])?;
-        Ok((run, metrics.into_report()))
+        run_passive_metered(cfg, source, short(), policies, 1, &mut [])
     }
 
     /// Record gzip at `seed` through a miss, then flip one byte of the

@@ -5,8 +5,9 @@
 //! The paper's argument rests on *activity accounting* — which FUs,
 //! latches, D-cache ports and result buses are busy each cycle — but the
 //! energy reports only expose end-of-run aggregates. The types here hold
-//! the cycle-resolved view produced by
-//! [`MetricsSink`](crate::MetricsSink): how full each structure was
+//! the cycle-resolved view that one fold produces, riding a policy's own
+//! sink ([`run_passive_metered`](crate::run_passive_metered)) or standing
+//! alone as a [`MetricsSink`](crate::MetricsSink): how full each structure was
 //! (histograms), how utilization evolved (windowed time series), and
 //! *exactly where* a policy's deterministic claim diverged from the
 //! clairvoyant oracle (the audit trail).
@@ -15,10 +16,11 @@
 //! stream: a replayed trace reconstructs the report bit-identically to the
 //! live simulation, which the replay-equivalence tests assert byte-for-byte
 //! on the JSON encoding. That holds on the block-replay hot path too
-//! (DESIGN §13): the sink reads decoded [`dcg_sim::ActivityBlock`] spans
-//! through the same per-cycle accounting code as live cycles, in cycle
-//! order, so histograms, windows and the audit trail are byte-identical
-//! however the stream arrives. Derived ratios
+//! (DESIGN §13): the fold sums decoded [`dcg_sim::ActivityBlock`] spans
+//! column by column, cut at window boundaries, and keeps the audit trail
+//! in cycle order, so histograms, windows and the audit trail are
+//! byte-identical to a cycle-by-cycle fold however the stream arrives
+//! and however it is split into spans. Derived ratios
 //! (utilization, gating efficiency) are computed on demand and never
 //! stored.
 
@@ -33,7 +35,8 @@ pub const DEFAULT_METRICS_WINDOW: u32 = 256;
 /// counted in [`MetricsReport::audit_dropped`] rather than silently lost.
 pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
 
-/// Tuning knobs for [`MetricsSink`](crate::MetricsSink).
+/// Tuning knobs for [`MetricsSink`](crate::MetricsSink) (a metered passive
+/// run uses the defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Time-series window length in cycles (must be non-zero).
@@ -261,7 +264,8 @@ pub struct GateDisagreement {
 
 /// The full observability report for one policy over one measured window.
 ///
-/// Produced by [`MetricsSink`](crate::MetricsSink); integer-only so that
+/// Produced by [`run_passive_metered`](crate::run_passive_metered) or a
+/// [`MetricsSink`](crate::MetricsSink); integer-only so that
 /// replayed traces reproduce it bit-identically (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsReport {

@@ -15,7 +15,8 @@
 //!
 //! The `run_*` helpers are thin compositions of `drive` with the
 //! crate's sinks: [`run_passive_with_sinks`] (and its live shorthand
-//! [`run_passive`]), [`run_stats_source`], [`run_oracle`] /
+//! [`run_passive`], and [`run_passive_metered`], which also folds one
+//! policy's cycle-level metrics), [`run_stats_source`], [`run_oracle`] /
 //! [`run_oracle_source`], [`run_wattch_styles`] and [`run_active`].
 //! Whether a run replays or simulates is decided once, by
 //! [`crate::TraceCache::run`].
@@ -28,6 +29,7 @@ use dcg_sim::{
 use dcg_workloads::InstStream;
 
 use crate::error::DcgError;
+use crate::metrics::MetricsReport;
 use crate::policy::GatingPolicy;
 use crate::safety::SafetyReport;
 use crate::sinks::{ActivitySink, OracleSink, PolicySink, StatsSink, WattchSink};
@@ -302,10 +304,10 @@ pub fn run_passive<S: InstStream>(
 /// the timing simulation entirely — with additional [`ActivitySink`]s
 /// riding on the same pass (pass `&mut []` for none).
 ///
-/// Callers attach a [`crate::MetricsSink`] here to collect cycle-level
-/// observability without an extra simulation. Extra sinks see exactly
-/// the cycles the policy sinks see (warm-up and measured), after the
-/// policy sinks in fan-out order.
+/// Extra sinks see exactly the cycles the policy sinks see (warm-up and
+/// measured), after the policy sinks in fan-out order. For cycle-level
+/// metrics of one of the policies, use [`run_passive_metered`], which
+/// does not decide that policy a second time.
 ///
 /// # Errors
 ///
@@ -322,6 +324,51 @@ pub fn run_passive_with_sinks(
     policies: &mut [&mut dyn GatingPolicy],
     extra: &mut [&mut dyn ActivitySink],
 ) -> Result<PassiveRun, DcgError> {
+    passive_pass(config, source, length, policies, None, extra).map(|(run, _)| run)
+}
+
+/// [`run_passive_with_sinks`] that also folds the cycle-level
+/// [`MetricsReport`] (default [`crate::MetricsConfig`]) of
+/// `policies[metered]`.
+///
+/// The fold reads the lanes that policy's sink has just decided, before
+/// the safety screen repairs any of them: the report equals that of a
+/// [`crate::MetricsSink`] over a second instance of the policy, without
+/// deciding the gates twice.
+///
+/// # Errors
+///
+/// As [`run_passive_with_sinks`].
+///
+/// # Panics
+///
+/// As [`run_passive`], and if `metered` is out of range.
+pub fn run_passive_metered(
+    config: &SimConfig,
+    source: &mut dyn ActivitySource,
+    length: RunLength,
+    policies: &mut [&mut dyn GatingPolicy],
+    metered: usize,
+    extra: &mut [&mut dyn ActivitySink],
+) -> Result<(PassiveRun, MetricsReport), DcgError> {
+    assert!(
+        metered < policies.len(),
+        "metered policy {metered} out of range"
+    );
+    passive_pass(config, source, length, policies, Some(metered), extra)
+        .map(|(run, metrics)| (run, metrics.expect("the metered sink folds metrics")))
+}
+
+/// The passive pass behind [`run_passive_with_sinks`] and
+/// [`run_passive_metered`].
+fn passive_pass(
+    config: &SimConfig,
+    source: &mut dyn ActivitySource,
+    length: RunLength,
+    policies: &mut [&mut dyn GatingPolicy],
+    metered: Option<usize>,
+    extra: &mut [&mut dyn ActivitySink],
+) -> Result<(PassiveRun, Option<MetricsReport>), DcgError> {
     for p in policies.iter() {
         assert!(
             p.is_passive(),
@@ -334,9 +381,15 @@ pub fn run_passive_with_sinks(
 
     let mut policy_sinks: Vec<PolicySink<'_>> = policies
         .iter_mut()
-        .map(|p| {
+        .enumerate()
+        .map(|(i, p)| {
             let screen = p.needs_screen();
-            PolicySink::new(&mut **p, &model, config, &groups, screen, false)
+            let sink = PolicySink::new(&mut **p, &model, config, &groups, screen, false);
+            if metered == Some(i) {
+                sink.metered()
+            } else {
+                sink
+            }
         })
         .collect();
     let mut stats = StatsSink::new();
@@ -353,13 +406,15 @@ pub fn run_passive_with_sinks(
         drive(source, &mut sinks, length)?;
     }
 
-    Ok(PassiveRun {
+    let metrics = policy_sinks.iter_mut().find_map(PolicySink::take_metrics);
+    let run = PassiveRun {
         outcomes: policy_sinks
             .into_iter()
             .map(PolicySink::into_outcome)
             .collect(),
         stats: stats.into_stats(),
-    })
+    };
+    Ok((run, metrics))
 }
 
 /// Run `stream` on `config` under the **clairvoyant oracle**: every

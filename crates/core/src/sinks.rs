@@ -98,7 +98,8 @@ pub trait ActivitySink {
 ///
 /// Per cycle the order is: gate, screen (fail open), audit, energy,
 /// observe. A block span runs these steps span by span:
-/// [`GatingPolicy::gate_lanes`] decides and observes every lane, then
+/// [`GatingPolicy::gate_lanes`] decides and observes every lane, a
+/// metered sink folds the decided lanes into its metrics, then
 /// [`GatingSafetyChecker::screen_span`], [`GatingAudit::check`] and
 /// [`PowerModel::fold_span`] fold the lanes in cycle order. The policy
 /// never sees the screened gates, so deciding all lanes first changes
@@ -122,6 +123,10 @@ pub(crate) struct PolicySink<'a> {
     constrain: bool,
     report: PowerReport,
     audit: GatingAudit,
+    /// Cycle-level metrics of the measured lanes as the policy decided
+    /// them, before the screen (what a [`MetricsSink`] over a second
+    /// instance of the policy would see).
+    metrics: Option<MetricsFold<'a>>,
     /// Scratch gate lanes reused across block spans.
     lanes: GateLanes,
 }
@@ -144,8 +149,23 @@ impl<'a> PolicySink<'a> {
             constrain,
             report: PowerReport::new(),
             audit: GatingAudit::default(),
+            metrics: None,
             lanes: GateLanes::new(groups.len()),
         }
+    }
+
+    /// Also fold the policy's measured lanes into cycle-level metrics
+    /// (default [`MetricsConfig`]).
+    pub(crate) fn metered(mut self) -> PolicySink<'a> {
+        let name = self.policy.name();
+        let fold = MetricsFold::new(name, self.config, self.groups, MetricsConfig::default());
+        self.metrics = Some(fold);
+        self
+    }
+
+    /// The metered sink's metrics report.
+    pub(crate) fn take_metrics(&mut self) -> Option<MetricsReport> {
+        self.metrics.take().map(MetricsFold::into_report)
     }
 
     pub(crate) fn into_outcome(self) -> PolicyOutcome {
@@ -160,14 +180,18 @@ impl<'a> PolicySink<'a> {
         }
     }
 
-    /// Decide and screen lanes `from..to` of `block` into `self.lanes`.
-    fn gate_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
+    /// Decide and screen lanes `from..to` of `block` into `self.lanes`,
+    /// metering the decided lanes of a measured span.
+    fn gate_span(&mut self, block: &ActivityBlock, from: usize, to: usize, measured: bool) {
         self.policy.gate_lanes(block, from, to, &mut self.lanes);
         debug_assert!((from..to).all(|i| self
             .lanes
             .gate(i)
             .validate(self.config, self.groups)
             .is_ok()));
+        if let (true, Some(metrics)) = (measured, &mut self.metrics) {
+            metrics.account(&block.columns(from, to), &self.lanes.columns(from, to));
+        }
         if let Some(chk) = &mut self.safety {
             chk.screen_span(&mut self.lanes, block, from, to);
         }
@@ -200,11 +224,11 @@ impl ActivitySink for PolicySink<'_> {
     }
 
     fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        self.gate_span(block, from, to);
+        self.gate_span(block, from, to, false);
     }
 
     fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
-        self.gate_span(block, from, to);
+        self.gate_span(block, from, to, true);
         let (act_cols, gate_cols) = (block.columns(from, to), self.lanes.columns(from, to));
         self.audit.check(&act_cols, &gate_cols);
         self.model
@@ -377,15 +401,22 @@ const COMP_PORTS: usize = UNIT_CLASSES.len();
 const COMP_BUSES: usize = COMP_PORTS + 1;
 /// Index of the `pipeline-latches` entry.
 const COMP_LATCHES: usize = COMP_BUSES + 1;
+/// Entries in [`MetricsReport::components`].
+const COMPONENTS: usize = COMP_LATCHES + 1;
 
 /// Cycle-level observability sink: per-component counters, occupancy
 /// histograms, a windowed utilization time series, and the
-/// gating-decision audit trail (see [`crate::metrics`]).
+/// gating-decision audit trail (see [`crate::metrics`]) of one passive
+/// policy.
 ///
-/// The sink evaluates its own (passive) policy instance per cycle —
-/// passive policies are deterministic pure functions of the activity
-/// stream, so a second instance reproduces exactly the gate decisions of
-/// the [`PolicySink`] riding the same pass, live or replayed.
+/// A passive run builds these metrics without this sink:
+/// [`crate::run_passive_metered`] folds them from the lanes the metered
+/// policy's own sink decides, before the safety screen, so the pass
+/// decides each policy once. This sink is that same fold over a policy
+/// instance of its own, which it evaluates from the activity stream:
+/// passive policies are deterministic functions of that stream, so a
+/// second instance decides exactly the gates of the first, live or
+/// replayed.
 pub struct MetricsSink<'a> {
     policy: &'a mut dyn GatingPolicy,
     /// Scratch gate state reused across cycles.
@@ -395,10 +426,12 @@ pub struct MetricsSink<'a> {
     fold: MetricsFold<'a>,
 }
 
-/// The accounting half of a [`MetricsSink`]: everything but the policy
-/// and its gate scratch, so a fold can borrow the gates the sink owns.
-struct MetricsFold<'a> {
+/// The accounting half of a [`MetricsSink`], which a [`PolicySink`] also
+/// carries to meter the lanes its policy decides.
+pub(crate) struct MetricsFold<'a> {
     groups: &'a LatchGroups,
+    /// Indices of the gateable latch groups.
+    gated: Vec<usize>,
     metrics_config: MetricsConfig,
     /// Slots per latch group (an ungated or `None` entry powers this many).
     issue_width: u32,
@@ -434,6 +467,59 @@ impl<'a> MetricsSink<'a> {
              which only works for passive policies; {} is active",
             policy.name()
         );
+        let fold = MetricsFold::new(policy.name(), config, groups, metrics_config);
+        MetricsSink {
+            policy,
+            gate: GateState::ungated(config, groups),
+            lanes: GateLanes::new(groups.len()),
+            fold,
+        }
+    }
+
+    /// Finish the report (flushes the partial final window).
+    pub fn into_report(self) -> MetricsReport {
+        self.fold.into_report()
+    }
+}
+
+impl std::fmt::Debug for MetricsSink<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let report = &self.fold.report;
+        f.debug_struct("MetricsSink")
+            .field("policy", &report.policy)
+            .field("cycles", &report.cycles)
+            .field("windows", &report.windows.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Sum of set bits over a mask column.
+fn popcounts(col: &[u32]) -> u64 {
+    col.iter().map(|m| u64::from(m.count_ones())).sum()
+}
+
+/// Sum of a count column.
+fn total(col: &[u32]) -> u64 {
+    col.iter().map(|&v| u64::from(v)).sum()
+}
+
+/// Lanes where two columns differ.
+fn differing(a: &[u32], b: &[u32]) -> u64 {
+    a.iter().zip(b).map(|(x, y)| u64::from(x != y)).sum()
+}
+
+impl<'a> MetricsFold<'a> {
+    /// An empty fold over `policy`'s gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `metrics_config.window` is zero.
+    pub(crate) fn new(
+        policy: &str,
+        config: &SimConfig,
+        groups: &'a LatchGroups,
+        metrics_config: MetricsConfig,
+    ) -> MetricsFold<'a> {
         assert!(metrics_config.window > 0, "metrics window must be non-zero");
         let issue_width = config.issue_width as u32;
         let mut components: Vec<ComponentMetrics> = UNIT_CLASSES
@@ -453,7 +539,7 @@ impl<'a> MetricsSink<'a> {
             groups.gated_count() as u32 * issue_width,
         ));
         let report = MetricsReport {
-            policy: policy.name().to_string(),
+            policy: policy.to_string(),
             window: metrics_config.window,
             cycles: 0,
             committed: 0,
@@ -469,167 +555,197 @@ impl<'a> MetricsSink<'a> {
             audit: Vec::new(),
             audit_dropped: 0,
         };
-        MetricsSink {
-            policy,
-            gate: GateState::ungated(config, groups),
-            lanes: GateLanes::new(groups.len()),
-            fold: MetricsFold {
-                groups,
-                metrics_config,
-                issue_width,
-                report,
-                win: WindowSample::empty(0),
-            },
+        MetricsFold {
+            groups,
+            gated: (0..groups.len())
+                .filter(|&g| groups.specs()[g].gated)
+                .collect(),
+            metrics_config,
+            issue_width,
+            report,
+            win: WindowSample::empty(0),
         }
     }
 
     /// Finish the report (flushes the partial final window).
-    pub fn into_report(self) -> MetricsReport {
+    pub(crate) fn into_report(self) -> MetricsReport {
         let MetricsFold {
             mut report, win, ..
-        } = self.fold;
+        } = self;
         if win.cycles > 0 {
             report.windows.push(win);
         }
         report
     }
-}
 
-impl std::fmt::Debug for MetricsSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let report = &self.fold.report;
-        f.debug_struct("MetricsSink")
-            .field("policy", &report.policy)
-            .field("cycles", &report.cycles)
-            .field("windows", &report.windows.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl MetricsFold<'_> {
-    /// Account every cycle of a column view, in cycle order.
+    /// Account every cycle of a column view.
+    ///
+    /// Everything but the audit trail is an integer sum, so it is summed
+    /// column by column, cut only where a window closes; the result is
+    /// the per-cycle fold's. The trail keeps cycle order and so goes
+    /// cycle by cycle, but only while it has room: past that, a
+    /// disagreement is only counted.
+    // Always inlined so a per-cycle caller's one-lane view folds away.
     #[inline(always)]
     fn account(&mut self, act: &ActivityColumns, gate: &GateColumns) {
-        for j in 0..act.len {
-            self.account_cycle(act, gate, j);
-        }
-    }
-
-    /// Account cycle `j` of a column view.
-    #[inline(always)]
-    fn account_cycle(&mut self, act: &ActivityColumns, gate: &GateColumns, j: usize) {
-        let cycle = act.cycle(j);
-        let committed = u64::from(act.committed[j]);
-        self.report.cycles += 1;
-        self.report.committed += committed;
-        if self.win.cycles == 0 {
-            self.win.start_cycle = cycle;
-        }
-        self.win.cycles += 1;
-        self.win.committed += committed;
-        self.win.issued += u64::from(act.issued[j]);
+        let n = act.len;
+        self.report.cycles += n as u64;
+        self.report.committed += total(act.committed);
 
         for (hist, col) in self.report.fu_occupancy.iter_mut().zip(&act.fu_active) {
-            hist.record(col[j].count_ones());
+            for mask in &col[..n] {
+                hist.record(mask.count_ones());
+            }
         }
-        self.report.iq_fill.record(act.iq_occupancy[j]);
-        self.report.rob_fill.record(act.rob_occupancy[j]);
-        self.report.lsq_fill.record(act.lsq_occupancy[j]);
-
-        for (i, c) in UNIT_CLASSES.iter().enumerate() {
-            let used_mask = act.fu_active[c.index()][j];
-            let powered_mask = gate.fu_powered[c.index()][j];
-            let comp = &mut self.report.components[i];
-            let cap = u64::from(comp.instances);
-            let used = u64::from(used_mask.count_ones());
-            let powered = u64::from(powered_mask.count_ones());
-            comp.used_instance_cycles += used;
-            comp.powered_instance_cycles += powered;
-            comp.gated_instance_cycles += cap - powered;
-            comp.idle_instance_cycles += cap - used;
-            self.win.unit_used += used;
-            self.win.unit_gated += cap - powered;
-            if used_mask != powered_mask {
-                comp.disagreement_cycles += 1;
-                self.disagree(cycle, fu_class_label(*c), powered_mask, used_mask);
+        for (hist, col) in [
+            (&mut self.report.iq_fill, act.iq_occupancy),
+            (&mut self.report.rob_fill, act.rob_occupancy),
+            (&mut self.report.lsq_fill, act.lsq_occupancy),
+        ] {
+            for &v in &col[..n] {
+                hist.record(v);
             }
         }
 
-        {
-            let used_mask = act.dcache_port_mask[j];
-            let powered_mask = gate.dcache_ports_powered[j];
-            let comp = &mut self.report.components[COMP_PORTS];
-            let cap = u64::from(comp.instances);
-            let used = u64::from(used_mask.count_ones());
-            let powered = u64::from(powered_mask.count_ones());
-            comp.used_instance_cycles += used;
-            comp.powered_instance_cycles += powered;
-            comp.gated_instance_cycles += cap - powered;
-            comp.idle_instance_cycles += cap - used;
-            self.win.port_used += used;
-            self.win.port_gated += cap - powered;
-            if used_mask != powered_mask {
-                comp.disagreement_cycles += 1;
-                self.disagree(cycle, "dcache-ports", powered_mask, used_mask);
-            }
+        let mut audited = 0;
+        let mut j = 0;
+        while j < n && self.report.audit.len() < self.metrics_config.audit_capacity {
+            audited += self.audit_cycle(act, gate, j);
+            j += 1;
         }
 
-        {
-            let used = act.result_bus_used[j];
-            let powered = gate.result_buses_powered[j];
-            let comp = &mut self.report.components[COMP_BUSES];
-            let cap = u64::from(comp.instances);
-            comp.used_instance_cycles += u64::from(used);
-            comp.powered_instance_cycles += u64::from(powered);
-            comp.gated_instance_cycles += cap - u64::from(powered);
-            comp.idle_instance_cycles += cap - u64::from(used);
-            self.win.bus_used += u64::from(used);
-            self.win.bus_gated += cap - u64::from(powered);
-            if used != powered {
-                comp.disagreement_cycles += 1;
-                self.disagree(cycle, "result-buses", powered, used);
+        let mut disagreements = 0;
+        let mut from = 0;
+        while from < n {
+            let room = (self.metrics_config.window - self.win.cycles) as usize;
+            let to = n.min(from + room);
+            disagreements += self.fold_window(act, gate, from, to);
+            from = to;
+        }
+        self.report.audit_dropped += disagreements - audited;
+    }
+
+    /// Add lanes `from..to`, which all fall in the current window, to the
+    /// component counters and the window; flush the window if they fill
+    /// it. Returns the disagreements among them, as the audit trail
+    /// counts them (one per latch group).
+    fn fold_window(
+        &mut self,
+        act: &ActivityColumns,
+        gate: &GateColumns,
+        from: usize,
+        to: usize,
+    ) -> u64 {
+        let len = to - from;
+        let mut used = [0u64; COMPONENTS];
+        let mut powered = [0u64; COMPONENTS];
+        let mut differ = [0u64; COMPONENTS];
+        for (k, c) in UNIT_CLASSES.iter().enumerate() {
+            let (u, p) = (
+                &act.fu_active[c.index()][from..to],
+                &gate.fu_powered[c.index()][from..to],
+            );
+            (used[k], powered[k], differ[k]) = (popcounts(u), popcounts(p), differing(u, p));
+        }
+        let (u, p) = (
+            &act.dcache_port_mask[from..to],
+            &gate.dcache_ports_powered[from..to],
+        );
+        (used[COMP_PORTS], powered[COMP_PORTS], differ[COMP_PORTS]) =
+            (popcounts(u), popcounts(p), differing(u, p));
+        let (u, p) = (
+            &act.result_bus_used[from..to],
+            &gate.result_buses_powered[from..to],
+        );
+        (used[COMP_BUSES], powered[COMP_BUSES], differ[COMP_BUSES]) =
+            (total(u), total(p), differing(u, p));
+        let mut latch_disagreements = 0;
+        for j in from..to {
+            let (slots, occupancy) = (gate.latch_slots(j), act.latches(j));
+            let mut groups_differing = 0;
+            for &g in &self.gated {
+                let slots = slots[g].unwrap_or(self.issue_width).min(self.issue_width);
+                used[COMP_LATCHES] += u64::from(occupancy[g]);
+                powered[COMP_LATCHES] += u64::from(slots);
+                groups_differing += u64::from(slots != occupancy[g]);
             }
+            differ[COMP_LATCHES] += u64::from(groups_differing > 0);
+            latch_disagreements += groups_differing;
         }
 
-        {
-            let mut used_total = 0u64;
-            let mut powered_total = 0u64;
-            let mut group_disagreed = false;
-            let groups = self.groups;
-            for ((spec, slots), &occ) in groups
-                .specs()
-                .iter()
-                .zip(gate.latch_slots(j))
-                .zip(act.latches(j))
-            {
-                if !spec.gated {
-                    continue;
-                }
-                let powered = slots.unwrap_or(self.issue_width).min(self.issue_width);
-                used_total += u64::from(occ);
-                powered_total += u64::from(powered);
-                if powered != occ {
-                    group_disagreed = true;
-                    self.disagree(cycle, &spec.name, powered, occ);
-                }
-            }
-            let comp = &mut self.report.components[COMP_LATCHES];
-            let cap = u64::from(comp.instances);
-            comp.used_instance_cycles += used_total;
-            comp.powered_instance_cycles += powered_total;
-            comp.gated_instance_cycles += cap - powered_total;
-            comp.idle_instance_cycles += cap - used_total;
-            comp.disagreement_cycles += u64::from(group_disagreed);
-            self.win.latch_used += used_total;
-            self.win.latch_gated += cap - powered_total;
+        let mut gated = [0u64; COMPONENTS];
+        for (k, comp) in self.report.components.iter_mut().enumerate() {
+            let cap = u64::from(comp.instances) * len as u64;
+            gated[k] = cap - powered[k];
+            comp.used_instance_cycles += used[k];
+            comp.powered_instance_cycles += powered[k];
+            comp.gated_instance_cycles += gated[k];
+            comp.idle_instance_cycles += cap - used[k];
+            comp.disagreement_cycles += differ[k];
         }
 
-        if self.win.cycles == self.metrics_config.window {
+        let win = &mut self.win;
+        if win.cycles == 0 {
+            win.start_cycle = act.cycle(from);
+        }
+        win.cycles += len as u32;
+        win.committed += total(&act.committed[from..to]);
+        win.issued += total(&act.issued[from..to]);
+        win.unit_used += used[..COMP_PORTS].iter().sum::<u64>();
+        win.unit_gated += gated[..COMP_PORTS].iter().sum::<u64>();
+        win.port_used += used[COMP_PORTS];
+        win.port_gated += gated[COMP_PORTS];
+        win.bus_used += used[COMP_BUSES];
+        win.bus_gated += gated[COMP_BUSES];
+        win.latch_used += used[COMP_LATCHES];
+        win.latch_gated += gated[COMP_LATCHES];
+        if win.cycles == self.metrics_config.window {
             let next = WindowSample::empty(0);
             self.report
                 .windows
                 .push(std::mem::replace(&mut self.win, next));
         }
+
+        differ[..COMP_LATCHES].iter().sum::<u64>() + latch_disagreements
+    }
+
+    /// Put cycle `j`'s disagreements on the audit trail, in component
+    /// order, counting those past its capacity as dropped. Returns how
+    /// many there were.
+    fn audit_cycle(&mut self, act: &ActivityColumns, gate: &GateColumns, j: usize) -> u64 {
+        let cycle = act.cycle(j);
+        let mut seen = 0;
+        for c in UNIT_CLASSES {
+            let (used, powered) = (act.fu_active[c.index()][j], gate.fu_powered[c.index()][j]);
+            if used != powered {
+                seen += 1;
+                self.disagree(cycle, fu_class_label(c), powered, used);
+            }
+        }
+        let (used, powered) = (act.dcache_port_mask[j], gate.dcache_ports_powered[j]);
+        if used != powered {
+            seen += 1;
+            self.disagree(cycle, "dcache-ports", powered, used);
+        }
+        let (used, powered) = (act.result_bus_used[j], gate.result_buses_powered[j]);
+        if used != powered {
+            seen += 1;
+            self.disagree(cycle, "result-buses", powered, used);
+        }
+        let groups = self.groups;
+        for ((spec, slots), &occupancy) in groups
+            .specs()
+            .iter()
+            .zip(gate.latch_slots(j))
+            .zip(act.latches(j))
+        {
+            let slots = slots.unwrap_or(self.issue_width).min(self.issue_width);
+            if spec.gated && slots != occupancy {
+                seen += 1;
+                self.disagree(cycle, &spec.name, slots, occupancy);
+            }
+        }
+        seen
     }
 
     fn disagree(&mut self, cycle: u64, component: &str, claimed: u32, actual: u32) {

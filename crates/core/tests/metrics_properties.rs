@@ -1,10 +1,13 @@
 //! Property tests for the metrics layer: histogram bucketing must conserve
-//! every observation, and the windowed time series must roll over exactly
-//! on the configured boundary for any window length and stream length.
+//! every observation, the windowed time series must roll over exactly
+//! on the configured boundary for any window length and stream length,
+//! and the column fold over any split of a block into spans must equal
+//! the cycle-by-cycle fold.
 
 use dcg_core::{ActivitySink, Dcg, Histogram, MetricsConfig, MetricsSink};
-use dcg_sim::{CycleActivity, LatchGroups, SimConfig};
+use dcg_sim::{ActivityBlock, CycleActivity, LatchGroups, Processor, SimConfig, BLOCK_CYCLES};
 use dcg_testkit::prop;
+use dcg_workloads::{Spec2000, SyntheticWorkload};
 
 /// Bucketing conserves observations: every recorded value lands in exactly
 /// one bucket (out-of-domain values in the top bucket), `total`/`clamped`
@@ -139,6 +142,85 @@ fn windows_roll_over_exactly_and_conserve_counts() {
             assert_eq!(report.iq_fill.total(), n);
             assert_eq!(report.rob_fill.total(), n);
             assert_eq!(report.lsq_fill.total(), n);
+        },
+    );
+}
+
+/// `count` consecutive live blocks of gzip, past its cold start (which
+/// idles until the caches fill).
+fn live_blocks(cfg: &SimConfig, count: usize) -> Vec<ActivityBlock> {
+    let workload = SyntheticWorkload::new(Spec2000::by_name("gzip").expect("known"), 5);
+    let mut cpu = Processor::new(cfg.clone(), workload);
+    while cpu.committed() < 5_000 {
+        cpu.step();
+    }
+    (0..count)
+        .map(|_| {
+            let mut block = ActivityBlock::new(cpu.latch_groups().len());
+            for _ in 0..BLOCK_CYCLES {
+                block.push(cpu.step());
+            }
+            block
+        })
+        .collect()
+}
+
+/// The column fold meets every audit capacity and window length of
+/// interest over random span splits: capacities that fill before the
+/// first span, inside one and after several, windows that close on every
+/// cycle, off the block grid and on it. The reference sees every measured cycle as its own one-lane span (the
+/// per-cycle methods), as `batch_equivalence`'s reference does.
+#[test]
+fn column_fold_equals_the_per_cycle_fold_over_any_span_split() {
+    const CAPACITIES: [usize; 3] = [0, 1, 7];
+    const WINDOWS: [u32; 4] = [1, 63, 100, 256];
+    let cfg = SimConfig::baseline_8wide();
+    let groups = LatchGroups::new(&cfg.depth);
+    let blocks = live_blocks(&cfg, 12);
+    let (warm, measured) = blocks.split_at(2);
+    prop::check(
+        "metrics_span_splits",
+        prop::tuple((
+            0..CAPACITIES.len(),
+            0..WINDOWS.len(),
+            prop::vec(1usize..=BLOCK_CYCLES, 1..8usize),
+        )),
+        |(capacity, window, spans)| {
+            let metrics_config = MetricsConfig {
+                window: WINDOWS[window],
+                audit_capacity: CAPACITIES[capacity],
+            };
+            let (mut p1, mut p2) = (Dcg::new(&cfg, &groups), Dcg::new(&cfg, &groups));
+            let mut by_span = MetricsSink::with_config(&mut p1, &cfg, &groups, metrics_config);
+            let mut by_cycle = MetricsSink::with_config(&mut p2, &cfg, &groups, metrics_config);
+
+            let mut act = CycleActivity::default();
+            for block in warm {
+                by_span.warmup_span(block, 0, block.len());
+                for i in 0..block.len() {
+                    block.extract(i, &mut act);
+                    by_cycle.warmup_cycle(&act);
+                }
+            }
+            by_span.begin_measure();
+            by_cycle.begin_measure();
+            // Cut each block into the drawn span lengths, in turn.
+            let mut next = spans.iter().cycle();
+            for block in measured {
+                let mut from = 0;
+                while from < block.len() {
+                    let to = block.len().min(from + next.next().expect("cycled"));
+                    by_span.measure_span(block, from, to);
+                    from = to;
+                }
+                for i in 0..block.len() {
+                    block.extract(i, &mut act);
+                    by_cycle.measure_cycle(&act);
+                }
+            }
+            let (got, want) = (by_span.into_report(), by_cycle.into_report());
+            assert!(want.total_disagreements() > 0, "DCG powers idle blocks");
+            assert_eq!(got, want);
         },
     );
 }

@@ -49,7 +49,7 @@ pub use kernels::{
     differential_check, kernel_run_length, kernel_savings_json, run_kernels, Divergence, KernelRun,
     KERNEL_SEED,
 };
-pub use metrics_json::{metrics_json, suite_metrics_json};
+pub use metrics_json::{metrics_json, suite_metrics_json, MetricsJson, SuiteMetricsJson};
 pub use phases::{phase_analysis, PhaseSeries};
 pub use studies::{
     ablation_fu_policy, ablation_iq_gating, ablation_leakage, ablation_predictor,

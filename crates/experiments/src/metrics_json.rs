@@ -7,222 +7,216 @@
 //! replay must produce the same bytes as the live simulation. Derived
 //! ratios (utilization, gating efficiency) live in a separate `derived`
 //! block of the suite document, clearly outside the equivalence surface.
+//!
+//! Both documents stream through one [`JsonWriter`] into whatever
+//! formats them (`format!("{}", ..)` writes one string), without
+//! building a value tree: the suite document runs to megabytes of audit
+//! records and windows.
+
+use std::fmt;
 
 use dcg_core::{
     fu_class_label, CacheHealth, ComponentMetrics, GateDisagreement, Hazard, HazardClass,
     Histogram, MetricsReport, SafetyReport, WindowSample,
 };
 use dcg_isa::FuClass;
-use dcg_testkit::json::Json;
+use dcg_testkit::json::JsonWriter;
 
 use crate::suite::Suite;
 
-fn histogram_json(h: &Histogram) -> Json {
-    Json::obj([
-        ("max_value", Json::u64(u64::from(h.max_value()))),
-        ("total", Json::u64(h.total())),
-        ("clamped", Json::u64(h.clamped())),
-        (
-            "counts",
-            Json::arr(h.buckets().iter().map(|n| Json::u64(*n)).collect()),
-        ),
-    ])
+type Writer<'w, 'f> = JsonWriter<&'w mut fmt::Formatter<'f>>;
+
+fn histogram(w: &mut Writer, h: &Histogram) -> fmt::Result {
+    w.obj(|w| {
+        w.key("max_value")?.u64(u64::from(h.max_value()))?;
+        w.key("total")?.u64(h.total())?;
+        w.key("clamped")?.u64(h.clamped())?;
+        w.key("counts")?
+            .arr(|w| h.buckets().iter().try_for_each(|n| w.u64(*n)))
+    })
 }
 
-fn component_json(c: &ComponentMetrics) -> Json {
-    Json::obj([
-        ("name", Json::str(c.name)),
-        ("instances", Json::u64(u64::from(c.instances))),
-        ("used_instance_cycles", Json::u64(c.used_instance_cycles)),
-        (
-            "powered_instance_cycles",
-            Json::u64(c.powered_instance_cycles),
-        ),
-        ("gated_instance_cycles", Json::u64(c.gated_instance_cycles)),
-        ("idle_instance_cycles", Json::u64(c.idle_instance_cycles)),
-        ("disagreement_cycles", Json::u64(c.disagreement_cycles)),
-    ])
+fn component(w: &mut Writer, c: &ComponentMetrics) -> fmt::Result {
+    w.obj(|w| {
+        w.key("name")?.str(c.name)?;
+        w.key("instances")?.u64(u64::from(c.instances))?;
+        w.key("used_instance_cycles")?.u64(c.used_instance_cycles)?;
+        w.key("powered_instance_cycles")?
+            .u64(c.powered_instance_cycles)?;
+        w.key("gated_instance_cycles")?
+            .u64(c.gated_instance_cycles)?;
+        w.key("idle_instance_cycles")?.u64(c.idle_instance_cycles)?;
+        w.key("disagreement_cycles")?.u64(c.disagreement_cycles)
+    })
 }
 
-fn window_json(w: &WindowSample) -> Json {
-    Json::obj([
-        ("start_cycle", Json::u64(w.start_cycle)),
-        ("cycles", Json::u64(u64::from(w.cycles))),
-        ("committed", Json::u64(w.committed)),
-        ("issued", Json::u64(w.issued)),
-        ("unit_used", Json::u64(w.unit_used)),
-        ("unit_gated", Json::u64(w.unit_gated)),
-        ("port_used", Json::u64(w.port_used)),
-        ("port_gated", Json::u64(w.port_gated)),
-        ("bus_used", Json::u64(w.bus_used)),
-        ("bus_gated", Json::u64(w.bus_gated)),
-        ("latch_used", Json::u64(w.latch_used)),
-        ("latch_gated", Json::u64(w.latch_gated)),
-    ])
+fn window(w: &mut Writer, s: &WindowSample) -> fmt::Result {
+    w.obj(|w| {
+        w.key("start_cycle")?.u64(s.start_cycle)?;
+        w.key("cycles")?.u64(u64::from(s.cycles))?;
+        w.key("committed")?.u64(s.committed)?;
+        w.key("issued")?.u64(s.issued)?;
+        w.key("unit_used")?.u64(s.unit_used)?;
+        w.key("unit_gated")?.u64(s.unit_gated)?;
+        w.key("port_used")?.u64(s.port_used)?;
+        w.key("port_gated")?.u64(s.port_gated)?;
+        w.key("bus_used")?.u64(s.bus_used)?;
+        w.key("bus_gated")?.u64(s.bus_gated)?;
+        w.key("latch_used")?.u64(s.latch_used)?;
+        w.key("latch_gated")?.u64(s.latch_gated)
+    })
 }
 
-fn audit_json(d: &GateDisagreement) -> Json {
-    Json::obj([
-        ("cycle", Json::u64(d.cycle)),
-        ("component", Json::str(d.component.clone())),
-        ("claimed_powered", Json::u64(u64::from(d.claimed_powered))),
-        ("actual_used", Json::u64(u64::from(d.actual_used))),
-    ])
+fn audit(w: &mut Writer, d: &GateDisagreement) -> fmt::Result {
+    w.obj(|w| {
+        w.key("cycle")?.u64(d.cycle)?;
+        w.key("component")?.str(&d.component)?;
+        w.key("claimed_powered")?
+            .u64(u64::from(d.claimed_powered))?;
+        w.key("actual_used")?.u64(u64::from(d.actual_used))
+    })
+}
+
+fn report(w: &mut Writer, r: &MetricsReport) -> fmt::Result {
+    w.obj(|w| {
+        w.key("policy")?.str(&r.policy)?;
+        w.key("window")?.u64(u64::from(r.window))?;
+        w.key("cycles")?.u64(r.cycles)?;
+        w.key("committed")?.u64(r.committed)?;
+        w.key("components")?
+            .arr(|w| r.components.iter().try_for_each(|c| component(w, c)))?;
+        w.key("fu_occupancy")?.obj(|w| {
+            FuClass::ALL
+                .iter()
+                .try_for_each(|c| histogram(w.key(fu_class_label(*c))?, &r.fu_occupancy[c.index()]))
+        })?;
+        histogram(w.key("iq_fill")?, &r.iq_fill)?;
+        histogram(w.key("rob_fill")?, &r.rob_fill)?;
+        histogram(w.key("lsq_fill")?, &r.lsq_fill)?;
+        w.key("windows")?
+            .arr(|w| r.windows.iter().try_for_each(|s| window(w, s)))?;
+        w.key("audit")?
+            .arr(|w| r.audit.iter().try_for_each(|d| audit(w, d)))?;
+        w.key("audit_dropped")?.u64(r.audit_dropped)
+    })
+}
+
+/// [`metrics_json`]'s document; `Display` writes it.
+#[derive(Debug, Clone, Copy)]
+pub struct MetricsJson<'a>(&'a MetricsReport);
+
+impl fmt::Display for MetricsJson<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        report(&mut JsonWriter::new(f), self.0)
+    }
 }
 
 /// Encode one [`MetricsReport`] as an integer-only JSON object.
 ///
 /// This is the byte-identity surface of the metrics-replay equivalence
 /// tests: equal reports yield equal bytes.
-pub fn metrics_json(report: &MetricsReport) -> Json {
-    Json::obj([
-        ("policy", Json::str(report.policy.clone())),
-        ("window", Json::u64(u64::from(report.window))),
-        ("cycles", Json::u64(report.cycles)),
-        ("committed", Json::u64(report.committed)),
-        (
-            "components",
-            Json::arr(report.components.iter().map(component_json).collect()),
-        ),
-        (
-            "fu_occupancy",
-            Json::obj(
-                FuClass::ALL
-                    .iter()
-                    .map(|c| {
-                        (
-                            fu_class_label(*c),
-                            histogram_json(&report.fu_occupancy[c.index()]),
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("iq_fill", histogram_json(&report.iq_fill)),
-        ("rob_fill", histogram_json(&report.rob_fill)),
-        ("lsq_fill", histogram_json(&report.lsq_fill)),
-        (
-            "windows",
-            Json::arr(report.windows.iter().map(window_json).collect()),
-        ),
-        (
-            "audit",
-            Json::arr(report.audit.iter().map(audit_json).collect()),
-        ),
-        ("audit_dropped", Json::u64(report.audit_dropped)),
-    ])
+pub fn metrics_json(report: &MetricsReport) -> MetricsJson<'_> {
+    MetricsJson(report)
 }
 
-fn hazard_json(h: &Hazard) -> Json {
-    Json::obj([
-        ("cycle", Json::u64(h.cycle)),
-        ("class", Json::str(h.class.label())),
-        ("claimed_powered", Json::u64(u64::from(h.claimed_powered))),
-        ("actual_used", Json::u64(u64::from(h.actual_used))),
-    ])
+fn hazard(w: &mut Writer, h: &Hazard) -> fmt::Result {
+    w.obj(|w| {
+        w.key("cycle")?.u64(h.cycle)?;
+        w.key("class")?.str(h.class.label())?;
+        w.key("claimed_powered")?
+            .u64(u64::from(h.claimed_powered))?;
+        w.key("actual_used")?.u64(u64::from(h.actual_used))
+    })
 }
 
 /// Encode one [`SafetyReport`] as an integer-only JSON object — the
 /// `safety` block of the suite document (DESIGN.md §11). Zero-fault runs
 /// encode all-zero counters, so the block sits inside the byte-identity
 /// surface rather than outside it.
-fn safety_json(report: &SafetyReport) -> Json {
-    let per_class = |counts: &[u64; HazardClass::COUNT]| {
-        Json::obj(
+fn safety(w: &mut Writer, r: &SafetyReport) -> fmt::Result {
+    let per_class = |w: &mut Writer, counts: &[u64; HazardClass::COUNT]| {
+        w.obj(|w| {
             HazardClass::ALL
                 .iter()
-                .map(|c| (c.label(), Json::u64(counts[c.index()])))
-                .collect::<Vec<_>>(),
-        )
+                .try_for_each(|c| w.key(c.label())?.u64(counts[c.index()]))
+        })
     };
-    Json::obj([
-        ("backoff_cycles", Json::u64(report.backoff_cycles)),
-        ("hazards_detected", per_class(&report.detected)),
-        ("failed_open_cycles", per_class(&report.failed_open_cycles)),
-        (
-            "hazards",
-            Json::arr(report.hazards.iter().map(hazard_json).collect()),
-        ),
-        ("hazards_dropped", Json::u64(report.hazards_dropped)),
-    ])
+    w.obj(|w| {
+        w.key("backoff_cycles")?.u64(r.backoff_cycles)?;
+        per_class(w.key("hazards_detected")?, &r.detected)?;
+        per_class(w.key("failed_open_cycles")?, &r.failed_open_cycles)?;
+        w.key("hazards")?
+            .arr(|w| r.hazards.iter().try_for_each(|h| hazard(w, h)))?;
+        w.key("hazards_dropped")?.u64(r.hazards_dropped)
+    })
 }
 
 /// Derived (floating-point) per-component ratios for human consumption;
 /// kept outside [`metrics_json`] so the equivalence surface stays
 /// integer-only.
-fn derived_json(report: &MetricsReport) -> Json {
-    Json::obj(
-        report
-            .components
-            .iter()
-            .map(|c| {
-                (
-                    c.name,
-                    Json::obj([
-                        (
-                            "utilization",
-                            c.utilization(report.cycles).map_or(Json::Null, Json::f64),
-                        ),
-                        (
-                            "gating_efficiency",
-                            c.gating_efficiency().map_or(Json::Null, Json::f64),
-                        ),
-                    ]),
-                )
+fn derived(w: &mut Writer, r: &MetricsReport) -> fmt::Result {
+    let ratio = |w: &mut Writer, v: Option<f64>| match v {
+        Some(v) => w.f64(v),
+        None => w.null(),
+    };
+    w.obj(|w| {
+        r.components.iter().try_for_each(|c| {
+            w.key(c.name)?.obj(|w| {
+                ratio(w.key("utilization")?, c.utilization(r.cycles))?;
+                ratio(w.key("gating_efficiency")?, c.gating_efficiency())
             })
-            .collect::<Vec<_>>(),
-    )
+        })
+    })
+}
+
+/// [`suite_metrics_json`]'s document; `Display` writes it.
+#[derive(Debug, Clone, Copy)]
+pub struct SuiteMetricsJson<'a> {
+    suite: &'a Suite,
+    health: CacheHealth,
+}
+
+impl fmt::Display for SuiteMetricsJson<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self { suite, health } = self;
+        JsonWriter::new(f).obj(|w| {
+            w.key("benchmarks")?.arr(|w| {
+                suite.runs.iter().try_for_each(|r| {
+                    w.obj(|w| {
+                        w.key("name")?.str(r.profile.name)?;
+                        report(w.key("metrics")?, &r.metrics)?;
+                        safety(w.key("safety")?, &r.dcg.safety)?;
+                        derived(w.key("derived")?, &r.metrics)
+                    })
+                })
+            })?;
+            w.key("failures")?.arr(|w| {
+                suite.failures.iter().try_for_each(|f| {
+                    w.obj(|w| {
+                        w.key("name")?.str(&f.name)?;
+                        w.key("message")?.str(&f.message)
+                    })
+                })
+            })?;
+            w.key("cache_health")?.obj(|w| {
+                w.key("store_failures")?.u64(health.store_failures)?;
+                w.key("evict_failures")?.u64(health.evict_failures)?;
+                w.key("replay_failures")?.u64(health.replay_failures)?;
+                w.key("key_collisions")?.u64(health.key_collisions)?;
+                w.key("readonly_skips")?.u64(health.readonly_skips)
+            })
+        })
+    }
 }
 
 /// Encode a whole suite's metrics: one block per benchmark (integer-only
 /// report plus derived ratios), suite failures by name, and the
-/// process-wide trace-cache health counters.
-pub fn suite_metrics_json(suite: &Suite) -> Json {
-    let health = CacheHealth::snapshot();
-    Json::obj([
-        (
-            "benchmarks",
-            Json::arr(
-                suite
-                    .runs
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::str(r.profile.name)),
-                            ("metrics", metrics_json(&r.metrics)),
-                            ("safety", safety_json(&r.dcg.safety)),
-                            ("derived", derived_json(&r.metrics)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "failures",
-            Json::arr(
-                suite
-                    .failures
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("name", Json::str(f.name.clone())),
-                            ("message", Json::str(f.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cache_health",
-            Json::obj([
-                ("store_failures", Json::u64(health.store_failures)),
-                ("evict_failures", Json::u64(health.evict_failures)),
-                ("replay_failures", Json::u64(health.replay_failures)),
-                ("key_collisions", Json::u64(health.key_collisions)),
-                ("readonly_skips", Json::u64(health.readonly_skips)),
-            ]),
-        ),
-    ])
+/// process-wide trace-cache health counters as of this call.
+pub fn suite_metrics_json(suite: &Suite) -> SuiteMetricsJson<'_> {
+    SuiteMetricsJson {
+        suite,
+        health: CacheHealth::snapshot(),
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use dcg_core::{
     NoGating, PassiveRun, Plb, PlbConfig, PlbVariant, RunLength,
 };
 use dcg_isa::FuClass;
-use dcg_power::{EnergyTable, PowerModel, PowerReport, TechParams};
+use dcg_power::{EnergyTable, PowerModel, PowerReport};
 use dcg_sim::{FuSelectPolicy, LatchGroups, PredictorKind, Processor, SimConfig, StoreTiming};
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
@@ -341,7 +341,7 @@ pub fn ablation_leakage(cfg: &ExperimentConfig) -> FigureTable {
         let groups = LatchGroups::new(&sim.depth);
         let mut table = EnergyTable::micron180();
         table.leakage_fraction = leak;
-        let model = PowerModel::with_table(sim, &groups, table, TechParams::micron180());
+        let model = PowerModel::with_table(sim, &groups, table);
 
         let mut cpu = Processor::new(sim.clone(), workload(bench, cfg.seed));
         let mut base_policy = NoGating::new(sim, &groups);

@@ -4,8 +4,8 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use dcg_core::{
-    panic_message, run_active, run_cached_or_live, run_passive_with_sinks, run_sharded, Dcg,
-    MetricsReport, MetricsSink, NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
+    panic_message, run_active, run_cached_or_live, run_passive_metered, run_sharded, Dcg,
+    MetricsReport, NoGating, Plb, PlbVariant, PolicyOutcome, RunLength, TraceCache,
 };
 use dcg_power::{Component, PowerReport};
 use dcg_sim::{LatchGroups, PipelineDepth, SimConfig, SimStats};
@@ -253,7 +253,7 @@ impl Suite {
 
     /// Run one benchmark under all requested schemes.
     ///
-    /// The shared passive pass (baseline + DCG + metrics sink) goes
+    /// The shared passive pass (baseline + DCG, metered) goes
     /// through `cache` when one is given, failing open to a live run
     /// (see [`run_cached_or_live`]).
     fn run_one(
@@ -274,20 +274,17 @@ impl Suite {
             |source| {
                 let mut baseline = NoGating::new(&cfg.sim, &groups);
                 let mut dcg = Dcg::new(&cfg.sim, &groups);
-                // The metrics sink re-evaluates DCG's (deterministic,
-                // passive) gate decisions from the shared activity
-                // stream, so it rides the same pass — cached replay or
-                // live — without extra simulations.
-                let mut dcg_probe = Dcg::new(&cfg.sim, &groups);
-                let mut metrics_sink = MetricsSink::new(&mut dcg_probe, &cfg.sim, &groups);
-                let run = run_passive_with_sinks(
+                // The metrics fold rides DCG's own policy sink and reads
+                // the gates it decides, so the pass — cached replay or
+                // live — decides DCG once.
+                run_passive_metered(
                     &cfg.sim,
                     source,
                     cfg.length,
                     &mut [&mut baseline, &mut dcg],
-                    &mut [&mut metrics_sink],
-                )?;
-                Ok((run, metrics_sink.into_report()))
+                    1,
+                    &mut [],
+                )
             },
         );
         let dcg_out = run.outcomes.remove(1);

@@ -6,7 +6,6 @@ use dcg_sim::{ActivityColumns, CycleActivity, LatchGroups, SimConfig};
 use crate::calibrate::EnergyTable;
 use crate::gate::{GateColumns, GateState};
 use crate::report::PowerReport;
-use crate::tech::TechParams;
 
 /// Power-dissipating processor components, at the granularity the paper's
 /// figures report.
@@ -170,7 +169,6 @@ impl Default for EnergyBreakdown {
 #[derive(Debug)]
 pub struct PowerModel {
     table: EnergyTable,
-    tech: TechParams,
     issue_width: f64,
     int_alus: f64,
     int_muldivs: f64,
@@ -188,31 +186,20 @@ impl PowerModel {
     ///
     /// Panics if the energy table fails validation.
     pub fn new(config: &SimConfig, groups: &LatchGroups) -> PowerModel {
-        Self::with_table(
-            config,
-            groups,
-            EnergyTable::micron180(),
-            TechParams::micron180(),
-        )
+        Self::with_table(config, groups, EnergyTable::micron180())
     }
 
-    /// Build the model with an explicit energy table and technology.
+    /// Build the model with an explicit energy table.
     ///
     /// # Panics
     ///
     /// Panics if `table` fails [`EnergyTable::validate`].
-    pub fn with_table(
-        config: &SimConfig,
-        groups: &LatchGroups,
-        table: EnergyTable,
-        tech: TechParams,
-    ) -> PowerModel {
+    pub fn with_table(config: &SimConfig, groups: &LatchGroups, table: EnergyTable) -> PowerModel {
         if let Err(e) = table.validate() {
             panic!("invalid energy table: {e}");
         }
         PowerModel {
             table,
-            tech,
             issue_width: config.issue_width as f64,
             int_alus: config.int_alus as f64,
             int_muldivs: config.int_muldivs as f64,
@@ -222,11 +209,6 @@ impl PowerModel {
             result_buses: config.result_buses as f64,
             latch_groups: groups.len() as f64,
         }
-    }
-
-    /// The technology parameters (for watt conversion in reports).
-    pub fn tech(&self) -> &TechParams {
-        &self.tech
     }
 
     /// The calibrated energy table.
@@ -263,20 +245,13 @@ impl PowerModel {
         report.record_columns(act.committed, |totals| self.fold_lanes(act, gate, totals));
     }
 
-    /// Add every cycle of a column view to `e`, one component at a time:
-    /// each component's total receives its per-cycle values in cycle
-    /// order.
-    // Always inlined, with `column`: on a one-lane view every loop
-    // unrolls to the straight-line per-cycle formula.
+    /// Add every cycle of a column view to `e`, lane by lane: each lane's
+    /// 17 component energies go to 17 independent running totals, and
+    /// each total receives its per-cycle values in cycle order.
+    // Always inlined: on a one-lane view the loop unrolls to the
+    // straight-line per-cycle formula.
     #[inline(always)]
     fn fold_lanes(&self, act: &ActivityColumns, gate: &GateColumns, e: &mut EnergyBreakdown) {
-        #[inline(always)]
-        fn column(e: &mut EnergyBreakdown, c: Component, n: usize, pj: impl Fn(usize) -> f64) {
-            for j in 0..n {
-                e.add(c, pj(j));
-            }
-        }
-        let n = act.len;
         let t = &self.table;
 
         // Gateable blocks: the dynamic share switches only when powered;
@@ -285,11 +260,17 @@ impl PowerModel {
         let dynamic = 1.0 - t.leakage_fraction;
         let leak = t.leakage_fraction;
 
-        column(e, Component::ClockTree, n, |_| t.clock_tree_cycle);
-
         // Pipeline latches: ungated groups clock every slot every cycle.
         let slot_pj = t.latch_bit_cycle * t.latch_bits_per_slot;
-        column(e, Component::PipelineLatch, n, |j| {
+        let latch_leak = self.latch_groups * self.issue_width * slot_pj * leak;
+        let int_leak =
+            (self.int_alus * t.int_alu_cycle + self.int_muldivs * t.int_muldiv_cycle) * leak;
+        let fp_leak = (self.fp_alus * t.fp_alu_cycle + self.fp_muldivs * t.fp_muldiv_cycle) * leak;
+        let decoder_leak = self.mem_ports * t.dcache_decoder_cycle * leak;
+        let bus_leak = self.result_buses * t.result_bus_cycle * leak;
+
+        let mut totals = e.values;
+        for j in 0..act.len {
             let mut latch_pj = 0.0;
             for gated_slots in gate.latch_slots(j) {
                 let slots = match gated_slots {
@@ -298,84 +279,60 @@ impl PowerModel {
                 };
                 latch_pj += slots * slot_pj * dynamic;
             }
-            latch_pj + self.latch_groups * self.issue_width * slot_pj * leak
-        });
-
-        // Execution units: dynamic logic precharges every non-gated cycle.
-        let powered = |c: FuClass, j: usize| f64::from(gate.fu_powered[c.index()][j].count_ones());
-        column(e, Component::IntUnits, n, |j| {
-            (powered(FuClass::IntAlu, j) * t.int_alu_cycle
-                + powered(FuClass::IntMulDiv, j) * t.int_muldiv_cycle)
-                * dynamic
-                + (self.int_alus * t.int_alu_cycle + self.int_muldivs * t.int_muldiv_cycle) * leak
-        });
-        column(e, Component::FpUnits, n, |j| {
-            (powered(FuClass::FpAlu, j) * t.fp_alu_cycle
-                + powered(FuClass::FpMulDiv, j) * t.fp_muldiv_cycle)
-                * dynamic
-                + (self.fp_alus * t.fp_alu_cycle + self.fp_muldivs * t.fp_muldiv_cycle) * leak
-        });
-
-        // D-cache: decoders precharge every non-gated cycle; the array
-        // proper is accessed on demand.
-        column(e, Component::DcacheDecoder, n, |j| {
-            f64::from(gate.dcache_ports_powered[j].count_ones()) * t.dcache_decoder_cycle * dynamic
-                + self.mem_ports * t.dcache_decoder_cycle * leak
-        });
-        column(e, Component::DcacheArray, n, |j| {
-            f64::from(act.dcache_load_accesses[j] + act.dcache_store_accesses[j])
-                * t.dcache_array_access
-        });
-        column(e, Component::L2, n, |j| {
-            f64::from(act.l2_accesses[j]) * t.l2_access
-        });
-
-        // Front end.
-        column(e, Component::Icache, n, |j| {
-            f64::from((act.icache_access_lanes >> j) & 1 == 1) * t.icache_access
-        });
-        column(e, Component::Bpred, n, |j| {
-            f64::from(act.bpred_lookups[j]) * t.bpred_lookup
-        });
-        column(e, Component::Decode, n, |j| {
-            f64::from(act.fetched[j]) * t.decode_inst
-        });
-        column(e, Component::Rename, n, |j| {
-            f64::from(act.renamed[j]) * t.rename_inst
-        });
-
-        // Window. The gate scale applies to the parts proportional to the
-        // number of *live* entries (CAM match-line precharge and wakeup
-        // tag-line span); per-operation writes and selects are demand
-        // energy and do not shrink.
-        column(e, Component::IssueQueue, n, |j| {
-            (t.iq_cycle + f64::from(act.regfile_writes[j]) * t.iq_wakeup)
-                * gate.issue_queue_scale[j]
-                + f64::from(act.dispatched[j]) * t.iq_write
-                + f64::from(act.issued[j]) * t.iq_select
-        });
-        column(e, Component::RegFile, n, |j| {
-            f64::from(act.regfile_reads[j]) * t.regfile_read
-                + f64::from(act.regfile_writes[j]) * t.regfile_write
-        });
-        column(e, Component::Lsq, n, |j| {
-            t.lsq_cycle + f64::from(act.issued_loads[j] + act.issued_stores[j]) * t.lsq_op
-        });
-        column(e, Component::Rob, n, |j| {
-            f64::from(act.dispatched[j]) * t.rob_write + f64::from(act.committed[j]) * t.rob_read
-        });
-
-        // Result buses: drivers see spurious transitions every non-gated
-        // cycle (§3.4).
-        column(e, Component::ResultBus, n, |j| {
-            f64::from(gate.result_buses_powered[j]) * t.result_bus_cycle * dynamic
-                + self.result_buses * t.result_bus_cycle * leak
-        });
-
-        // Gating-control overhead (extended latches).
-        column(e, Component::GatingControl, n, |j| {
-            f64::from(gate.control_bits[j]) * t.dcg_control_bit_cycle
-        });
+            let powered = |c: FuClass| f64::from(gate.fu_powered[c.index()][j].count_ones());
+            // One entry per component, in `Component::ALL` order.
+            let lane: [f64; Component::COUNT] = [
+                t.clock_tree_cycle,
+                latch_pj + latch_leak,
+                // Execution units: dynamic logic precharges every
+                // non-gated cycle.
+                (powered(FuClass::IntAlu) * t.int_alu_cycle
+                    + powered(FuClass::IntMulDiv) * t.int_muldiv_cycle)
+                    * dynamic
+                    + int_leak,
+                (powered(FuClass::FpAlu) * t.fp_alu_cycle
+                    + powered(FuClass::FpMulDiv) * t.fp_muldiv_cycle)
+                    * dynamic
+                    + fp_leak,
+                // D-cache: decoders precharge every non-gated cycle; the
+                // array proper is accessed on demand.
+                f64::from(gate.dcache_ports_powered[j].count_ones())
+                    * t.dcache_decoder_cycle
+                    * dynamic
+                    + decoder_leak,
+                f64::from(act.dcache_load_accesses[j] + act.dcache_store_accesses[j])
+                    * t.dcache_array_access,
+                f64::from(act.l2_accesses[j]) * t.l2_access,
+                // Front end.
+                f64::from((act.icache_access_lanes >> j) & 1 == 1) * t.icache_access,
+                f64::from(act.bpred_lookups[j]) * t.bpred_lookup,
+                f64::from(act.fetched[j]) * t.decode_inst,
+                f64::from(act.renamed[j]) * t.rename_inst,
+                // Window. The gate scale applies to the parts proportional
+                // to the number of *live* entries (CAM match-line
+                // precharge and wakeup tag-line span); per-operation
+                // writes and selects are demand energy and do not shrink.
+                (t.iq_cycle + f64::from(act.regfile_writes[j]) * t.iq_wakeup)
+                    * gate.issue_queue_scale[j]
+                    + f64::from(act.dispatched[j]) * t.iq_write
+                    + f64::from(act.issued[j]) * t.iq_select,
+                f64::from(act.regfile_reads[j]) * t.regfile_read
+                    + f64::from(act.regfile_writes[j]) * t.regfile_write,
+                t.lsq_cycle + f64::from(act.issued_loads[j] + act.issued_stores[j]) * t.lsq_op,
+                f64::from(act.dispatched[j]) * t.rob_write
+                    + f64::from(act.committed[j]) * t.rob_read,
+                // Result buses: drivers see spurious transitions every
+                // non-gated cycle (§3.4).
+                f64::from(gate.result_buses_powered[j]) * t.result_bus_cycle * dynamic + bus_leak,
+                // Gating-control overhead (extended latches).
+                f64::from(gate.control_bits[j]) * t.dcg_control_bit_cycle,
+            ];
+            for (total, pj) in totals.iter_mut().zip(lane) {
+                debug_assert!(pj.is_finite() && pj >= 0.0, "bad energy {pj}");
+                *total += pj;
+            }
+        }
+        e.values = totals;
     }
 }
 

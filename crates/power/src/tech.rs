@@ -11,8 +11,6 @@
 pub struct TechParams {
     /// Supply voltage in volts.
     pub vdd: f64,
-    /// Clock frequency in GHz (for reporting watts from per-cycle energy).
-    pub freq_ghz: f64,
     /// Gate capacitance of a minimum-size transistor gate, fF.
     pub gate_cap_ff: f64,
     /// Drain/diffusion capacitance of a minimum-size transistor, fF.
@@ -28,7 +26,6 @@ impl TechParams {
     pub fn micron180() -> TechParams {
         TechParams {
             vdd: 1.8,
-            freq_ghz: 1.0,
             gate_cap_ff: 0.84,
             drain_cap_ff: 0.62,
             wire_cap_ff_per_um: 0.27,
@@ -41,12 +38,6 @@ impl TechParams {
     /// and ½CV² dissipated both come out of the rail over a full cycle).
     pub fn switch_energy_pj(&self, cap_ff: f64) -> f64 {
         cap_ff * self.vdd * self.vdd / 1000.0
-    }
-
-    /// Convert per-cycle energy (pJ) into watts at the configured clock.
-    pub fn watts(&self, pj_per_cycle: f64) -> f64 {
-        // pJ/cycle × cycles/s = pJ/s; 1 pJ/ns at 1 GHz = 1 mW per pJ.
-        pj_per_cycle * self.freq_ghz / 1000.0
     }
 }
 
@@ -75,12 +66,5 @@ mod tests {
     #[test]
     fn vdd_180nm_is_1v8() {
         assert!((TechParams::micron180().vdd - 1.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn watts_conversion() {
-        let t = TechParams::micron180();
-        // 50 000 pJ per cycle at 1 GHz = 50 W.
-        assert!((t.watts(50_000.0) - 50.0).abs() < 1e-9);
     }
 }

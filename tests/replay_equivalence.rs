@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use dcg_repro::core::{
-    run_cached_or_live, run_oracle, run_oracle_source, run_passive, run_passive_with_sinks, Dcg,
-    GatingPolicy, MetricsSink, NoGating, PassiveRun, RunLength, TraceCache,
+    run_cached_or_live, run_oracle, run_oracle_source, run_passive, run_passive_metered,
+    run_passive_with_sinks, Dcg, GatingPolicy, NoGating, PassiveRun, RunLength, TraceCache,
 };
 use dcg_repro::experiments::metrics_json;
 use dcg_repro::power::{Component, PowerReport};
@@ -113,8 +113,8 @@ fn replay_is_bit_identical_to_live_across_profiles_and_depths() {
     }
 }
 
-/// Run the passive policies with a [`MetricsSink`] riding along — live
-/// without a cache, else through it — and serialize the resulting
+/// Run the passive policies with DCG metered — live without a cache,
+/// else through it — and serialize the resulting
 /// report: the integer-only JSON document is the byte-equivalence
 /// surface.
 fn metrics_doc(cache: Option<&TraceCache>, cfg: &SimConfig, name: &str) -> String {
@@ -130,16 +130,15 @@ fn metrics_doc(cache: Option<&TraceCache>, cfg: &SimConfig, name: &str) -> Strin
             let groups = LatchGroups::new(&cfg.depth);
             let mut baseline = NoGating::new(cfg, &groups);
             let mut dcg = Dcg::new(cfg, &groups);
-            let mut probe = Dcg::new(cfg, &groups);
-            let mut metrics = MetricsSink::new(&mut probe, cfg, &groups);
-            run_passive_with_sinks(
+            let (_, metrics) = run_passive_metered(
                 cfg,
                 source,
                 RunLength::quick(),
                 &mut [&mut baseline, &mut dcg],
-                &mut [&mut metrics],
+                1,
+                &mut [],
             )?;
-            Ok(metrics_json(&metrics.into_report()).to_string())
+            Ok(metrics_json(&metrics).to_string())
         },
     );
     assert_no_replay_failure(cache);
