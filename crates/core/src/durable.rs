@@ -103,7 +103,7 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    /// A length-prefixed UTF-8 string of at most [`MAX_STR`] bytes.
+    /// A length-prefixed UTF-8 string of at most `MAX_STR` (4096) bytes.
     pub fn str(&mut self) -> Option<String> {
         let len = self.u32()? as usize;
         if len > MAX_STR {

@@ -87,13 +87,12 @@ pub use metrics::{
 pub use plb::{Plb, PlbConfig, PlbMode, PlbVariant};
 pub use policy::{GatingPolicy, NoGating};
 pub use runner::{
-    drive, run_active, run_oracle, run_oracle_source, run_passive, run_passive_metered,
-    run_passive_with_sinks, run_stats_source, run_wattch_styles, GatingAudit, PassiveRun,
-    PolicyOutcome, RunLength, WattchStyles,
+    drive, run_active, run_oracle, run_passive, run_passive_metered, run_passive_with_sinks,
+    run_stats_source, GatingAudit, PassiveRun, PolicyOutcome, RunLength, WattchStyles,
 };
 pub use safety::{GatingSafetyChecker, Hazard, HazardClass, SafetyConfig, SafetyReport};
 pub use shard::{run_sharded, SWEEP_THREADS_ENV};
-pub use sinks::{ActivitySink, MetricsSink};
+pub use sinks::{ActivitySink, MetricsSink, WattchSink};
 pub use source::{ActivitySource, CachedSource, ReplaySource};
 pub use store::{
     EntryIdentity, EntryMeta, RecoveryStats, StoreError, StoreScan, TraceStore, JOURNAL_FILE,

@@ -16,9 +16,11 @@
 //! The `run_*` helpers are thin compositions of `drive` with the
 //! crate's sinks: [`run_passive_with_sinks`] (and its live shorthand
 //! [`run_passive`], and [`run_passive_metered`], which also folds one
-//! policy's cycle-level metrics), [`run_stats_source`], [`run_oracle`] /
-//! [`run_oracle_source`], [`run_wattch_styles`] and [`run_active`].
-//! Whether a run replays or simulates is decided once, by
+//! policy's cycle-level metrics), [`run_stats_source`], [`run_oracle`]
+//! and [`run_active`]. The clairvoyant oracle and Wattch's reference
+//! styles are one sink, [`crate::WattchSink`], which rides any passive
+//! pass as an extra sink; [`run_oracle`] is that sink alone on a live
+//! simulation. Whether a run replays or simulates is decided once, by
 //! [`crate::TraceCache::run`].
 
 use dcg_isa::FuClass;
@@ -32,7 +34,7 @@ use crate::error::DcgError;
 use crate::metrics::MetricsReport;
 use crate::policy::GatingPolicy;
 use crate::safety::SafetyReport;
-use crate::sinks::{ActivitySink, OracleSink, PolicySink, StatsSink, WattchSink};
+use crate::sinks::{ActivitySink, PolicySink, StatsSink, WattchSink};
 use crate::source::ActivitySource;
 
 /// Run-length parameters.
@@ -427,52 +429,46 @@ fn passive_pass(
 /// how much of the theoretically available gating DCG's *realizable*
 /// advance knowledge captures; `repro oracle-comparison` shows DCG is
 /// within a fraction of a percent.
+///
+/// This is a live simulation with one [`WattchSink`], whose `cc2` it
+/// returns as the `"oracle"` outcome. A run that simulates anyway should
+/// put the sink on its own pass instead (see [`run_passive_with_sinks`]).
 pub fn run_oracle<S: InstStream>(
     config: &SimConfig,
     stream: S,
     length: RunLength,
 ) -> PolicyOutcome {
     let mut cpu = Processor::new(config.clone(), stream);
-    run_oracle_source(config, &mut cpu, length).expect("a live simulation source cannot fail")
-}
-
-/// [`run_oracle`] over an arbitrary [`ActivitySource`] (the oracle only
-/// reads activity, so a replayed trace serves as well as a live run).
-///
-/// # Errors
-///
-/// As [`drive`].
-pub fn run_oracle_source(
-    config: &SimConfig,
-    source: &mut dyn ActivitySource,
-    length: RunLength,
-) -> Result<PolicyOutcome, DcgError> {
     let groups = LatchGroups::new(&config.depth);
-    let model = PowerModel::new(config, &groups);
-    let mut sink = OracleSink::new(&model, config, &groups);
-    drive(source, &mut [&mut sink], length)?;
-    Ok(sink.into_outcome())
+    let mut sink = WattchSink::new(config, &groups);
+    drive(&mut cpu, &mut [&mut sink], length).expect("a live simulation source cannot fail");
+    PolicyOutcome {
+        name: "oracle".to_string(),
+        report: sink.into_styles().cc2,
+        audit: GatingAudit::default(),
+        safety: SafetyReport::default(),
+    }
 }
 
 /// Reports for Wattch's idealized conditional-clocking reference styles,
-/// computed from one simulation.
+/// folded by one [`WattchSink`].
 ///
 /// Wattch (the paper's power infrastructure) offers clock-gating styles of
 /// increasing aggressiveness as *accounting modes* (not realizable
 /// controllers):
 ///
-/// * `cc0` / `full` — no gating (the paper's base case);
+/// * `cc0` — no gating (the paper's base case): the ungated
+///   [`crate::NoGating`] outcome of the same pass, which every saving
+///   below is taken against;
 /// * `cc1` — a block is fully powered in any cycle with at least one
 ///   access, fully gated otherwise (all-or-nothing, same-cycle knowledge);
 /// * `cc2` — power scales with the number of instances/ports used
-///   (identical to [`run_oracle`]'s clairvoyant gate);
+///   (the clairvoyant gate of [`run_oracle`]);
 /// * `cc3` — like `cc2` but idle blocks retain a fixed fraction
 ///   (conventionally 10 %) of full power; equivalently,
-///   `saving_cc3 = (1 − floor) × saving_cc2`, so it needs no extra run.
+///   `saving_cc3 = (1 − floor) × saving_cc2`, so it needs no extra fold.
 #[derive(Debug)]
 pub struct WattchStyles {
-    /// `cc0`: everything powered.
-    pub full: PowerReport,
     /// `cc1`: all-or-nothing per block class.
     pub cc1: PowerReport,
     /// `cc2`: per-instance clairvoyant gating.
@@ -480,36 +476,11 @@ pub struct WattchStyles {
 }
 
 impl WattchStyles {
-    /// Total-power saving of `cc1` vs the ungated base.
-    pub fn cc1_saving(&self) -> f64 {
-        self.cc1.power_saving_vs(&self.full)
+    /// Total-power saving of `cc3` vs the ungated `base`, with the given
+    /// idle-power floor.
+    pub fn cc3_saving(&self, base: &PowerReport, idle_floor: f64) -> f64 {
+        (1.0 - idle_floor) * self.cc2.power_saving_vs(base)
     }
-
-    /// Total-power saving of `cc2` vs the ungated base.
-    pub fn cc2_saving(&self) -> f64 {
-        self.cc2.power_saving_vs(&self.full)
-    }
-
-    /// Total-power saving of `cc3` with the given idle-power floor.
-    pub fn cc3_saving(&self, idle_floor: f64) -> f64 {
-        (1.0 - idle_floor) * self.cc2_saving()
-    }
-}
-
-/// Evaluate Wattch's `cc1`/`cc2` reference accounting styles on one run
-/// (see [`WattchStyles`]). These use *same-cycle* knowledge and are
-/// therefore upper bounds no realizable controller can exceed.
-pub fn run_wattch_styles<S: InstStream>(
-    config: &SimConfig,
-    stream: S,
-    length: RunLength,
-) -> WattchStyles {
-    let mut cpu = Processor::new(config.clone(), stream);
-    let groups = LatchGroups::new(&config.depth);
-    let model = PowerModel::new(config, &groups);
-    let mut sink = WattchSink::new(&model, config, &groups);
-    drive(&mut cpu, &mut [&mut sink], length).expect("a live simulation source cannot fail");
-    sink.into_styles()
 }
 
 /// Run `stream` on `config` under one **active** policy (PLB): the policy's
@@ -536,7 +507,8 @@ pub fn run_active<S: InstStream>(
 mod tests {
     use super::*;
     use crate::{Dcg, NoGating, Plb, PlbVariant};
-    use dcg_sim::LatchGroups;
+    use dcg_power::{Component, GateState};
+    use dcg_sim::CycleActivity;
     use dcg_workloads::{Spec2000, SyntheticWorkload};
 
     fn stream(name: &str) -> SyntheticWorkload {
@@ -590,23 +562,90 @@ mod tests {
         assert!(saving > -0.05, "PLB should not burn more power: {saving}");
     }
 
+    /// A live baseline + DCG pass of `name` with a [`WattchSink`] riding
+    /// it.
+    fn pass_with_styles(cfg: &SimConfig, name: &str) -> (PassiveRun, WattchStyles) {
+        let groups = LatchGroups::new(&cfg.depth);
+        let mut base = NoGating::new(cfg, &groups);
+        let mut dcg = Dcg::new(cfg, &groups);
+        let mut wattch = WattchSink::new(cfg, &groups);
+        let mut cpu = Processor::new(cfg.clone(), stream(name));
+        let run = run_passive_with_sinks(
+            cfg,
+            &mut cpu,
+            RunLength::quick(),
+            &mut [&mut base, &mut dcg],
+            &mut [&mut wattch],
+        )
+        .expect("a live simulation source cannot fail");
+        (run, wattch.into_styles())
+    }
+
+    fn bits(r: &PowerReport) -> Vec<u64> {
+        let mut v = vec![r.cycles(), r.committed()];
+        v.extend(Component::ALL.iter().map(|c| r.component_pj(*c).to_bits()));
+        v
+    }
+
     #[test]
     fn wattch_styles_are_ordered() {
         let cfg = SimConfig::baseline_8wide();
-        let styles = run_wattch_styles(&cfg, stream("gzip"), RunLength::quick());
-        let cc1 = styles.cc1_saving();
-        let cc2 = styles.cc2_saving();
-        let cc3 = styles.cc3_saving(0.10);
+        let (run, styles) = pass_with_styles(&cfg, "gzip");
+        let base = &run.outcomes[0].report;
+        let cc1 = styles.cc1.power_saving_vs(base);
+        let cc2 = styles.cc2.power_saving_vs(base);
+        let cc3 = styles.cc3_saving(base, 0.10);
         assert!(cc1 > 0.0, "cc1 must save something: {cc1}");
         assert!(
             cc2 >= cc1,
             "per-instance gating dominates all-or-nothing: {cc2} vs {cc1}"
         );
         assert!((cc3 - 0.9 * cc2).abs() < 1e-12, "cc3 is cc2 with a floor");
-        // cc2 equals the clairvoyant oracle by construction.
+    }
+
+    /// Per-cycle reference for the ungated `cc0` report: one
+    /// `cycle_energy` + `record` per measured cycle.
+    struct UngatedReference {
+        model: PowerModel,
+        ungated: GateState,
+        full: PowerReport,
+    }
+
+    impl ActivitySink for UngatedReference {
+        fn measure_cycle(&mut self, act: &CycleActivity) {
+            self.full
+                .record(&self.model.cycle_energy(act, &self.ungated), act.committed);
+        }
+    }
+
+    #[test]
+    fn riding_wattch_sink_matches_separate_simulations() {
+        let cfg = SimConfig::baseline_8wide();
+        let groups = LatchGroups::new(&cfg.depth);
+        let (run, styles) = pass_with_styles(&cfg, "gzip");
+
+        let mut solo = WattchSink::new(&cfg, &groups);
+        let mut reference = UngatedReference {
+            model: PowerModel::new(&cfg, &groups),
+            ungated: GateState::ungated(&cfg, &groups),
+            full: PowerReport::new(),
+        };
+        let mut cpu = Processor::new(cfg.clone(), stream("gzip"));
+        drive(
+            &mut cpu,
+            &mut [&mut solo, &mut reference],
+            RunLength::quick(),
+        )
+        .expect("a live simulation source cannot fail");
+        let solo = solo.into_styles();
         let oracle = run_oracle(&cfg, stream("gzip"), RunLength::quick());
-        let oracle_saving = oracle.report.power_saving_vs(&styles.full);
-        assert!((oracle_saving - cc2).abs() < 1e-9);
+
+        assert_eq!(bits(&styles.cc1), bits(&solo.cc1));
+        assert_eq!(bits(&styles.cc2), bits(&solo.cc2));
+        assert_eq!(bits(&styles.cc2), bits(&oracle.report));
+        assert_eq!(oracle.name, "oracle");
+        // cc0 is the pass's own baseline.
+        assert_eq!(bits(&run.outcomes[0].report), bits(&reference.full));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! One [`drive`](crate::drive) pass fans each block of cycles out to any
 //! number of sinks: policy evaluation with energy accounting and the
-//! gating audit, Wattch/oracle reference accounting and statistics
-//! accumulation. (A cache miss records at the source instead; see
-//! [`crate::CachedSource`].) Every sink takes the activity by reference,
-//! so adding consumers never adds simulation passes — the "simulate
-//! once" architecture.
+//! gating audit, cycle-level metrics ([`MetricsSink`]), Wattch's reference
+//! styles ([`WattchSink`], whose `cc2` is the clairvoyant oracle) and
+//! statistics accumulation. (A cache miss records at the source instead;
+//! see [`crate::CachedSource`].) Every sink takes the activity by
+//! reference, so adding consumers never adds simulation passes — the
+//! "simulate once" architecture: a study that wants the oracle puts a
+//! [`WattchSink`] on its passive pass as an extra sink.
 
 use dcg_isa::FuClass;
 use dcg_power::{GateColumns, GateLanes, GateState, PowerModel, PowerReport};
@@ -21,7 +23,7 @@ use crate::metrics::{
 };
 use crate::policy::GatingPolicy;
 use crate::runner::{GatingAudit, PolicyOutcome, WattchStyles};
-use crate::safety::{GatingSafetyChecker, SafetyReport};
+use crate::safety::GatingSafetyChecker;
 
 /// A consumer of per-cycle activity.
 ///
@@ -253,88 +255,43 @@ fn oracle_gate(act: &CycleActivity, groups: &LatchGroups, out: &mut GateState) {
     }
 }
 
-/// Clairvoyant-oracle accounting: every gateable block powered exactly in
-/// the cycles it is used (see [`crate::run_oracle`]).
-pub(crate) struct OracleSink<'a> {
-    model: &'a PowerModel,
-    groups: &'a LatchGroups,
-    /// Scratch gate rewritten every cycle; starts ungated, and the fields
-    /// the oracle does not decide keep that value.
-    gate: GateState,
-    report: PowerReport,
-}
-
-impl<'a> OracleSink<'a> {
-    pub(crate) fn new(
-        model: &'a PowerModel,
-        config: &SimConfig,
-        groups: &'a LatchGroups,
-    ) -> OracleSink<'a> {
-        OracleSink {
-            model,
-            groups,
-            gate: GateState::ungated(config, groups),
-            report: PowerReport::new(),
-        }
-    }
-
-    pub(crate) fn into_outcome(self) -> PolicyOutcome {
-        PolicyOutcome {
-            name: "oracle".to_string(),
-            report: self.report,
-            audit: GatingAudit::default(),
-            safety: SafetyReport::default(),
-        }
-    }
-}
-
-impl ActivitySink for OracleSink<'_> {
-    fn measure_cycle(&mut self, act: &CycleActivity) {
-        oracle_gate(act, self.groups, &mut self.gate);
-        self.report
-            .record(&self.model.cycle_energy(act, &self.gate), act.committed);
-    }
-
-    // Nothing accumulates during warm-up, so skip the shim's extraction.
-    fn warmup_span(&mut self, _block: &ActivityBlock, _from: usize, _to: usize) {}
-}
-
-/// Wattch `cc0`/`cc1`/`cc2` reference accounting (see
-/// [`crate::run_wattch_styles`]).
-pub(crate) struct WattchSink<'a> {
-    model: &'a PowerModel,
+/// Wattch's `cc1`/`cc2` reference accounting (see [`WattchStyles`]) of
+/// the measured cycles, riding any pass as one more sink.
+///
+/// `cc2` is the clairvoyant oracle ([`crate::run_oracle`]). `cc0`, the
+/// ungated base, is not folded here: the pass's own [`crate::NoGating`]
+/// outcome is that report, bit for bit.
+#[derive(Debug)]
+pub struct WattchSink<'a> {
+    model: PowerModel,
     groups: &'a LatchGroups,
     ungated: GateState,
     /// Scratch `cc1` and `cc2` gates, rewritten every cycle.
     cc1_gate: GateState,
     cc2_gate: GateState,
-    full: PowerReport,
     cc1: PowerReport,
     cc2: PowerReport,
 }
 
 impl<'a> WattchSink<'a> {
-    pub(crate) fn new(
-        model: &'a PowerModel,
-        config: &SimConfig,
-        groups: &'a LatchGroups,
-    ) -> WattchSink<'a> {
+    /// A sink pricing `config`'s measured cycles with the default power
+    /// model.
+    pub fn new(config: &SimConfig, groups: &'a LatchGroups) -> WattchSink<'a> {
         let ungated = GateState::ungated(config, groups);
         WattchSink {
-            model,
+            model: PowerModel::new(config, groups),
             groups,
             cc1_gate: ungated.clone(),
             cc2_gate: ungated.clone(),
             ungated,
-            full: PowerReport::new(),
             cc1: PowerReport::new(),
             cc2: PowerReport::new(),
         }
     }
 
-    pub(crate) fn into_styles(self) -> WattchStyles {
+    /// The `cc1` and `cc2` reports of the measured window.
+    pub fn into_styles(self) -> WattchStyles {
         WattchStyles {
-            full: self.full,
             cc1: self.cc1,
             cc2: self.cc2,
         }
@@ -347,24 +304,17 @@ impl ActivitySink for WattchSink<'_> {
         oracle_gate(act, self.groups, &mut self.cc2_gate);
 
         // cc1: all instances of a class powered if any is used.
+        let any = |used: u32, all: u32| if used == 0 { 0 } else { all };
         let (g1, full) = (&mut self.cc1_gate, &self.ungated);
         for (powered, (&used, &all)) in g1
             .fu_powered
             .iter_mut()
             .zip(act.fu_active.iter().zip(&full.fu_powered))
         {
-            *powered = if used == 0 { 0 } else { all };
+            *powered = any(used, all);
         }
-        g1.dcache_ports_powered = if act.dcache_port_mask == 0 {
-            0
-        } else {
-            full.dcache_ports_powered
-        };
-        g1.result_buses_powered = if act.result_bus_used == 0 {
-            0
-        } else {
-            full.result_buses_powered
-        };
+        g1.dcache_ports_powered = any(act.dcache_port_mask, full.dcache_ports_powered);
+        g1.result_buses_powered = any(act.result_bus_used, full.result_buses_powered);
         for ((slot, spec), &occ) in g1
             .latch_slots
             .iter_mut()
@@ -374,8 +324,6 @@ impl ActivitySink for WattchSink<'_> {
             *slot = (spec.gated && occ == 0).then_some(0);
         }
 
-        self.full
-            .record(&self.model.cycle_energy(act, &self.ungated), act.committed);
         self.cc1
             .record(&self.model.cycle_energy(act, &self.cc1_gate), act.committed);
         self.cc2

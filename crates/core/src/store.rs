@@ -428,7 +428,7 @@ impl TraceStore {
 
     /// A store that never writes to `dir`: lookups are served, every
     /// store/eviction degrades to a counted no-op
-    /// ([`HealthCounters::readonly_skips`]). The same degradation is
+    /// (`health.readonly_skips`). The same degradation is
     /// chosen when a normal open finds the directory locked by another
     /// writer or unwritable (e.g. a CI artifact replayed from a
     /// read-only mount); this constructor forces it for callers that
@@ -797,7 +797,7 @@ impl TraceStore {
     /// Store `bytes` for `identity` under filename key `key`
     /// (disambiguated if a different identity already owns the key's
     /// file name). Failures never abort the caller's run; they are
-    /// counted into [`HealthCounters::store_failures`].
+    /// counted into `health.store_failures`.
     pub fn insert(&self, identity: &EntryIdentity, key: u64, bytes: &[u8]) {
         let mut guard = self.opened();
         let st = guard.as_mut().expect("opened");

@@ -210,7 +210,7 @@ pub struct AsmInst {
     pub dest: Option<ArchReg>,
     /// Register sources. Loads/stores: `srcs[0]` is the base address
     /// register, `srcs[1]` the stored value (stores only). `ret` reads
-    /// [`LINK_REG`] via `srcs[0]`.
+    /// [`link_reg`] via `srcs[0]`.
     pub srcs: [Option<ArchReg>; 2],
     /// `true` when operand B is [`AsmInst::imm`] instead of `srcs[1]`.
     pub uses_imm: bool,

@@ -5,15 +5,22 @@
 //! They read the machine, run length and seed from the
 //! [`ExperimentConfig`] (`ExperimentConfig::standard()` reproduces the
 //! committed CSVs; `--quick` shortens every run) but each keeps its own
-//! benchmark list, chosen for the effect it shows.
+//! benchmark list, chosen for the effect it shows. References that only
+//! read activity (the oracle, Wattch's styles, other energy tables) ride
+//! the one pass that simulates a benchmark, as sinks; only active
+//! policies (PLB) and changed machines simulate again.
 
 use dcg_core::{
-    run_active, run_oracle, run_passive, run_wattch_styles, Dcg, DcgOptions, GatingPolicy,
-    NoGating, PassiveRun, Plb, PlbConfig, PlbVariant, RunLength,
+    drive, run_active, run_passive, run_passive_with_sinks, ActivitySink, Dcg, DcgOptions,
+    GatingPolicy, NoGating, PassiveRun, Plb, PlbConfig, PlbVariant, RunLength, WattchSink,
+    WattchStyles,
 };
 use dcg_isa::FuClass;
-use dcg_power::{EnergyTable, PowerModel, PowerReport};
-use dcg_sim::{FuSelectPolicy, LatchGroups, PredictorKind, Processor, SimConfig, StoreTiming};
+use dcg_power::{EnergyTable, GateLanes, PowerModel, PowerReport};
+use dcg_sim::{
+    ActivityBlock, CycleActivity, FuSelectPolicy, LatchGroups, PredictorKind, Processor, SimConfig,
+    StoreTiming,
+};
 use dcg_workloads::{Spec2000, SyntheticWorkload};
 
 use crate::suite::ExperimentConfig;
@@ -43,17 +50,39 @@ fn workload(bench: &str, seed: u64) -> SyntheticWorkload {
 }
 
 /// One live pass of `bench` on `sim` under the ungated baseline
-/// (outcome 0) and DCG (outcome 1).
-fn dcg_pass(sim: &SimConfig, bench: &str, seed: u64, length: RunLength) -> PassiveRun {
+/// (outcome 0) and DCG (outcome 1), with `extra` sinks riding it.
+fn dcg_pass_with(
+    sim: &SimConfig,
+    bench: &str,
+    seed: u64,
+    length: RunLength,
+    extra: &mut [&mut dyn ActivitySink],
+) -> PassiveRun {
     let groups = LatchGroups::new(&sim.depth);
     let mut baseline = NoGating::new(sim, &groups);
     let mut dcg = Dcg::new(sim, &groups);
-    run_passive(
-        sim,
-        workload(bench, seed),
-        length,
-        &mut [&mut baseline, &mut dcg],
-    )
+    let mut cpu = Processor::new(sim.clone(), workload(bench, seed));
+    run_passive_with_sinks(sim, &mut cpu, length, &mut [&mut baseline, &mut dcg], extra)
+        .expect("a live simulation source cannot fail")
+}
+
+/// [`dcg_pass_with`] and no extra sink.
+fn dcg_pass(sim: &SimConfig, bench: &str, seed: u64, length: RunLength) -> PassiveRun {
+    dcg_pass_with(sim, bench, seed, length, &mut [])
+}
+
+/// A [`dcg_pass`] with a [`WattchSink`] riding it, so the oracle and
+/// Wattch's styles cost no simulation of their own.
+fn styled_pass(
+    sim: &SimConfig,
+    bench: &str,
+    seed: u64,
+    length: RunLength,
+) -> (PassiveRun, WattchStyles) {
+    let groups = LatchGroups::new(&sim.depth);
+    let mut wattch = WattchSink::new(sim, &groups);
+    let run = dcg_pass_with(sim, bench, seed, length, &mut [&mut wattch]);
+    (run, wattch.into_styles())
 }
 
 /// DCG's total-power saving over the baseline of a [`dcg_pass`], in
@@ -78,10 +107,9 @@ pub fn oracle_comparison(cfg: &ExperimentConfig) -> FigureTable {
         vec!["dcg".into(), "oracle".into(), "gap".into()],
     );
     for bench in ["gzip", "bzip2", "mcf", "mesa", "lucas", "swim"] {
-        let run = dcg_pass(&cfg.sim, bench, cfg.seed, cfg.length);
+        let (run, styles) = styled_pass(&cfg.sim, bench, cfg.seed, cfg.length);
         let dcg = dcg_saving(&run);
-        let oracle = run_oracle(&cfg.sim, workload(bench, cfg.seed), cfg.length);
-        let oracle = 100.0 * oracle.report.power_saving_vs(&run.outcomes[0].report);
+        let oracle = 100.0 * styles.cc2.power_saving_vs(&run.outcomes[0].report);
         t.push_row(bench, vec![dcg, oracle, oracle - dcg]);
     }
     t.note("the oracle has no control overhead and perfect latch knowledge;");
@@ -99,15 +127,15 @@ pub fn wattch_styles(cfg: &ExperimentConfig) -> FigureTable {
         vec!["dcg".into(), "cc1".into(), "cc2".into(), "cc3".into()],
     );
     for bench in ["gzip", "bzip2", "mcf", "mesa", "swim"] {
-        let dcg = dcg_saving(&dcg_pass(&cfg.sim, bench, cfg.seed, cfg.length));
-        let styles = run_wattch_styles(&cfg.sim, workload(bench, cfg.seed), cfg.length);
+        let (run, styles) = styled_pass(&cfg.sim, bench, cfg.seed, cfg.length);
+        let base = &run.outcomes[0].report;
         t.push_row(
             bench,
             vec![
-                dcg,
-                100.0 * styles.cc1_saving(),
-                100.0 * styles.cc2_saving(),
-                100.0 * styles.cc3_saving(0.10),
+                dcg_saving(&run),
+                100.0 * styles.cc1.power_saving_vs(base),
+                100.0 * styles.cc2.power_saving_vs(base),
+                100.0 * styles.cc3_saving(base, 0.10),
             ],
         );
     }
@@ -332,42 +360,78 @@ pub fn ablation_iq_gating(cfg: &ExperimentConfig) -> FigureTable {
     t
 }
 
+/// The ungated baseline and DCG, each deciding every span once, with
+/// both decisions priced by one power model per leakage fraction.
+/// DCG's lanes are priced as decided, unscreened.
+struct LeakageSink {
+    baseline: NoGating,
+    dcg: Dcg,
+    /// Scratch lanes of the baseline and DCG, in that order.
+    lanes: [GateLanes; 2],
+    models: Vec<PowerModel>,
+    /// The `[baseline, dcg]` reports of each model.
+    reports: Vec<[PowerReport; 2]>,
+}
+
+impl ActivitySink for LeakageSink {
+    fn measure_cycle(&mut self, _act: &CycleActivity) {
+        unreachable!("drive hands the leakage sink whole spans");
+    }
+
+    // Deciding the lanes is all a warm-up span does.
+    fn warmup_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
+        let [base, dcg] = &mut self.lanes;
+        self.baseline.gate_lanes(block, from, to, base);
+        self.dcg.gate_lanes(block, from, to, dcg);
+    }
+
+    fn measure_span(&mut self, block: &ActivityBlock, from: usize, to: usize) {
+        self.warmup_span(block, from, to);
+        let act = block.columns(from, to);
+        for (model, reports) in self.models.iter().zip(&mut self.reports) {
+            for (lanes, report) in self.lanes.iter().zip(reports) {
+                model.fold_span(&act, &lanes.columns(from, to), report);
+            }
+        }
+    }
+}
+
+/// One live run of `bench` on `sim`, priced at each leakage fraction in
+/// `leaks`: the `[baseline, dcg]` reports of each fraction, in order.
+fn leakage_reports(
+    sim: &SimConfig,
+    bench: &str,
+    seed: u64,
+    length: RunLength,
+    leaks: &[f64],
+) -> Vec<[PowerReport; 2]> {
+    let groups = LatchGroups::new(&sim.depth);
+    let models: Vec<PowerModel> = leaks
+        .iter()
+        .map(|&leak| {
+            let mut table = EnergyTable::micron180();
+            table.leakage_fraction = leak;
+            PowerModel::with_table(sim, &groups, table)
+        })
+        .collect();
+    let mut sink = LeakageSink {
+        baseline: NoGating::new(sim, &groups),
+        dcg: Dcg::new(sim, &groups),
+        lanes: [GateLanes::new(groups.len()), GateLanes::new(groups.len())],
+        reports: models.iter().map(|_| Default::default()).collect(),
+        models,
+    };
+    let mut cpu = Processor::new(sim.clone(), workload(bench, seed));
+    drive(&mut cpu, &mut [&mut sink], length).expect("a live simulation source cannot fail");
+    sink.reports
+}
+
 /// DCG's savings as leakage grows. The paper assumes zero leakage
 /// (§4.2); clock gating stops only dynamic power, so a leakier
-/// technology recovers a smaller share of total power.
+/// technology recovers a smaller share of total power. Leakage changes
+/// only the energy table, so each benchmark simulates once and every
+/// fraction prices the same gate decisions.
 pub fn ablation_leakage(cfg: &ExperimentConfig) -> FigureTable {
-    let saving_at = |bench: &str, leak: f64| {
-        let sim = &cfg.sim;
-        let groups = LatchGroups::new(&sim.depth);
-        let mut table = EnergyTable::micron180();
-        table.leakage_fraction = leak;
-        let model = PowerModel::with_table(sim, &groups, table);
-
-        let mut cpu = Processor::new(sim.clone(), workload(bench, cfg.seed));
-        let mut base_policy = NoGating::new(sim, &groups);
-        let mut dcg = Dcg::new(sim, &groups);
-        while cpu.committed() < cfg.length.warmup_insts {
-            let cycle = cpu.cycle() + 1;
-            let _ = base_policy.gate_for(cycle);
-            let _ = dcg.gate_for(cycle);
-            let act = cpu.step();
-            base_policy.observe(act);
-            dcg.observe(act);
-        }
-        let mut base_report = PowerReport::new();
-        let mut dcg_report = PowerReport::new();
-        let target = cfg.length.warmup_insts + cfg.length.measure_insts;
-        while cpu.committed() < target {
-            let cycle = cpu.cycle() + 1;
-            let gates = [base_policy.gate_for(cycle), dcg.gate_for(cycle)];
-            let act = cpu.step().clone();
-            base_report.record(&model.cycle_energy(&act, &gates[0]), act.committed);
-            dcg_report.record(&model.cycle_energy(&act, &gates[1]), act.committed);
-            base_policy.observe(&act);
-            dcg.observe(&act);
-        }
-        100.0 * dcg_report.power_saving_vs(&base_report)
-    };
     let leaks = [0.0, 0.1, 0.2, 0.3];
     let mut t = FigureTable::new(
         "ablation-leakage",
@@ -375,7 +439,10 @@ pub fn ablation_leakage(cfg: &ExperimentConfig) -> FigureTable {
         leaks.iter().map(|l| format!("leak={l}")).collect(),
     );
     for bench in ["gzip", "mcf", "swim"] {
-        let row = leaks.iter().map(|l| saving_at(bench, *l)).collect();
+        let row = leakage_reports(&cfg.sim, bench, cfg.seed, cfg.length, &leaks)
+            .iter()
+            .map(|[base, dcg]| 100.0 * dcg.power_saving_vs(base))
+            .collect();
         t.push_row(bench, row);
     }
     t.note("paper §4.2 assumes zero leakage; gating stops only dynamic power,");
@@ -459,4 +526,35 @@ pub fn ablation_predictor(cfg: &ExperimentConfig) -> FigureTable {
     t.note("Table 1 uses the 2-level predictor; bimodal mispredicts more,");
     t.note("costing IPC and (slightly) raising DCG's idleness-driven savings");
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcg_power::Component;
+
+    fn bits(r: &PowerReport) -> Vec<u64> {
+        let mut v = vec![r.cycles(), r.committed()];
+        v.extend(Component::ALL.iter().map(|c| r.component_pj(*c).to_bits()));
+        v
+    }
+
+    #[test]
+    fn leakage_at_zero_equals_the_passive_pass() {
+        let sim = SimConfig::baseline_8wide();
+        let length = RunLength::quick();
+        let [base, dcg] = &leakage_reports(&sim, "gzip", 7, length, &[0.0])[0];
+
+        let groups = LatchGroups::new(&sim.depth);
+        let mut baseline = NoGating::new(&sim, &groups);
+        let mut gated = Dcg::new(&sim, &groups);
+        let run = run_passive(
+            &sim,
+            workload("gzip", 7),
+            length,
+            &mut [&mut baseline, &mut gated],
+        );
+        assert_eq!(bits(base), bits(&run.outcomes[0].report));
+        assert_eq!(bits(dcg), bits(&run.outcomes[1].report));
+    }
 }

@@ -13,7 +13,7 @@
 //!   choice-stream generation with automatic shrinking for integers,
 //!   tuples, options and vectors; case count via `DCG_PROPTEST_CASES`;
 //!   failing cases print a replayable `DCG_PROPTEST_SEED`.
-//! - [`bench`] — [`bench::time`], the wall-clock timer behind the
+//! - [`bench`](mod@bench) — [`bench::time`], the wall-clock timer behind the
 //!   suite's elapsed times.
 //! - [`json`] — the minimal JSON writer behind every result document.
 //!

@@ -1310,7 +1310,7 @@ impl ActivityTraceReader {
     /// # Errors
     ///
     /// Fails on a misaligned call, a `block` sized for the wrong latch
-    /// geometry, or any corruption [`read_cycle`] would report.
+    /// geometry, or any corruption [`read_cycle`](Self::read_cycle) would report.
     pub fn read_block(&mut self, block: &mut ActivityBlock) -> Result<bool, TraceError> {
         if self.cur_left != 0 {
             return Err(TraceError::BadActivity("block read misaligned"));

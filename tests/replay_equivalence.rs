@@ -6,12 +6,12 @@
 use std::path::PathBuf;
 
 use dcg_repro::core::{
-    run_cached_or_live, run_oracle, run_oracle_source, run_passive, run_passive_metered,
-    run_passive_with_sinks, Dcg, GatingPolicy, NoGating, PassiveRun, RunLength, TraceCache,
+    drive, run_cached_or_live, run_passive, run_passive_metered, run_passive_with_sinks, Dcg,
+    GatingPolicy, NoGating, PassiveRun, RunLength, TraceCache, WattchSink,
 };
 use dcg_repro::experiments::metrics_json;
 use dcg_repro::power::{Component, PowerReport};
-use dcg_repro::sim::{LatchGroups, SimConfig};
+use dcg_repro::sim::{LatchGroups, Processor, SimConfig};
 use dcg_repro::workloads::{Spec2000, SyntheticWorkload};
 
 const SEED: u64 = 11;
@@ -185,29 +185,32 @@ fn metrics_json_is_byte_identical_across_live_and_replay() {
     }
 }
 
-/// The oracle runner accepts a replayed source too: clairvoyant gating is
-/// a pure function of the activity stream.
+/// The Wattch sink, and with it the oracle (its `cc2`), rides a replayed
+/// source too: its styles are pure functions of the activity stream.
 #[test]
 fn oracle_replays_bit_identically() {
     let cfg = SimConfig::baseline_8wide();
+    let groups = LatchGroups::new(&cfg.depth);
     let cache = fresh_cache("oracle");
     let profile = Spec2000::by_name("gzip").unwrap();
 
-    let live = run_oracle(
-        &cfg,
-        SyntheticWorkload::new(profile, SEED),
-        RunLength::quick(),
-    );
+    let mut live = WattchSink::new(&cfg, &groups);
+    let mut cpu = Processor::new(cfg.clone(), SyntheticWorkload::new(profile, SEED));
+    drive(&mut cpu, &mut [&mut live], RunLength::quick()).expect("live runs cannot fail");
+    let live = live.into_styles();
 
-    // Populate the cache, then replay through the oracle runner.
+    // Populate the cache, then replay through the sink.
     let _ = passive_cached(&cache, &cfg, "gzip");
     let mut replay = cache
         .replay_source(&cfg, "gzip", SEED, RunLength::quick())
         .expect("cache entry");
-    let replayed = run_oracle_source(&cfg, &mut replay, RunLength::quick())
-        .expect("replaying an intact entry through the oracle cannot fail");
+    let mut replayed = WattchSink::new(&cfg, &groups);
+    drive(&mut replay, &mut [&mut replayed], RunLength::quick())
+        .expect("replaying an intact entry through the sink cannot fail");
+    let replayed = replayed.into_styles();
 
-    assert_eq!(report_bits(&live.report), report_bits(&replayed.report));
+    assert_eq!(report_bits(&live.cc1), report_bits(&replayed.cc1));
+    assert_eq!(report_bits(&live.cc2), report_bits(&replayed.cc2));
 }
 
 /// Real-program kernel streams go through the same simulate-once cache as
